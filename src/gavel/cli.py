@@ -2,24 +2,24 @@
 
 Subcommands: fetch, segment, classify-qa (train/apply), pair, features,
 kstest, train, evaluate, prompts, verify-sample. Every run honors --seed
-(default 108, never wall-clock), --config (JSON file whose keys mirror the
-flags; flags override) and --jobs, writes its artifacts only under the
-declared output location, and drops a manifest with a config hash and
-input checksums so identical runs are identifiable. Diagnostics go to
-stderr, data to stdout or files. Exit codes: 0 success, 1 validation
-error, 2 internal error.
+(default 108, never wall-clock) and --config (JSON file whose keys mirror
+the flags; flags override), writes its artifacts only under the declared
+output location, creating missing parent directories, and drops a manifest
+with a config hash and input checksums so identical runs are identifiable.
+Diagnostics go to stderr, data to stdout or files. Exit codes: 0 success,
+1 validation error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,12 +30,13 @@ from .corpus import (
     Party,
     QALabel,
     Standing,
-    Utterance,
     load_corpus,
     load_government_config,
     load_roster,
     load_rosters,
     store_corpus,
+    write_lines,
+    write_tsv,
 )
 from .features import SCHEMA
 from .fetcher import FetchError, Fetcher
@@ -124,8 +125,7 @@ def write_manifest(
     payload["config_hash"] = config_hash
     payload["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
     payload["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(out_dir / "manifest.json", [json.dumps(payload, indent=1, sort_keys=True)])
 
 
 def _log(msg: str) -> None:
@@ -205,23 +205,20 @@ def cmd_fetch(args, config) -> int:
 
 
 def cmd_segment(args, config) -> int:
-    defaults = dict(input=None, output=None, rules=None, jobs=1, seed=DEFAULT_SEED)
+    defaults = dict(input=None, output=None, rules=None, seed=DEFAULT_SEED)
     r = _resolve(args, config, defaults)
     _require(r, "input", "output")
     started = time.time()
     rules = SegmenterRules.from_file(r["rules"]) if r["rules"] else SegmenterRules()
-    hearing_dirs = _raw_hearing_dirs(Path(r["input"]))
-
-    def one(hdir: Path):
+    results = []
+    for hdir in _raw_hearing_dirs(Path(r["input"])):
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
         meta = HearingMeta.from_record(
             json.loads((hdir / "meta.json").read_text(encoding="utf-8")), path=str(hdir / "meta.json")
         )
         roster = load_roster(hdir / "roster.json")
         utterances, report = segment_hearing(raw, rules, roster, meta)
-        return meta, utterances, roster, report
-
-    results = _parallel_map(one, hearing_dirs, int(r["jobs"]))
+        results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)
     out = Path(r["output"])
     store_corpus(
@@ -244,16 +241,9 @@ def cmd_segment(args, config) -> int:
         }
         for meta, _, _, rep in results
     }
-    (out / "segmentation_report.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(out / "segmentation_report.json", [json.dumps(reports, indent=1, sort_keys=True)])
     write_manifest(out, "segment", r, [Path(r["input"])], started)
     return 0
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_train_specs(specs: Sequence[str]) -> list[tuple[Path, Source]]:
@@ -323,20 +313,7 @@ def cmd_classify_qa(args, config) -> int:
     band = float(r["other_band"]) if r["other_band"] is not None else None
     labeled = []
     for meta, utterances in corpus:
-        relabeled = []
-        for u in utterances:
-            label, _conf = classify_qa(model, u.text, other_band=band)
-            relabeled.append(
-                Utterance(
-                    utterance_id=u.utterance_id,
-                    hearing_id=u.hearing_id,
-                    sequence_no=u.sequence_no,
-                    speaker=u.speaker,
-                    raw_marker=u.raw_marker,
-                    text=u.text,
-                    qa_label=label,
-                )
-            )
+        relabeled = [replace(u, qa_label=classify_qa(model, u.text, other_band=band)[0]) for u in utterances]
         labeled.append((meta, relabeled))
     store_corpus(labeled, corpus_dir, rosters=load_rosters(corpus_dir))
     n = sum(len(u) for _, u in labeled)
@@ -378,7 +355,6 @@ def cmd_features(args, config) -> int:
         lexicons=None,
         member_directory=None,
         strip_names=True,
-        jobs=1,
         seed=DEFAULT_SEED,
     )
     r = _resolve(args, config, defaults)
@@ -402,16 +378,9 @@ def cmd_features(args, config) -> int:
         inputs.append(Path(r["member_directory"]))
     if r["pairs"]:
         inputs.append(Path(r["pairs"]))
-
-    def one(hearing):
-        return build_examples(
-            [hearing], rosters, gov, lexicons, pairs=pairs, member_directory=directory,
-            strip_names=bool(r["strip_names"]),
-        )
-
-    per_hearing = _parallel_map(one, corpus, int(r["jobs"]))
-    rows = sorted((row for rs, _ in per_hearing for row in rs), key=lambda x: (x.kind, x.example_id))
-    warnings = [w for _, ws in per_hearing for w in ws]
+    rows, warnings = build_examples(
+        corpus, rosters, gov, lexicons, pairs=pairs, member_directory=directory, strip_names=bool(r["strip_names"])
+    )
     for w in warnings:
         _log(f"warning: {w}")
     write_examples(rows, r["output"])
@@ -501,19 +470,12 @@ def cmd_train(args, config) -> int:
             _log(f"grid best: {best}")
         else:
             best = grid[0]
-        hyper = ForestHyper(
-            n_estimators=best.n_estimators,
-            max_depth=best.max_depth,
-            min_samples_split=best.min_samples_split,
-            max_features=best.max_features,
-            seed=int(r["seed"]),
-        )
-        model = train_forest(x, labels, present, hyper)
+        model = train_forest(x, labels, present, replace(best, seed=int(r["seed"])))
         save_forest(model, r["model_out"])
         if r["importance_out"]:
             imp = feature_importance(model, schema=SCHEMA)
-            lines = ["feature\timportance"] + [f"{k}\t{v!r}" for k, v in sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))]
-            Path(r["importance_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
+            write_tsv(r["importance_out"], ["feature", "importance"], ([k, repr(v)] for k, v in ranked))
     else:
         raise UsageError(f"unsupported model for train: {r['model']!r}")
     _log(f"trained {r['model']} on {len(x)} rows, classes {present}")
@@ -542,7 +504,6 @@ def cmd_evaluate(args, config) -> int:
     started = time.time()
     rows = read_examples(r["examples"])
     out_dir = Path(r["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     task = Task(r["task"])
     if r["predictions"]:
         report, warnings = score_predictions(read_predictions_file(r["predictions"]), rows, task)
@@ -574,10 +535,11 @@ def cmd_evaluate(args, config) -> int:
     reports = run_experiment(datasets, exp)
     for layout in (l for l in (r["layouts"] or "").split(",") if l):
         emit_tables(reports, layout, out_dir / f"{layout}.tsv")
-    skip_lines = ["split\tn_rows\treason"] + [
-        "|".join(f"{d}={v}" for d, v in s.key) + f"\t{s.n_rows}\t{s.reason}" for s in skips
-    ]
-    (out_dir / "skipped_splits.tsv").write_text("\n".join(skip_lines) + "\n", encoding="utf-8")
+    write_tsv(
+        out_dir / "skipped_splits.tsv",
+        ["split", "n_rows", "reason"],
+        (["|".join(f"{d}={v}" for d, v in s.key), str(s.n_rows), s.reason] for s in skips),
+    )
     for rep in reports:
         flag = "*" if rep.beats_baseline else " "
         _log(
@@ -621,7 +583,7 @@ def cmd_prompts(args, config) -> int:
                 else:
                     example_id, prompt = pair.pair_id, render_prompt("Both", question_text=q.text, answer_text=a.text)
                 out_lines.append(json.dumps({"example_id": example_id, "prompt": prompt}, ensure_ascii=False))
-    Path(r["output"]).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    write_lines(r["output"], out_lines)
     _log(f"wrote {len(out_lines)} prompts")
     write_manifest(Path(r["output"]).parent, "prompts", r, [corpus_dir], started)
     return 0
@@ -675,7 +637,6 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file; keys mirror the flags, flags override")
         p.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
-        p.add_argument("--jobs", type=int, help="parallel workers; results identical to --jobs 1")
         return p
 
     p = add("fetch", cmd_fetch, help="download transcripts into the local cache")

@@ -7,8 +7,11 @@ A corpus lives under a root directory with one subdirectory per hearing:
     <root>/<hearing_id>/roster.json      people present at the hearing (optional)
 
 All types are immutable after construction and safe to share across threads.
-Store handles are single-writer/multi-reader: `store_corpus` replaces whole
-hearing directories, readers only ever see complete files.
+
+Every gavel artifact, the store included, reaches disk through `write_lines`
+or `write_tsv`. They overwrite the target in place: a run that dies while
+writing leaves a truncated file, and `store_corpus` leaves alone any hearing
+directory it is not given.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -437,6 +441,19 @@ def derive_standing(
     return Standing.MAJORITY if effective_party == majority else Standing.MINORITY
 
 
+def write_lines(path: Path | str, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline as UTF-8, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_tsv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Tab-separated table: the header line, then one line per row of cells."""
+    write_lines(path, map("\t".join, chain([header], rows)))
+
+
 def _check_sequence(hearing_id: str, utterances: Sequence[Utterance]) -> None:
     for i, utt in enumerate(utterances):
         if utt.hearing_id != hearing_id:
@@ -462,16 +479,11 @@ def store_corpus(
         seen.add(meta.hearing_id)
         _check_sequence(meta.hearing_id, utterances)
         hdir = root / meta.hearing_id
-        hdir.mkdir(parents=True, exist_ok=True)
-        (hdir / "meta.json").write_text(json.dumps(meta.to_record(), indent=1) + "\n", encoding="utf-8")
-        with open(hdir / "utterances.jsonl", "w", encoding="utf-8") as fh:
-            for utt in utterances:
-                fh.write(json.dumps(utt.to_record(), ensure_ascii=False) + "\n")
+        write_lines(hdir / "meta.json", [json.dumps(meta.to_record(), indent=1)])
+        write_lines(hdir / "utterances.jsonl", (json.dumps(u.to_record(), ensure_ascii=False) for u in utterances))
         if rosters and meta.hearing_id in rosters:
             roster = rosters[meta.hearing_id]
-            (hdir / "roster.json").write_text(
-                json.dumps(roster.to_record(), ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
-            )
+            write_lines(hdir / "roster.json", [json.dumps(roster.to_record(), ensure_ascii=False, indent=1)])
 
 
 def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:

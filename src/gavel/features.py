@@ -357,10 +357,6 @@ def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
     )
 
 
-def feature_header(delimiter: str = "\t") -> str:
-    return delimiter.join(SCHEMA)
-
-
 def format_value(v: Optional[float]) -> str:
     return "" if v is None else repr(v)
 

@@ -101,18 +101,3 @@ class Fetcher:
         elapsed = self._clock() - self._last_request
         if elapsed < self.min_delay:
             self._sleep(self.min_delay - elapsed)
-
-
-_shared: dict[tuple[str, str], Fetcher] = {}
-_shared_lock = threading.Lock()
-
-
-def fetch_transcript(hearing_id: str, endpoint: str, cache_dir: Path | str, **kwargs) -> str:
-    """Convenience wrapper sharing one rate-limited Fetcher per endpoint."""
-    key = (endpoint, str(cache_dir))
-    with _shared_lock:
-        fetcher = _shared.get(key)
-        if fetcher is None:
-            fetcher = Fetcher(endpoint, cache_dir, **kwargs)
-            _shared[key] = fetcher
-    return fetcher.fetch(hearing_id)

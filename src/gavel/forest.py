@@ -18,9 +18,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
+
+from .corpus import write_lines
 
 FOREST_FORMAT_VERSION = 1
 
@@ -254,17 +256,11 @@ def save_forest(model: ForestModel, path: Path | str) -> None:
         "format_version": FOREST_FORMAT_VERSION,
         "classes": list(model.classes),
         "n_features": model.n_features,
-        "hyper": {
-            "n_estimators": model.hyper.n_estimators,
-            "max_depth": model.hyper.max_depth,
-            "min_samples_split": model.hyper.min_samples_split,
-            "max_features": model.hyper.max_features,
-            "seed": model.hyper.seed,
-        },
+        "hyper": asdict(model.hyper),
         "impurity_importance": list(model.impurity_importance),
         "trees": [_node_to_record(t) for t in model.trees],
     }
-    Path(path).write_text(json.dumps(record) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(record)])
 
 
 def load_forest(path: Path | str) -> ForestModel:
@@ -272,18 +268,11 @@ def load_forest(path: Path | str) -> ForestModel:
     version = record.get("format_version")
     if version != FOREST_FORMAT_VERSION:
         raise ValueError(f"unsupported forest format_version {version!r}")
-    h = record["hyper"]
     return ForestModel(
         trees=tuple(_node_from_record(t) for t in record["trees"]),
         classes=tuple(record["classes"]),
         n_features=record["n_features"],
-        hyper=ForestHyper(
-            n_estimators=h["n_estimators"],
-            max_depth=h["max_depth"],
-            min_samples_split=h["min_samples_split"],
-            max_features=h["max_features"],
-            seed=h["seed"],
-        ),
+        hyper=ForestHyper(**record["hyper"]),
         impurity_importance=tuple(record["impurity_importance"]),
     )
 

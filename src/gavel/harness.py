@@ -7,7 +7,7 @@ questioner's party and standing. Datasets are then partitioned along any
 subset of five dimensions (committee, session, hearing type,
 unified/divided government, presidency), each split is trained and scored
 against its own majority-class baseline, and results land in stable,
-byte-reproducible delimiter-separated tables.
+byte-reproducible tab-separated tables.
 
 Zero-shot prompt rendering is included so external models can be driven
 from the same examples; their label files feed back in through
@@ -17,7 +17,7 @@ from the same examples; their label files feed back in through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .corpus import (
     Roster,
     Utterance,
     derive_standing,
+    write_tsv,
 )
 from .features import SCHEMA, FeatureVector, extract_features, format_value, parse_value
 from .forest import ForestHyper, derive_seed, predict_forest, train_forest
@@ -213,33 +214,20 @@ def build_examples(
     return rows, warnings
 
 
-def write_examples(rows: Sequence[ExampleRow], path: Path | str, delimiter: str = "\t") -> None:
-    header = delimiter.join(META_COLUMNS + SCHEMA)
-    lines = [header]
-    for r in rows:
-        meta = [
-            r.example_id,
-            r.kind,
-            r.hearing_id,
-            str(r.session),
-            r.committee,
-            r.chamber,
-            r.hearing_type,
-            r.government,
-            r.presidency,
-            r.party,
-            r.standing,
-        ]
-        lines.append(delimiter.join(meta + [format_value(v) for v in r.features.values]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
+    write_tsv(
+        path,
+        META_COLUMNS + SCHEMA,
+        ([str(getattr(r, c)) for c in META_COLUMNS] + [format_value(v) for v in r.features.values] for r in rows),
+    )
 
 
-def read_examples(path: Path | str, delimiter: str = "\t") -> list[ExampleRow]:
+def read_examples(path: Path | str) -> list[ExampleRow]:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise RecordError("empty examples file", path=str(path))
-    header = lines[0].split(delimiter)
+    header = lines[0].split("\t")
     expected = list(META_COLUMNS + SCHEMA)
     if header != expected:
         raise RecordError(
@@ -249,30 +237,16 @@ def read_examples(path: Path | str, delimiter: str = "\t") -> list[ExampleRow]:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cols = line.split(delimiter)
+        cols = line.split("\t")
         if len(cols) != len(expected):
             raise RecordError(f"expected {len(expected)} columns, got {len(cols)}", path=str(path), line_no=line_no)
-        meta = cols[: len(META_COLUMNS)]
+        meta = dict(zip(META_COLUMNS, cols))
+        meta["session"] = int(meta["session"])
         try:
             features = FeatureVector([parse_value(v) for v in cols[len(META_COLUMNS) :]])
         except ValueError as exc:
             raise RecordError(f"bad feature value: {exc}", path=str(path), line_no=line_no)
-        rows.append(
-            ExampleRow(
-                example_id=meta[0],
-                kind=meta[1],
-                hearing_id=meta[2],
-                session=int(meta[3]),
-                committee=meta[4],
-                chamber=meta[5],
-                hearing_type=meta[6],
-                government=meta[7],
-                presidency=meta[8],
-                party=meta[9],
-                standing=meta[10],
-                features=features,
-            )
-        )
+        rows.append(ExampleRow(features=features, **meta))
     return rows
 
 
@@ -434,14 +408,7 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
             best, _, _ = cross_validate_grid(x_train, y_train, classes, config.grid, k=config.cv_folds, seed=seed)
         else:
             best = config.grid[0]
-        hyper = ForestHyper(
-            n_estimators=best.n_estimators,
-            max_depth=best.max_depth,
-            min_samples_split=best.min_samples_split,
-            max_features=best.max_features,
-            seed=seed,
-        )
-        model = train_forest(x_train, y_train, classes, hyper)
+        model = train_forest(x_train, y_train, classes, replace(best, seed=seed))
         predictions = [predict_forest(model, row)[0] for row in x_test]
         importances = tuple(sorted(feature_importance(model, schema=dataset.schema).items()))
     else:
@@ -472,7 +439,7 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
 
 # --- table emission ----------------------------------------------------------
 
-LAYOUTS = ("split_grid", "committee", "hearing_type_government", "qa_sessions")
+LAYOUTS = ("split_grid", "committee", "hearing_type_government")
 
 _BASE_CLASS_MARK = {
     "Democrat": "D",
@@ -494,21 +461,19 @@ def _confusion_cell(report: EvalReport) -> str:
     return ";".join(f"{t}>{p}:{n}" for t, p, n in report.confusion)
 
 
-def emit_tables(reports, layout: str, path: Path | str, delimiter: str = "\t") -> None:
+def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) -> None:
     """Write one layout file; full-precision numbers plus 2-decimal display."""
     if layout == "split_grid":
-        _emit_split_grid(reports, path, delimiter)
+        _emit_split_grid(reports, path)
     elif layout == "committee":
-        _emit_committee(reports, path, delimiter)
+        _emit_committee(reports, path)
     elif layout == "hearing_type_government":
-        _emit_ht_gov(reports, path, delimiter)
-    elif layout == "qa_sessions":
-        emit_qa_confusion_table(reports, path, delimiter)
+        _emit_ht_gov(reports, path)
     else:
         raise ValueError(f"unknown layout {layout!r}; valid: {LAYOUTS}")
 
 
-def _emit_split_grid(reports: Sequence[EvalReport], path, delimiter) -> None:
+def _emit_split_grid(reports: Sequence[EvalReport], path) -> None:
     header = [
         "split",
         "task",
@@ -524,56 +489,50 @@ def _emit_split_grid(reports: Sequence[EvalReport], path, delimiter) -> None:
         "confusion",
         "error",
     ]
-    lines = [delimiter.join(header)]
-    for r in sorted(reports, key=lambda r: r.split_label):
-        lines.append(
-            delimiter.join(
-                [
-                    r.split_label,
-                    r.task.value,
-                    str(r.n_train),
-                    str(r.n_test),
-                    repr(r.accuracy),
-                    _fmt2(r.accuracy),
-                    repr(r.baseline_accuracy),
-                    _fmt2(r.baseline_accuracy),
-                    _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
-                    "true" if r.beats_baseline else "false",
-                    "true" if r.degenerate else "false",
-                    _confusion_cell(r),
-                    r.error or "",
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        [
+            r.split_label,
+            r.task.value,
+            str(r.n_train),
+            str(r.n_test),
+            repr(r.accuracy),
+            _fmt2(r.accuracy),
+            repr(r.baseline_accuracy),
+            _fmt2(r.baseline_accuracy),
+            _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
+            "true" if r.beats_baseline else "false",
+            "true" if r.degenerate else "false",
+            _confusion_cell(r),
+            r.error or "",
+        ]
+        for r in sorted(reports, key=lambda r: r.split_label)
+    )
+    write_tsv(path, header, rows)
 
 
 def _key_dict(report: EvalReport) -> dict[str, str]:
     return dict(report.split_key)
 
 
-def _emit_committee(reports: Sequence[EvalReport], path, delimiter) -> None:
+def _emit_committee(reports: Sequence[EvalReport], path) -> None:
     header = ["committee", "accuracy", "accuracy_2dp", "baseline", "baseline_2dp", "baseline_class", "beats_baseline"]
-    lines = [delimiter.join(header)]
-    rows = [r for r in reports if "committee" in _key_dict(r) and r.error is None]
-    for r in sorted(rows, key=lambda r: _key_dict(r)["committee"]):
-        lines.append(
-            delimiter.join(
-                [
-                    _key_dict(r)["committee"],
-                    repr(r.accuracy),
-                    _fmt2(r.accuracy),
-                    repr(r.baseline_accuracy),
-                    _fmt2(r.baseline_accuracy),
-                    _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
-                    "true" if r.beats_baseline else "false",
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kept = [r for r in reports if "committee" in _key_dict(r) and r.error is None]
+    rows = (
+        [
+            _key_dict(r)["committee"],
+            repr(r.accuracy),
+            _fmt2(r.accuracy),
+            repr(r.baseline_accuracy),
+            _fmt2(r.baseline_accuracy),
+            _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
+            "true" if r.beats_baseline else "false",
+        ]
+        for r in sorted(kept, key=lambda r: _key_dict(r)["committee"])
+    )
+    write_tsv(path, header, rows)
 
 
-def _emit_ht_gov(reports: Sequence[EvalReport], path, delimiter) -> None:
+def _emit_ht_gov(reports: Sequence[EvalReport], path) -> None:
     """Hearing-type x government rows; All/Democrat/Republican presidency columns."""
     cells: dict[tuple[str, str, str], EvalReport] = {}
     for r in reports:
@@ -585,9 +544,8 @@ def _emit_ht_gov(reports: Sequence[EvalReport], path, delimiter) -> None:
     header = ["hearing_type", "government"]
     for block in ("all", "democrat_president", "republican_president"):
         header += [f"{block}_accuracy", f"{block}_accuracy_2dp", f"{block}_baseline", f"{block}_baseline_2dp", f"{block}_baseline_class", f"{block}_degenerate"]
-    lines = [delimiter.join(header)]
-    row_keys = sorted({(ht, gov) for ht, gov, _ in cells})
-    for ht, gov in row_keys:
+    rows = []
+    for ht, gov in sorted({(ht, gov) for ht, gov, _ in cells}):
         cols = [ht, gov]
         for presidency in ("All", "Democrat", "Republican"):
             r = cells.get((ht, gov, presidency))
@@ -602,16 +560,13 @@ def _emit_ht_gov(reports: Sequence[EvalReport], path, delimiter) -> None:
                     _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
                     "true" if r.degenerate else "false",
                 ]
-        lines.append(delimiter.join(cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append(cols)
+    write_tsv(path, header, rows)
 
 
-def emit_qa_confusion_table(
-    counts_by_column: Sequence[tuple[str, ConfusionCounts]], path: Path | str, delimiter: str = "\t"
-) -> None:
+def emit_qa_confusion_table(counts_by_column: Sequence[tuple[str, ConfusionCounts]], path: Path | str) -> None:
     """Q/A identification table: per-column counts plus a display accuracy row."""
     header = ["row"] + [label for label, _ in counts_by_column]
-    lines = [delimiter.join(header)]
     getters = (
         ("questions_true", lambda c: str(c.q_true)),
         ("questions_false", lambda c: str(c.q_false)),
@@ -620,9 +575,7 @@ def emit_qa_confusion_table(
         ("accuracy", lambda c: repr(c.accuracy)),
         ("accuracy_2dp", lambda c: c.display_accuracy()),
     )
-    for name, getter in getters:
-        lines.append(delimiter.join([name] + [getter(c) for _, c in counts_by_column]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, header, ([name] + [getter(c) for _, c in counts_by_column] for name, getter in getters))
 
 
 # --- zero-shot prompt rendering ----------------------------------------------
@@ -665,7 +618,7 @@ def render_prompt(kind: str, question_text: Optional[str] = None, answer_text: O
 
 # --- external-prediction ingestion -------------------------------------------
 
-def read_predictions_file(path: Path | str, delimiter: str = "\t") -> list[tuple[str, str]]:
+def read_predictions_file(path: Path | str) -> list[tuple[str, str]]:
     """Rows of (example_id, predicted_label); header line allowed."""
     path = Path(path)
     out = []
@@ -674,7 +627,7 @@ def read_predictions_file(path: Path | str, delimiter: str = "\t") -> list[tuple
             line = line.rstrip("\n")
             if not line:
                 continue
-            cols = line.split(delimiter)
+            cols = line.split("\t")
             if line_no == 1 and cols[0] in ("example_id", "utterance_id", "pair_id"):
                 continue
             if len(cols) < 2:

@@ -24,7 +24,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Party, Standing
+from .corpus import Party, Standing, write_tsv
 from .features import SCHEMA, FeatureVector
 
 SERIES_TERM_CUTOFF = 1e-12
@@ -245,7 +245,6 @@ def emit_heatmap_matrix(
     comparisons: Sequence[GroupComparison],
     path: Path | str,
     pairs: Sequence[tuple[str, str]] = GROUP_PAIRS,
-    delimiter: str = "\t",
 ) -> None:
     """Wide matrix: one row per feature, five cell fields per group pair.
 
@@ -260,7 +259,7 @@ def emit_heatmap_matrix(
     header = ["feature"]
     for left, right in pairs:
         header.extend(f"{left}|{right}:{f}" for f in _CELL_FIELDS)
-    lines = [delimiter.join(header)]
+    rows = []
     for name in feature_order:
         cells = [name]
         for left, right in pairs:
@@ -277,15 +276,14 @@ def emit_heatmap_matrix(
                         "true" if not c.result.significant else "false",
                     ]
                 )
-        lines.append(delimiter.join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append(cells)
+    write_tsv(path, header, rows)
 
 
 def emit_comparison_details(
     comparisons: Sequence[GroupComparison],
     skips: Sequence[ComparisonSkip],
     path: Path | str,
-    delimiter: str = "\t",
 ) -> None:
     """Long-format dump carrying both means, for either hue convention."""
     header = [
@@ -304,33 +302,27 @@ def emit_comparison_details(
         "significant",
         "skip_reason",
     ]
-    lines = [delimiter.join(header)]
+    rows = []
     for c in comparisons:
         r = c.result
-        lines.append(
-            delimiter.join(
-                [
-                    c.feature_name,
-                    c.left_group,
-                    c.right_group,
-                    str(r.n_a),
-                    str(r.n_b),
-                    repr(r.mean_a),
-                    repr(r.mean_b),
-                    repr(c.direction),
-                    repr(r.statistic_d),
-                    repr(r.p_value),
-                    repr(r.lam),
-                    r.stars.value,
-                    "true" if r.significant else "false",
-                    "",
-                ]
-            )
+        rows.append(
+            [
+                c.feature_name,
+                c.left_group,
+                c.right_group,
+                str(r.n_a),
+                str(r.n_b),
+                repr(r.mean_a),
+                repr(r.mean_b),
+                repr(c.direction),
+                repr(r.statistic_d),
+                repr(r.p_value),
+                repr(r.lam),
+                r.stars.value,
+                "true" if r.significant else "false",
+                "",
+            ]
         )
     for s in skips:
-        lines.append(
-            delimiter.join(
-                [s.feature_name, s.left_group, s.right_group, "", "", "", "", "", "", "", "", "", "", s.reason]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append([s.feature_name, s.left_group, s.right_group, "", "", "", "", "", "", "", "", "", "", s.reason])
+    write_tsv(path, header, rows)

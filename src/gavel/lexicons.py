@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .corpus import write_lines
+
 DEFAULT_DIR = Path(__file__).parent / "data" / "lexicons"
 
 LIST_FILES = (
@@ -129,4 +131,4 @@ def write_manifest(directory: Path | str) -> None:
     for f in sorted(d.glob("*.txt")):
         digest = hashlib.sha256(f.read_bytes()).hexdigest()
         lines.append(f"{digest}  {f.name}")
-    (d / "MANIFEST").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(d / "MANIFEST", lines)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -365,13 +365,7 @@ def cross_validate_grid(
             yt = [y[i] for i in train_idx]
             xv = [x[i] for i in val_idx]
             yv = [y[i] for i in val_idx]
-            cell_hyper = ForestHyper(
-                n_estimators=hyper.n_estimators,
-                max_depth=hyper.max_depth,
-                min_samples_split=hyper.min_samples_split,
-                max_features=hyper.max_features,
-                seed=derive_seed(seed, cell_no * k + held_out),
-            )
+            cell_hyper = replace(hyper, seed=derive_seed(seed, cell_no * k + held_out))
             try:
                 model = train_forest(xt, yt, classes, cell_hyper)
                 fold_accs.append(forest_accuracy(model, xv, yv))

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance
+from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance, write_lines
 from .linear import TrainingMeta, predict_proba, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
@@ -335,12 +335,14 @@ def pair_qa(
 
 
 def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for hearing_id in sorted(pairs_by_hearing):
-            for pair in pairs_by_hearing[hearing_id]:
-                rec = pair.to_record()
-                rec["hearing_id"] = hearing_id
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_lines(
+        path,
+        (
+            json.dumps({**pair.to_record(), "hearing_id": hearing_id}, ensure_ascii=False)
+            for hearing_id in sorted(pairs_by_hearing)
+            for pair in pairs_by_hearing[hearing_id]
+        ),
+    )
 
 
 def load_pairs(path: Path | str) -> dict[str, list[QAPair]]:
@@ -371,7 +373,7 @@ def save_model(model: LexicalModel, path: Path | str) -> None:
             "n_examples": model.training_meta.n_examples,
         },
     }
-    Path(path).write_text(json.dumps(record) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(record)])
 
 
 def load_model(path: Path | str) -> LexicalModel:

@@ -31,6 +31,8 @@ from .corpus import (
     UNKNOWN_SPEAKER,
     Utterance,
     normalize_surname,
+    write_lines,
+    write_tsv,
 )
 
 DEFAULT_HONORIFICS = (
@@ -135,7 +137,7 @@ class SegmenterRules:
             "marker_patterns": list(self.marker_patterns),
             "honorifics": list(self.honorifics),
         }
-        Path(path).write_text(json.dumps(rec, indent=1) + "\n", encoding="utf-8")
+        write_lines(path, [json.dumps(rec, indent=1)])
 
 
 @dataclass(frozen=True)
@@ -450,9 +452,8 @@ class SampleManifest:
     warnings: tuple[str, ...]
 
     def write(self, path: Path | str) -> None:
-        lines = ["utterance_id\thearing_id\tsession\tverdict"]
-        lines.extend(f"{u}\t{h}\t{s}\t" for u, h, s in self.rows)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ["utterance_id", "hearing_id", "session", "verdict"]
+        write_tsv(path, header, ([u, h, str(s), ""] for u, h, s in self.rows))
 
 
 def verify_sample(

@@ -32,6 +32,7 @@ from .corpus import (
     Role,
     Roster,
     Standing,
+    write_lines,
 )
 from .forest import derive_seed
 
@@ -482,17 +483,14 @@ def write_raw_tree(hearings: Sequence[SynthHearing], root: Path | str) -> None:
     root = Path(root)
     for h in hearings:
         hdir = root / h.meta.hearing_id
-        hdir.mkdir(parents=True, exist_ok=True)
-        (hdir / "transcript.txt").write_text(h.raw_text, encoding="utf-8")
-        (hdir / "meta.json").write_text(json.dumps(h.meta.to_record(), indent=1) + "\n", encoding="utf-8")
-        (hdir / "roster.json").write_text(
-            json.dumps(h.roster.to_record(), ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
-        )
+        write_lines(hdir / "transcript.txt", [h.raw_text.removesuffix("\n")])  # the raw text ends in a newline
+        write_lines(hdir / "meta.json", [json.dumps(h.meta.to_record(), indent=1)])
+        write_lines(hdir / "roster.json", [json.dumps(h.roster.to_record(), ensure_ascii=False, indent=1)])
 
 
 def write_government_config(path: Path | str) -> None:
     records = [government_context(s).to_record() for s in sorted(GOVERNMENT_BY_SESSION)]
-    Path(path).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(records, indent=1)])
 
 
 # --- Q/A corpus generators (three disjoint template families) ---------------
@@ -613,7 +611,7 @@ def synth_ama_file(path: Path | str, n_pairs: int, seed: int) -> None:
         a = fill(rng.choice(AMA_A_TEMPLATES), rng, i) + f" (thread {i})"
         lines.append(f"{thread}\t1\t{q}")
         lines.append(f"{thread}\t2\t{a}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def synth_ukparl_file(path: Path | str, n_pairs: int, seed: int) -> None:
@@ -629,7 +627,7 @@ def synth_ukparl_file(path: Path | str, n_pairs: int, seed: int) -> None:
         a = fill(rng.choice(UKPARL_A_TEMPLATES), rng) + f" [ref {i}]"
         lines.append(f"{rid}\tquestion\t{q}")
         lines.append(f"{rid}\tanswer\t{a}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def synth_hand_labeled_file(path: Path | str, n_questions: int, n_answers: int, seed: int) -> None:
@@ -644,7 +642,7 @@ def synth_hand_labeled_file(path: Path | str, n_questions: int, n_answers: int, 
     for i in range(n_answers):
         lines.append(fill(rng.choice(HAND_A_TEMPLATES), rng, n_questions + i) + "\tAnswer")
     rng.shuffle(lines)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def write_fixture_set(root: Path | str, n_hearings: int = 3, seed: int = 108) -> None:
@@ -654,7 +652,6 @@ def write_fixture_set(root: Path | str, n_hearings: int = 3, seed: int = 108) ->
     write_raw_tree(hearings, root / "hearings")
     write_government_config(root / "government_context.json")
     qa_dir = root / "qa"
-    qa_dir.mkdir(parents=True, exist_ok=True)
     synth_ama_file(qa_dir / "ama_train.tsv", n_pairs=600, seed=derive_seed(seed, 1))
     synth_ukparl_file(qa_dir / "ukparl_train.tsv", n_pairs=2344, seed=derive_seed(seed, 2))
     synth_hand_labeled_file(qa_dir / "hand_labeled_test.tsv", 379, 421, seed=derive_seed(seed, 3))

@@ -263,27 +263,24 @@ def test_internal_error_exits_two(monkeypatch, tmp_path, capsys):
     assert "RuntimeError" in capsys.readouterr().err
 
 
-def test_jobs_flag_gives_identical_store(tmp_path):
-    out1 = tmp_path / "s1"
-    out2 = tmp_path / "s2"
-    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(out1), "--jobs", "1"]) == 0
-    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(out2), "--jobs", "4"]) == 0
-    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*.jsonl"))
-    files2 = sorted(p.relative_to(out2) for p in out2.rglob("*.jsonl"))
-    assert files1 == files2
-    for rel in files1:
-        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
-
-
-def test_features_jobs_flag_identical_output(pipeline, tmp_path):
-    corpus = pipeline / "corpus"
+def test_evaluate_rejects_qa_sessions_layout(pipeline, tmp_path, capsys):
     argv = [
-        "features", "--corpus", str(corpus), "--pairs", str(pipeline / "pairs.jsonl"),
-        "--government", str(FIXTURES / "government_context.json"),
+        "evaluate", "--examples", str(pipeline / "examples.tsv"), "--kind", "Question",
+        "--min-rows", "10", "--out-dir", str(tmp_path / "eval"), "--layouts", "qa_sessions",
     ]
-    assert run(argv + ["--output", str(tmp_path / "j1.tsv"), "--jobs", "1"]) == 0
-    assert run(argv + ["--output", str(tmp_path / "j4.tsv"), "--jobs", "4"]) == 0
-    assert (tmp_path / "j1.tsv").read_bytes() == (tmp_path / "j4.tsv").read_bytes()
+    assert run(argv) == 1
+    assert "unknown layout 'qa_sessions'" in capsys.readouterr().err
+
+
+def test_classify_qa_train_creates_model_out_parent(tmp_path):
+    model = tmp_path / "not" / "yet" / "qa.json"
+    argv = [
+        "classify-qa", "train", "--train", f"{FIXTURES / 'qa' / 'ama_train.tsv'}:AMA",
+        "--model-out", str(model), "--epochs", "2",
+    ]
+    assert run(argv) == 0
+    assert json.loads(model.read_text())["format_version"]
+    assert (model.parent / "manifest.json").is_file()
 
 
 def test_evaluate_byte_identical_tables(tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import gavel
 from gavel.corpus import (
     Chamber,
     CorpusError,
@@ -24,6 +27,8 @@ from gavel.corpus import (
     load_roster,
     normalize_surname,
     store_corpus,
+    write_lines,
+    write_tsv,
 )
 
 
@@ -292,3 +297,40 @@ def test_government_config_file(tmp_path):
 def test_load_corpus_missing_root(tmp_path):
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "nope")
+
+
+def test_writers_create_parent_and_end_every_line(tmp_path):
+    target = tmp_path / "new" / "dir" / "t.tsv"
+    write_tsv(target, ["a", "b"], (row for row in [["1", "é"], ["", "3"]]))
+    assert target.read_bytes() == "a\tb\n1\té\n\t3\n".encode("utf-8")
+    write_lines(target, ['{"k": 1}'])
+    assert target.read_bytes() == b'{"k": 1}\n'
+
+
+def _file_writes(source: str) -> list[tuple[int, str]]:
+    """(line, call) for each write_text/write_bytes call and each open() not in a read mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            # builtin open(path, mode) versus Path.open(mode)
+            pos = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), pos[0] if pos else None)
+            if mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                found.append((node.lineno, "open"))
+    return found
+
+
+def test_file_writes_go_through_corpus_writers():
+    offenders = [
+        f"{path.name}:{line} {call}"
+        for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
+        if path.name not in ("corpus.py", "fetcher.py")
+        for line, call in _file_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
