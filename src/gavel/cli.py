@@ -6,6 +6,8 @@ kstest, train, evaluate, prompts, verify-sample. Every run honors --seed
 the flags; flags override), writes its artifacts only under the declared
 output location, creating missing parent directories, and drops a manifest
 with a config hash and input checksums so identical runs are identifiable.
+Each option, with its default, type and choices, is declared once, in
+`build_parser`; config-file values pass the same checks as flags.
 Diagnostics go to stderr, data to stdout or files. Exit codes: 0 success,
 1 validation error, 2 internal error.
 """
@@ -40,13 +42,17 @@ from .corpus import (
 )
 from .features import SCHEMA
 from .fetcher import FetchError, Fetcher
-from .forest import ForestHyper, save_forest, train_forest
+from .forest import ForestHyper, save_forest
 from .harness import (
+    KINDS,
+    LAYOUTS,
     ExperimentConfig,
     SplitSpec,
     build_datasets,
     build_examples,
     emit_tables,
+    fit_forest,
+    impute_with_medians,
     read_examples,
     read_predictions_file,
     render_prompt,
@@ -56,7 +62,7 @@ from .harness import (
 )
 from .kstest import compare_groups, emit_comparison_details, emit_heatmap_matrix
 from .lexicons import LexiconError, load_lexicons, verify_manifest
-from .party_models import Task, column_medians, cross_validate_grid, feature_importance, impute
+from .party_models import Task, feature_importance
 from .qa import (
     QAHyper,
     Source,
@@ -81,6 +87,9 @@ from .segmenter import (
 
 DEFAULT_SEED = 108  # first session in the supported range; fixed, never wall-clock
 
+# Namespace entries that are parser wiring rather than settable values.
+_WIRING = ("subcommand", "mode", "fn", "command_parser", "config")
+
 
 class UsageError(Exception):
     pass
@@ -89,6 +98,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract is 1
         raise UsageError(message)
+
+
+class _AppendFlags(argparse.Action):
+    """`append`, except that the first flag replaces a list from the config file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is None or items is self.default else list(items)
+        setattr(namespace, self.dest, items + [values])
 
 
 def _sha256_file(path: Path) -> str:
@@ -103,22 +121,28 @@ def _checksum_input(path: Path) -> str:
     if path.is_file():
         return _sha256_file(path)
     if path.is_dir():
+        # an upstream run's manifest.json holds timestamps, so it is not input content
         h = hashlib.sha256()
-        for f in sorted(p for p in path.rglob("*") if p.is_file()):
+        for f in sorted(p for p in path.rglob("*") if p.is_file() and p.name != "manifest.json"):
             h.update(str(f.relative_to(path)).encode())
             h.update(_sha256_file(f).encode())
         return h.hexdigest()
     return "missing"
 
 
+def _settings(args: argparse.Namespace) -> dict:
+    """The subcommand's settable values: each of its options, plus `grid` where declared."""
+    return {k: v for k, v in vars(args).items() if k not in _WIRING}
+
+
 def write_manifest(
-    out_dir: Path, subcommand: str, resolved: dict, inputs: Sequence[Path], started: float
+    out_dir: Path, subcommand: str, args: argparse.Namespace, inputs: Sequence[Path], started: float
 ) -> None:
     payload = {
         "subcommand": subcommand,
-        "config": resolved,
+        "config": _settings(args),
         "input_checksums": {str(p): _checksum_input(p) for p in sorted(set(inputs), key=str)},
-        "seed": resolved.get("seed"),
+        "seed": args.seed,
         "version": __version__,
     }
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -132,9 +156,7 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if not path:
-        return {}
+def _load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
@@ -147,22 +169,35 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flag > config-file key > default, per option name."""
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _config_value(parser: argparse.ArgumentParser, action: Optional[argparse.Action], key: str, value):
+    """A config-file value, converted and checked as the flag's text would be."""
+    if action is None or (value is None and action.default is None):
+        return value  # `grid`, or an optional value left unset
+    if action.nargs == 0 and type(value) is bool:  # a switch such as --no-strip-names
+        return value
+    many = isinstance(action, _AppendFlags)
+    items = value if many and isinstance(value, list) else [value]
+    if action.nargs == 0 or any(type(v) not in (str, int, float) for v in items):
+        raise UsageError(f"config key {key!r}: bad value {value!r}")
+    try:
+        checked = [parser._get_values(action, [str(v)]) for v in items]
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config key {key!r}: {exc.message}") from None
+    return checked if many else checked[0]
 
 
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) in (None, "")]
+def _apply_config(args: argparse.Namespace, config: dict) -> None:
+    """Make each config-file value the default of its option in the chosen subcommand."""
+    unknown = sorted(set(config) - set(_settings(args)))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    parser = args.command_parser
+    actions = {a.dest: a for a in parser._actions}
+    parser.set_defaults(**{k: _config_value(parser, actions.get(k), k, v) for k, v in config.items()})
+
+
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [k for k in keys if getattr(args, k) in (None, "")]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
@@ -178,40 +213,28 @@ def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
 
 # --- subcommand implementations ----------------------------------------------
 
-def cmd_fetch(args, config) -> int:
-    defaults = dict(
-        ids="",
-        ids_file=None,
-        endpoint=None,
-        cache_dir=os.environ.get("GAVEL_CACHE_DIR"),
-        min_delay=1.0,
-        retries=3,
-        seed=DEFAULT_SEED,
-    )
-    r = _resolve(args, config, defaults)
-    _require(r, "endpoint", "cache_dir")
-    ids = [i for i in (r["ids"] or "").split(",") if i]
-    if r["ids_file"]:
-        ids.extend(l.strip() for l in Path(r["ids_file"]).read_text(encoding="utf-8").splitlines() if l.strip())
+def cmd_fetch(args) -> int:
+    _require(args, "endpoint", "cache_dir")
+    ids = [i for i in args.ids.split(",") if i]
+    if args.ids_file:
+        ids.extend(l.strip() for l in Path(args.ids_file).read_text(encoding="utf-8").splitlines() if l.strip())
     if not ids:
         raise UsageError("no hearing ids given (--ids or --ids-file)")
     started = time.time()
-    fetcher = Fetcher(r["endpoint"], r["cache_dir"], min_delay=float(r["min_delay"]), retries=int(r["retries"]))
+    fetcher = Fetcher(args.endpoint, args.cache_dir, min_delay=args.min_delay, retries=args.retries)
     for hearing_id in ids:
         fetcher.fetch(hearing_id)
         _log(f"fetched {hearing_id}")
-    write_manifest(Path(r["cache_dir"]), "fetch", r, [], started)
+    write_manifest(Path(args.cache_dir), "fetch", args, [], started)
     return 0
 
 
-def cmd_segment(args, config) -> int:
-    defaults = dict(input=None, output=None, rules=None, seed=DEFAULT_SEED)
-    r = _resolve(args, config, defaults)
-    _require(r, "input", "output")
+def cmd_segment(args) -> int:
+    _require(args, "input", "output")
     started = time.time()
-    rules = SegmenterRules.from_file(r["rules"]) if r["rules"] else SegmenterRules()
+    rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
     results = []
-    for hdir in _raw_hearing_dirs(Path(r["input"])):
+    for hdir in _raw_hearing_dirs(Path(args.input)):
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
         meta = HearingMeta.from_record(
             json.loads((hdir / "meta.json").read_text(encoding="utf-8")), path=str(hdir / "meta.json")
@@ -220,7 +243,7 @@ def cmd_segment(args, config) -> int:
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)
-    out = Path(r["output"])
+    out = Path(args.output)
     store_corpus(
         [(meta, utts) for meta, utts, _, _ in results],
         out,
@@ -242,7 +265,7 @@ def cmd_segment(args, config) -> int:
         for meta, _, _, rep in results
     }
     write_lines(out / "segmentation_report.json", [json.dumps(reports, indent=1, sort_keys=True)])
-    write_manifest(out, "segment", r, [Path(r["input"])], started)
+    write_manifest(out, "segment", args, [Path(args.input)], started)
     return 0
 
 
@@ -259,37 +282,30 @@ def _parse_train_specs(specs: Sequence[str]) -> list[tuple[Path, Source]]:
     return out
 
 
-def cmd_classify_qa(args, config) -> int:
-    if args.mode == "train":
-        defaults = dict(
-            train=None, model_out=None, learning_rate=0.5, epochs=60, l2=1e-4, seed=DEFAULT_SEED
-        )
-        r = _resolve(args, config, defaults)
-        _require(r, "train", "model_out")
-        started = time.time()
-        corpus = []
-        inputs = []
-        for path, fmt in _parse_train_specs(r["train"]):
-            rows, report = load_training_corpus(path, fmt)
-            corpus.extend(rows)
-            inputs.append(path)
-            _log(f"{path}: kept {report.n_kept} rows ({report.duplicates_removed} duplicates removed)")
-        hyper = QAHyper(
-            learning_rate=float(r["learning_rate"]), epochs=int(r["epochs"]), l2=float(r["l2"]), seed=int(r["seed"])
-        )
-        model, trace = train_qa(corpus, hyper)
-        save_model(model, r["model_out"])
-        _log(f"trained on {len(corpus)} rows; loss {trace[0]:.4f} -> {trace[-1]:.4f}")
-        write_manifest(Path(r["model_out"]).parent, "classify-qa train", r, inputs, started)
-        return 0
-    # apply
-    defaults = dict(model=None, corpus=None, eval=None, other_band=None, seed=DEFAULT_SEED)
-    r = _resolve(args, config, defaults)
-    _require(r, "model")
-    model = load_model(r["model"])
+def cmd_classify_qa_train(args) -> int:
+    _require(args, "train", "model_out")
     started = time.time()
-    if r["eval"]:
-        (path, fmt), = _parse_train_specs([r["eval"]])
+    corpus = []
+    inputs = []
+    for path, fmt in _parse_train_specs(args.train):
+        rows, report = load_training_corpus(path, fmt)
+        corpus.extend(rows)
+        inputs.append(path)
+        _log(f"{path}: kept {report.n_kept} rows ({report.duplicates_removed} duplicates removed)")
+    hyper = QAHyper(learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2, seed=args.seed)
+    model, trace = train_qa(corpus, hyper)
+    save_model(model, args.model_out)
+    _log(f"trained on {len(corpus)} rows; loss {trace[0]:.4f} -> {trace[-1]:.4f}")
+    write_manifest(Path(args.model_out).parent, "classify-qa train", args, inputs, started)
+    return 0
+
+
+def cmd_classify_qa_apply(args) -> int:
+    _require(args, "model")
+    model = load_model(args.model)
+    started = time.time()
+    if args.eval:
+        (path, fmt), = _parse_train_specs([args.eval])
         rows, _ = load_training_corpus(path, fmt)
         predictions = [classify_qa(model, row.text)[0] for row in rows]
         counts = score_confusion(predictions, [row.label for row in rows])
@@ -307,27 +323,24 @@ def cmd_classify_qa(args, config) -> int:
             )
         )
         return 0
-    _require(r, "corpus")
-    corpus_dir = Path(r["corpus"])
+    _require(args, "corpus")
+    corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
-    band = float(r["other_band"]) if r["other_band"] is not None else None
     labeled = []
     for meta, utterances in corpus:
-        relabeled = [replace(u, qa_label=classify_qa(model, u.text, other_band=band)[0]) for u in utterances]
+        relabeled = [replace(u, qa_label=classify_qa(model, u.text, other_band=args.other_band)[0]) for u in utterances]
         labeled.append((meta, relabeled))
     store_corpus(labeled, corpus_dir, rosters=load_rosters(corpus_dir))
     n = sum(len(u) for _, u in labeled)
     _log(f"labeled {n} utterances in place under {corpus_dir}")
-    write_manifest(corpus_dir, "classify-qa apply", r, [Path(r["model"])], started)
+    write_manifest(corpus_dir, "classify-qa apply", args, [Path(args.model)], started)
     return 0
 
 
-def cmd_pair(args, config) -> int:
-    defaults = dict(corpus=None, output=None, seed=DEFAULT_SEED)
-    r = _resolve(args, config, defaults)
-    _require(r, "corpus", "output")
+def cmd_pair(args) -> int:
+    _require(args, "corpus", "output")
     started = time.time()
-    corpus_dir = Path(r["corpus"])
+    corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
     rosters = load_rosters(corpus_dir)
     pairs_by_hearing = {}
@@ -340,64 +353,51 @@ def cmd_pair(args, config) -> int:
         n_pairs += len(pairs)
         n_unpaired += len(report.unpaired_questions)
         n_orphans += len(report.orphan_answers)
-    save_pairs(pairs_by_hearing, r["output"])
+    save_pairs(pairs_by_hearing, args.output)
     _log(f"{n_pairs} pairs, {n_unpaired} unpaired questions, {n_orphans} orphan answers")
-    write_manifest(Path(r["output"]).parent, "pair", r, [corpus_dir], started)
+    write_manifest(Path(args.output).parent, "pair", args, [corpus_dir], started)
     return 0
 
 
-def cmd_features(args, config) -> int:
-    defaults = dict(
-        corpus=None,
-        pairs=None,
-        government=None,
-        output=None,
-        lexicons=None,
-        member_directory=None,
-        strip_names=True,
-        seed=DEFAULT_SEED,
-    )
-    r = _resolve(args, config, defaults)
-    _require(r, "corpus", "government", "output")
+def cmd_features(args) -> int:
+    _require(args, "corpus", "government", "output")
     started = time.time()
-    problems = verify_manifest(r["lexicons"]) if r["lexicons"] else verify_manifest()
+    problems = verify_manifest(args.lexicons) if args.lexicons else verify_manifest()
     for p in problems:
         _log(f"lexicon manifest: {p}")
-    lexicons = load_lexicons(r["lexicons"])
-    corpus_dir = Path(r["corpus"])
+    lexicons = load_lexicons(args.lexicons)
+    corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
     rosters = load_rosters(corpus_dir)
-    gov = load_government_config(r["government"])
-    pairs = load_pairs(r["pairs"]) if r["pairs"] else None
+    gov = load_government_config(args.government)
+    pairs = load_pairs(args.pairs) if args.pairs else None
     directory = ()
-    inputs = [corpus_dir, Path(r["government"])]
-    if r["member_directory"]:
+    inputs = [corpus_dir, Path(args.government)]
+    if args.member_directory:
         directory = tuple(
-            l.strip() for l in Path(r["member_directory"]).read_text(encoding="utf-8").splitlines() if l.strip()
+            l.strip() for l in Path(args.member_directory).read_text(encoding="utf-8").splitlines() if l.strip()
         )
-        inputs.append(Path(r["member_directory"]))
-    if r["pairs"]:
-        inputs.append(Path(r["pairs"]))
+        inputs.append(Path(args.member_directory))
+    if args.pairs:
+        inputs.append(Path(args.pairs))
     rows, warnings = build_examples(
-        corpus, rosters, gov, lexicons, pairs=pairs, member_directory=directory, strip_names=bool(r["strip_names"])
+        corpus, rosters, gov, lexicons, pairs=pairs, member_directory=directory, strip_names=args.strip_names
     )
     for w in warnings:
         _log(f"warning: {w}")
-    write_examples(rows, r["output"])
-    _log(f"wrote {len(rows)} example rows to {r['output']}")
-    write_manifest(Path(r["output"]).parent, "features", r, inputs, started)
+    write_examples(rows, args.output)
+    _log(f"wrote {len(rows)} example rows to {args.output}")
+    write_manifest(Path(args.output).parent, "features", args, inputs, started)
     return 0
 
 
-def cmd_kstest(args, config) -> int:
-    defaults = dict(examples=None, kind="Question", out_matrix=None, out_details=None, seed=DEFAULT_SEED)
-    r = _resolve(args, config, defaults)
-    _require(r, "examples", "out_matrix")
+def cmd_kstest(args) -> int:
+    _require(args, "examples", "out_matrix")
     started = time.time()
-    rows = read_examples(r["examples"])
+    rows = read_examples(args.examples)
     selected = []
     for row in rows:
-        if row.kind != r["kind"]:
+        if row.kind != args.kind:
             continue
         try:
             party = Party(row.party)
@@ -406,50 +406,37 @@ def cmd_kstest(args, config) -> int:
             continue
         selected.append((party, standing, row.features))
     if not selected:
-        raise UsageError(f"no rows of kind {r['kind']!r} in {r['examples']}")
+        raise UsageError(f"no rows of kind {args.kind!r} in {args.examples}")
     comparisons, skips = compare_groups(selected)
-    emit_heatmap_matrix(comparisons, r["out_matrix"])
-    if r["out_details"]:
-        emit_comparison_details(comparisons, skips, r["out_details"])
+    emit_heatmap_matrix(comparisons, args.out_matrix)
+    if args.out_details:
+        emit_comparison_details(comparisons, skips, args.out_details)
     _log(f"{len(comparisons)} comparisons, {len(skips)} skipped")
-    write_manifest(Path(r["out_matrix"]).parent, "kstest", r, [Path(r["examples"])], started)
+    write_manifest(Path(args.out_matrix).parent, "kstest", args, [Path(args.examples)], started)
     return 0
 
 
 def _grid_from_config(value) -> tuple[ForestHyper, ...]:
+    """The config-only `grid` key: a non-empty list of forest cells, each key a positive int."""
     if value is None:
         return (ForestHyper(n_estimators=30, max_depth=8),)
-    cells = []
-    for cell in value:
-        cells.append(
-            ForestHyper(
-                n_estimators=int(cell.get("n_estimators", 30)),
-                max_depth=cell.get("max_depth"),
-                min_samples_split=int(cell.get("min_samples_split", 2)),
-                max_features=cell.get("max_features"),
-            )
-        )
-    return tuple(cells)
+    optional = ("max_depth", "max_features")  # null: unlimited depth, sqrt(d) features
+    if not (isinstance(value, list) and value and all(
+        isinstance(cell, dict)
+        and set(cell) <= {"n_estimators", "min_samples_split", *optional}
+        and all((type(v) is int and v > 0) or (v is None and k in optional) for k, v in cell.items())
+        for cell in value
+    )):
+        raise UsageError(f"config key 'grid': expected a non-empty list of forest cells, got {value!r}")
+    return tuple(ForestHyper(**{"n_estimators": 30, **cell}) for cell in value)
 
 
-def cmd_train(args, config) -> int:
-    defaults = dict(
-        examples=None,
-        task="Affiliation",
-        kind="Question",
-        model="forest",
-        model_out=None,
-        grid=None,
-        cv_folds=5,
-        min_rows=50,
-        importance_out=None,
-        seed=DEFAULT_SEED,
-    )
-    r = _resolve(args, config, defaults)
-    _require(r, "examples", "model_out")
+def cmd_train(args) -> int:
+    _require(args, "examples", "model_out")
+    grid = _grid_from_config(args.grid)
     started = time.time()
-    rows = read_examples(r["examples"])
-    spec = SplitSpec(dimensions=(), utterance_kind=r["kind"], task=Task(r["task"]), min_rows=int(r["min_rows"]))
+    rows = read_examples(args.examples)
+    spec = SplitSpec(dimensions=(), utterance_kind=args.kind, task=Task(args.task), min_rows=args.min_rows)
     datasets, skips = build_datasets(rows, spec)
     if not datasets:
         raise UsageError(f"not enough rows to train: {[s.reason for s in skips]}")
@@ -458,55 +445,29 @@ def cmd_train(args, config) -> int:
     present = sorted(set(labels), key=dataset.label_order.index)
     if len(present) < 2:
         raise UsageError("training data holds a single class")
-    raw = [list(row.features) for row in dataset.rows]
-    medians = column_medians(raw, len(SCHEMA))
-    x = impute(raw, medians)
-    grid = _grid_from_config(r["grid"] if r["grid"] is not None else config.get("grid"))
-    if r["model"] == "forest":
-        if len(grid) > 1:
-            best, scores, warnings = cross_validate_grid(x, labels, present, grid, k=int(r["cv_folds"]), seed=int(r["seed"]))
-            for w in warnings:
-                _log(f"warning: {w}")
-            _log(f"grid best: {best}")
-        else:
-            best = grid[0]
-        model = train_forest(x, labels, present, replace(best, seed=int(r["seed"])))
-        save_forest(model, r["model_out"])
-        if r["importance_out"]:
-            imp = feature_importance(model, schema=SCHEMA)
-            ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
-            write_tsv(r["importance_out"], ["feature", "importance"], ([k, repr(v)] for k, v in ranked))
-    else:
-        raise UsageError(f"unsupported model for train: {r['model']!r}")
-    _log(f"trained {r['model']} on {len(x)} rows, classes {present}")
-    write_manifest(Path(r["model_out"]).parent, "train", r, [Path(r["examples"])], started)
+    x, _ = impute_with_medians([list(row.features) for row in dataset.rows])
+    model, warnings = fit_forest(x, labels, present, grid, args.cv_folds, args.seed)
+    for w in warnings:
+        _log(f"warning: {w}")
+    if len(grid) > 1:
+        _log(f"grid best: {model.hyper}")
+    save_forest(model, args.model_out)
+    if args.importance_out:
+        imp = feature_importance(model, schema=SCHEMA)
+        ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
+        write_tsv(args.importance_out, ["feature", "importance"], ([k, repr(v)] for k, v in ranked))
+    _log(f"trained {args.model} on {len(x)} rows, classes {present}")
+    write_manifest(Path(args.model_out).parent, "train", args, [Path(args.examples)], started)
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    defaults = dict(
-        examples=None,
-        task="Affiliation",
-        kind="Question",
-        model="forest",
-        split_dims="",
-        min_rows=50,
-        cv_folds=5,
-        test_fraction=0.2,
-        grid=None,
-        out_dir=None,
-        layouts="split_grid",
-        predictions=None,
-        seed=DEFAULT_SEED,
-    )
-    r = _resolve(args, config, defaults)
-    _require(r, "examples", "out_dir")
+def cmd_evaluate(args) -> int:
+    _require(args, "examples", "out_dir")
     started = time.time()
-    rows = read_examples(r["examples"])
-    out_dir = Path(r["out_dir"])
-    task = Task(r["task"])
-    if r["predictions"]:
-        report, warnings = score_predictions(read_predictions_file(r["predictions"]), rows, task)
+    out_dir = Path(args.out_dir)
+    task = Task(args.task)
+    if args.predictions:
+        report, warnings = score_predictions(read_predictions_file(args.predictions), read_examples(args.examples), task)
         for w in warnings:
             _log(f"warning: {w}")
         emit_tables([report], "split_grid", out_dir / "external_predictions.tsv")
@@ -514,26 +475,26 @@ def cmd_evaluate(args, config) -> int:
             f"external predictions: accuracy {report.accuracy:.4f} vs baseline "
             f"{report.baseline_accuracy:.4f} ({report.baseline_class})"
         )
-        write_manifest(out_dir, "evaluate", r, [Path(r["examples"]), Path(r["predictions"])], started)
+        write_manifest(out_dir, "evaluate", args, [Path(args.examples), Path(args.predictions)], started)
         return 0
-    dims = tuple(d for d in (r["split_dims"] or "").split(",") if d)
-    spec = SplitSpec(dimensions=dims, utterance_kind=r["kind"], task=task, min_rows=int(r["min_rows"]))
-    if spec.min_rows < 2 * int(r["cv_folds"]):
-        raise UsageError(f"min_rows={spec.min_rows} must be at least 2*cv_folds={2 * int(r['cv_folds'])}")
-    datasets, skips = build_datasets(rows, spec)
+    dims = tuple(d for d in args.split_dims.split(",") if d)
+    spec = SplitSpec(dimensions=dims, utterance_kind=args.kind, task=task, min_rows=args.min_rows)
+    if spec.min_rows < 2 * args.cv_folds:
+        raise UsageError(f"min_rows={spec.min_rows} must be at least 2*cv_folds={2 * args.cv_folds}")
+    exp = ExperimentConfig(
+        model=args.model,
+        grid=_grid_from_config(args.grid),
+        cv_folds=args.cv_folds,
+        test_fraction=args.test_fraction,
+        seed=args.seed,
+    )
+    datasets, skips = build_datasets(read_examples(args.examples), spec)
     for s in skips:
         _log(f"skipped split {dict(s.key)}: {s.reason} (n={s.n_rows})")
     if not datasets:
         raise UsageError("every split was skipped; lower --min-rows or change --split-dims")
-    exp = ExperimentConfig(
-        model=r["model"],
-        grid=_grid_from_config(r["grid"] if r["grid"] is not None else config.get("grid")),
-        cv_folds=int(r["cv_folds"]),
-        test_fraction=float(r["test_fraction"]),
-        seed=int(r["seed"]),
-    )
     reports = run_experiment(datasets, exp)
-    for layout in (l for l in (r["layouts"] or "").split(",") if l):
+    for layout in (l for l in args.layouts.split(",") if l):
         emit_tables(reports, layout, out_dir / f"{layout}.tsv")
     write_tsv(
         out_dir / "skipped_splits.tsv",
@@ -546,24 +507,22 @@ def cmd_evaluate(args, config) -> int:
             f"{flag} {rep.split_label}: acc {rep.accuracy:.4f} base {rep.baseline_accuracy:.4f}"
             f" ({rep.baseline_class}){' DEGENERATE' if rep.degenerate else ''}{' ERROR ' + rep.error if rep.error else ''}"
         )
-    write_manifest(out_dir, "evaluate", r, [Path(r["examples"])], started)
+    write_manifest(out_dir, "evaluate", args, [Path(args.examples)], started)
     return 0
 
 
-def cmd_prompts(args, config) -> int:
-    defaults = dict(corpus=None, pairs=None, kind="Question", output=None, seed=DEFAULT_SEED)
-    r = _resolve(args, config, defaults)
-    _require(r, "corpus", "output")
-    if r["kind"] in ("Answer", "Both") and not r["pairs"]:
-        raise UsageError(f"kind {r['kind']} needs --pairs")
+def cmd_prompts(args) -> int:
+    _require(args, "corpus", "output")
+    if args.kind in ("Answer", "Both") and not args.pairs:
+        raise UsageError(f"kind {args.kind} needs --pairs")
     started = time.time()
-    corpus_dir = Path(r["corpus"])
+    corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
-    pairs = load_pairs(r["pairs"]) if r["pairs"] else {}
+    pairs = load_pairs(args.pairs) if args.pairs else {}
     out_lines = []
     for meta, utterances in corpus:
         by_id = {u.utterance_id: u for u in utterances}
-        if r["kind"] == "Question":
+        if args.kind == "Question":
             for u in utterances:
                 if u.qa_label is QALabel.QUESTION:
                     out_lines.append(
@@ -578,25 +537,21 @@ def cmd_prompts(args, config) -> int:
                 a = by_id.get(pair.answer_utterance_id)
                 if q is None or a is None:
                     continue
-                if r["kind"] == "Answer":
+                if args.kind == "Answer":
                     example_id, prompt = a.utterance_id, render_prompt("Answer", answer_text=a.text)
                 else:
                     example_id, prompt = pair.pair_id, render_prompt("Both", question_text=q.text, answer_text=a.text)
                 out_lines.append(json.dumps({"example_id": example_id, "prompt": prompt}, ensure_ascii=False))
-    write_lines(r["output"], out_lines)
+    write_lines(args.output, out_lines)
     _log(f"wrote {len(out_lines)} prompts")
-    write_manifest(Path(r["output"]).parent, "prompts", r, [corpus_dir], started)
+    write_manifest(Path(args.output).parent, "prompts", args, [corpus_dir], started)
     return 0
 
 
-def cmd_verify_sample(args, config) -> int:
-    defaults = dict(
-        corpus=None, hearings_per_session=50, utterances_per_hearing=10, output=None, score=None, seed=DEFAULT_SEED
-    )
-    r = _resolve(args, config, defaults)
+def cmd_verify_sample(args) -> int:
     started = time.time()
-    if r["score"]:
-        rows = read_verdict_file(r["score"])
+    if args.score:
+        rows = read_verdict_file(args.score)
         summary = score_verdicts([v for _, v in rows])
         print(
             json.dumps(
@@ -612,111 +567,121 @@ def cmd_verify_sample(args, config) -> int:
             )
         )
         return 0
-    _require(r, "corpus", "output")
-    corpus = load_corpus(Path(r["corpus"]))
-    manifest = verify_sample(
-        corpus, int(r["hearings_per_session"]), int(r["utterances_per_hearing"]), int(r["seed"])
-    )
+    _require(args, "corpus", "output")
+    corpus = load_corpus(Path(args.corpus))
+    manifest = verify_sample(corpus, args.hearings_per_session, args.utterances_per_hearing, args.seed)
     for w in manifest.warnings:
         _log(f"warning: {w}")
-    manifest.write(r["output"])
+    manifest.write(args.output)
     _log(f"wrote {len(manifest.rows)} manifest rows")
-    write_manifest(Path(r["output"]).parent, "verify-sample", r, [Path(r["corpus"])], started)
+    write_manifest(Path(args.output).parent, "verify-sample", args, [Path(args.corpus)], started)
     return 0
 
 
 # --- parser wiring -------------------------------------------------------------
 
+def _layouts(value: str) -> str:
+    """--layouts: a comma list of harness.LAYOUTS, checked before any input is read."""
+    for layout in (l for l in value.split(",") if l):
+        if layout not in LAYOUTS:
+            raise argparse.ArgumentTypeError(f"unknown layout {layout!r}; valid: {', '.join(LAYOUTS)}")
+    return value
+
+
 def build_parser() -> _Parser:
+    """The one declaration of every option: its default, type, choices and help."""
     parser = _Parser(prog="gavel", description="Hearing-transcript segmentation and Q&A analytics pipeline.")
     parser.add_argument("--version", action="version", version=f"gavel {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    def add(subparsers, name, fn, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
+        p.set_defaults(fn=fn, command_parser=p)
         p.add_argument("--config", help="JSON config file; keys mirror the flags, flags override")
-        p.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         return p
 
-    p = add("fetch", cmd_fetch, help="download transcripts into the local cache")
-    p.add_argument("--ids", help="comma-separated hearing ids")
+    def add_table_options(p, models):
+        p.add_argument("--examples", help="examples TSV from `features`")
+        p.add_argument("--task", choices=("Affiliation", "Standing"), default="Affiliation")
+        p.add_argument("--kind", choices=KINDS, default="Question")
+        p.add_argument("--model", choices=models, default="forest")
+        p.add_argument("--min-rows", dest="min_rows", type=int, default=50)
+        p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
+        p.set_defaults(grid=None)  # forest grid: config file only
+
+    p = add(sub, "fetch", cmd_fetch, help="download transcripts into the local cache")
+    p.add_argument("--ids", default="", help="comma-separated hearing ids")
     p.add_argument("--ids-file", dest="ids_file", help="file with one hearing id per line")
     p.add_argument("--endpoint", help="URL or URL template with {hearing_id}")
-    p.add_argument("--cache-dir", dest="cache_dir", help="transcript cache directory (or set GAVEL_CACHE_DIR)")
-    p.add_argument("--min-delay", dest="min_delay", type=float, help="minimum seconds between requests")
-    p.add_argument("--retries", type=int)
+    p.add_argument("--cache-dir", dest="cache_dir", default=os.environ.get("GAVEL_CACHE_DIR"),
+                   help="transcript cache directory (or set GAVEL_CACHE_DIR)")
+    p.add_argument("--min-delay", dest="min_delay", type=float, default=1.0, help="minimum seconds between requests")
+    p.add_argument("--retries", type=int, default=3)
 
-    p = add("segment", cmd_segment, help="split raw transcripts into speaker-attributed utterances")
+    p = add(sub, "segment", cmd_segment, help="split raw transcripts into speaker-attributed utterances")
     p.add_argument("--input", help="directory of raw hearings (transcript.txt + meta.json + roster.json)")
     p.add_argument("--output", help="corpus store directory to create")
     p.add_argument("--rules", help="segmentation rules JSON file")
 
-    p = add("classify-qa", cmd_classify_qa, help="train or apply the question/answer classifier")
-    p.add_argument("mode", choices=("train", "apply"))
-    p.add_argument("--train", action="append", help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
+    qa = sub.add_parser("classify-qa", help="train or apply the question/answer classifier")
+    modes = qa.add_subparsers(dest="mode", required=True)
+    p = add(modes, "train", cmd_classify_qa_train, help="train the classifier on labeled files")
+    p.add_argument("--train", action=_AppendFlags, help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
     p.add_argument("--model-out", dest="model_out", help="where to write the trained model")
-    p.add_argument("--model", help="trained model file (apply mode)")
-    p.add_argument("--corpus", help="corpus store to label in place (apply mode)")
+    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--l2", type=float, default=1e-4)
+    p = add(modes, "apply", cmd_classify_qa_apply, help="label a corpus in place, or score a labeled file")
+    p.add_argument("--model", help="trained model file")
+    p.add_argument("--corpus", help="corpus store to label in place")
     p.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
     p.add_argument("--other-band", dest="other_band", type=float, help="probability margin labeled Other")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
 
-    p = add("pair", cmd_pair, help="pair member questions with witness answers")
+    p = add(sub, "pair", cmd_pair, help="pair member questions with witness answers")
     p.add_argument("--corpus", help="labeled corpus store")
     p.add_argument("--output", help="pairs JSONL file to write")
 
-    p = add("features", cmd_features, help="extract the per-utterance feature table")
+    p = add(sub, "features", cmd_features, help="extract the per-utterance feature table")
     p.add_argument("--corpus", help="labeled corpus store")
     p.add_argument("--pairs", help="pairs JSONL (enables Answer/Both rows)")
     p.add_argument("--government", help="per-session government-control JSON config")
     p.add_argument("--output", help="examples TSV to write")
     p.add_argument("--lexicons", help="lexicon directory (defaults to the bundled lists)")
     p.add_argument("--member-directory", dest="member_directory", help="extra name list for name removal")
-    p.add_argument("--no-strip-names", dest="strip_names", action="store_false", default=None,
+    p.add_argument("--no-strip-names", dest="strip_names", action="store_false",
                    help="keep speaker names in text before feature extraction")
 
-    p = add("kstest", cmd_kstest, help="two-sample distribution tests across group pairs")
+    p = add(sub, "kstest", cmd_kstest, help="two-sample distribution tests across group pairs")
     p.add_argument("--examples", help="examples TSV from `features`")
-    p.add_argument("--kind", choices=("Question", "Answer", "Both"))
+    p.add_argument("--kind", choices=KINDS, default="Question")
     p.add_argument("--out-matrix", dest="out_matrix", help="heatmap matrix TSV to write")
     p.add_argument("--out-details", dest="out_details", help="long-format details TSV to write")
 
-    p = add("train", cmd_train, help="train a party-prediction model on the full example table")
-    p.add_argument("--examples")
-    p.add_argument("--task", choices=("Affiliation", "Standing"))
-    p.add_argument("--kind", choices=("Question", "Answer", "Both"))
-    p.add_argument("--model", choices=("forest",))
+    p = add(sub, "train", cmd_train, help="train a party-prediction model on the full example table")
+    add_table_options(p, models=("forest",))
     p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--min-rows", dest="min_rows", type=int)
     p.add_argument("--importance-out", dest="importance_out")
 
-    p = add("evaluate", cmd_evaluate, help="run the split-wise experiment grid with baselines")
-    p.add_argument("--examples")
-    p.add_argument("--task", choices=("Affiliation", "Standing"))
-    p.add_argument("--kind", choices=("Question", "Answer", "Both"))
-    p.add_argument("--model", choices=("forest", "logistic"))
-    p.add_argument("--split-dims", dest="split_dims", help="comma list from: committee,session,hearing_type,government,presidency")
-    p.add_argument("--min-rows", dest="min_rows", type=int)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p = add(sub, "evaluate", cmd_evaluate, help="run the split-wise experiment grid with baselines")
+    add_table_options(p, models=("forest", "logistic"))
+    p.add_argument("--split-dims", dest="split_dims", default="",
+                   help="comma list from: committee,session,hearing_type,government,presidency")
+    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--layouts", help="comma list from: split_grid,committee,hearing_type_government")
+    p.add_argument("--layouts", type=_layouts, default="split_grid", help=f"comma list from: {','.join(LAYOUTS)}")
     p.add_argument("--predictions", help="score an external predictions TSV instead of training")
 
-    p = add("prompts", cmd_prompts, help="render zero-shot prompts for external models")
+    p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
     p.add_argument("--corpus")
     p.add_argument("--pairs")
-    p.add_argument("--kind", choices=("Question", "Answer", "Both"))
+    p.add_argument("--kind", choices=KINDS, default="Question")
     p.add_argument("--output")
 
-    p = add("verify-sample", cmd_verify_sample, help="draw or score the human-verification sample")
+    p = add(sub, "verify-sample", cmd_verify_sample, help="draw or score the human-verification sample")
     p.add_argument("--corpus")
-    p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int)
-    p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int)
+    p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
+    p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
     p.add_argument("--output", help="annotation manifest TSV to write")
     p.add_argument("--score", help="verdict TSV (utterance_id, verdict) to summarize")
 
@@ -724,14 +689,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # fresh per call: config defaults never carry over to the next call
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
             parser.print_usage(sys.stderr)
             return 1
-        config = _load_config_file(getattr(args, "config", None))
-        return args.fn(args, config)
+        if args.config:
+            _apply_config(args, _load_config_file(args.config))
+            args = parser.parse_args(argv)
+        return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

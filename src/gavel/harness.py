@@ -11,12 +11,13 @@ byte-reproducible tab-separated tables.
 
 Zero-shot prompt rendering is included so external models can be driven
 from the same examples; their label files feed back in through
-`score_predictions_file`.
+`read_predictions_file` and `score_predictions`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -34,13 +35,13 @@ from .corpus import (
     write_tsv,
 )
 from .features import SCHEMA, FeatureVector, extract_features, format_value, parse_value
-from .forest import ForestHyper, derive_seed, predict_forest, train_forest
+from .forest import ForestHyper, ForestModel, derive_seed, predict_forest, train_forest
 from .lexicons import Lexicons
 from .party_models import (
     DataRow,
     Dataset,
     EvalReport,
-    GroupKeys,
+    TASK_LABEL_ORDER,
     LogisticHyper,
     Task,
     column_medians,
@@ -86,16 +87,6 @@ class ExampleRow:
     party: str
     standing: str
     features: FeatureVector
-
-    def group_keys(self) -> GroupKeys:
-        return GroupKeys(
-            session=self.session,
-            committee=self.committee,
-            chamber=self.chamber,
-            hearing_type=self.hearing_type,
-            government=self.government,
-            presidency=self.presidency,
-        )
 
     def dim_value(self, dim: str) -> str:
         if dim == "session":
@@ -305,7 +296,6 @@ def build_datasets(
             DataRow(
                 features=r.features.values,
                 label=r.party if spec.task is Task.AFFILIATION else r.standing,
-                groups=r.group_keys(),
                 row_id=r.example_id,
             )
             for r in sorted(rows, key=lambda r: r.example_id)
@@ -351,10 +341,55 @@ def _stratified_holdout(
     return train, sorted(test)
 
 
-def _impute_with_medians(rows: Sequence[Sequence[Optional[float]]]) -> tuple[list[list[float]], list[float]]:
+def impute_with_medians(rows: Sequence[Sequence[Optional[float]]]) -> tuple[list[list[float]], list[float]]:
+    """Rows with nulls replaced by their column's median; returns (rows, medians)."""
     width = len(rows[0]) if rows else 0
     medians = column_medians(rows, width)
     return impute(rows, medians), medians
+
+
+def fit_forest(
+    x: Sequence[Sequence[float]],
+    y: Sequence[str],
+    classes: Sequence[str],
+    grid: Sequence[ForestHyper],
+    cv_folds: int,
+    seed: int,
+) -> tuple[ForestModel, list[str]]:
+    """Train a forest on the grid cell that cross-validation picks; returns (model, warnings).
+
+    A one-cell grid is taken as it is, without cross-validation.
+    """
+    best, warnings = grid[0], []
+    if len(grid) > 1:
+        best, _, warnings = cross_validate_grid(x, y, classes, grid, k=cv_folds, seed=seed)
+    return train_forest(x, y, classes, replace(best, seed=seed)), warnings
+
+
+def _eval_report(
+    key: tuple[tuple[str, str], ...],
+    task: Task,
+    y_true: Sequence[str],
+    y_pred: Sequence[str],
+    n_train: int,
+    **extra,
+) -> EvalReport:
+    """Score predictions against truth and the truth's own majority-class baseline."""
+    confusion = Counter(zip(y_true, y_pred))
+    accuracy = sum(n for (t, p), n in confusion.items() if t == p) / len(y_true)
+    base_class, base_acc = majority_baseline(y_true, TASK_LABEL_ORDER[task])
+    return EvalReport(
+        split_key=key,
+        task=task,
+        accuracy=accuracy,
+        baseline_accuracy=base_acc,
+        baseline_class=base_class,
+        confusion=tuple(sorted((t, p, n) for (t, p), n in confusion.items())),
+        n_train=n_train,
+        n_test=len(y_true),
+        beats_baseline=accuracy > base_acc,
+        **extra,
+    )
 
 
 def run_experiment(
@@ -387,15 +422,14 @@ def run_experiment(
 
 def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> EvalReport:
     labels = dataset.labels
-    order = dataset.label_order
     train_idx, test_idx = _stratified_holdout(labels, config.test_fraction, seed)
     raw_rows = [list(r.features) for r in dataset.rows]
-    x_train, medians = _impute_with_medians([raw_rows[i] for i in train_idx])
+    x_train, medians = impute_with_medians([raw_rows[i] for i in train_idx])
     y_train = [labels[i] for i in train_idx]
     x_test = impute([raw_rows[i] for i in test_idx], medians)
     y_test = [labels[i] for i in test_idx]
-    base_class, base_acc = majority_baseline(y_test, order)
     present_train = set(y_train)
+    classes = [c for c in dataset.label_order if c in present_train]
     degenerate = len(present_train) < 2 or len(set(y_test)) < 2
     importances = None
     if len(present_train) < 2:
@@ -403,37 +437,14 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
         constant = next(iter(present_train))
         predictions = [constant] * len(y_test)
     elif config.model == "forest":
-        classes = [c for c in order if c in present_train]
-        if len(config.grid) > 1:
-            best, _, _ = cross_validate_grid(x_train, y_train, classes, config.grid, k=config.cv_folds, seed=seed)
-        else:
-            best = config.grid[0]
-        model = train_forest(x_train, y_train, classes, replace(best, seed=seed))
+        model, _ = fit_forest(x_train, y_train, classes, config.grid, config.cv_folds, seed)
         predictions = [predict_forest(model, row)[0] for row in x_test]
         importances = tuple(sorted(feature_importance(model, schema=dataset.schema).items()))
     else:
-        classes = [c for c in order if c in present_train]
         model = train_logistic(x_train, y_train, classes, config.logistic_hyper)
         predictions = [model.predict(row)[0] for row in x_test]
-    confusion: dict[tuple[str, str], int] = {}
-    hits = 0
-    for true_label, pred in zip(y_test, predictions):
-        confusion[(true_label, pred)] = confusion.get((true_label, pred), 0) + 1
-        if true_label == pred:
-            hits += 1
-    accuracy = hits / len(y_test)
-    return EvalReport(
-        split_key=key,
-        task=dataset.label_task,
-        accuracy=accuracy,
-        baseline_accuracy=base_acc,
-        baseline_class=base_class,
-        confusion=tuple(sorted((t, p, n) for (t, p), n in confusion.items())),
-        n_train=len(y_train),
-        n_test=len(y_test),
-        degenerate=degenerate,
-        beats_baseline=accuracy > base_acc,
-        importances=importances,
+    return _eval_report(
+        key, dataset.label_task, y_test, predictions, len(y_train), degenerate=degenerate, importances=importances
     )
 
 
@@ -679,22 +690,5 @@ def score_predictions(
         matched.append((true_label, label))
     if not matched:
         raise ValueError("no predictions matched labeled examples")
-    confusion: dict[tuple[str, str], int] = {}
-    hits = 0
-    for t, p in matched:
-        confusion[(t, p)] = confusion.get((t, p), 0) + 1
-        hits += t == p
-    base_class, base_acc = majority_baseline([t for t, _ in matched], order)
-    accuracy = hits / len(matched)
-    report = EvalReport(
-        split_key=(("source", "external-predictions"),),
-        task=task,
-        accuracy=accuracy,
-        baseline_accuracy=base_acc,
-        baseline_class=base_class,
-        confusion=tuple(sorted((t, p, n) for (t, p), n in confusion.items())),
-        n_train=0,
-        n_test=len(matched),
-        beats_baseline=accuracy > base_acc,
-    )
-    return report, warnings
+    truths, labels = zip(*matched)
+    return _eval_report((("source", "external-predictions"),), task, truths, labels, 0), warnings

@@ -46,20 +46,9 @@ TASK_LABEL_ORDER: dict[Task, tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class GroupKeys:
-    session: int
-    committee: str
-    chamber: str
-    hearing_type: str
-    government: str  # "Unified" or "Divided"
-    presidency: str  # "Democrat" or "Republican"
-
-
-@dataclass(frozen=True)
 class DataRow:
     features: tuple[Optional[float], ...]
     label: str
-    groups: GroupKeys
     row_id: str = ""
 
 

@@ -309,3 +309,107 @@ def test_evaluate_byte_identical_tables(tmp_path):
     rc2 = run(["evaluate", "--examples", str(examples), *common, "--out-dir", str(tmp_path / "e2")])
     assert rc1 == 0 and rc2 == 0
     assert (tmp_path / "e1" / "split_grid.tsv").read_bytes() == (tmp_path / "e2" / "split_grid.tsv").read_bytes()
+
+
+def _config(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return str(cfg)
+
+
+def test_unknown_config_key_exits_one_and_names_it(tmp_path, capsys):
+    cfg = _config(tmp_path, {"ouput_typo": "x"})
+    argv = ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(tmp_path / "s"), "--config", cfg]
+    assert run(argv) == 1
+    assert "ouput_typo" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_value_checked_like_its_flag(tmp_path, capsys):
+    cfg = _config(tmp_path, {"kind": "Bogus"})
+    argv = ["kstest", "--examples", str(tmp_path / "ex.tsv"), "--out-matrix", str(tmp_path / "m.tsv"), "--config", cfg]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "'kind'" in err and "Bogus" in err
+    cfg = _config(tmp_path, {"epochs": "ten"})
+    assert run(["classify-qa", "train", "--config", cfg]) == 1
+    assert "'epochs'" in capsys.readouterr().err
+
+
+def test_evaluate_checks_settings_before_reading_input(tmp_path, capsys):
+    argv = ["evaluate", "--examples", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path / "eval")]
+    assert run(argv + ["--test-fraction", "1.5"]) == 1
+    assert "test_fraction" in capsys.readouterr().err
+    assert run(argv + ["--split-dims", "party"]) == 1
+    assert "unknown split dimensions" in capsys.readouterr().err
+
+
+def test_evaluate_checks_layouts_before_reading_input(pipeline, tmp_path, capsys):
+    argv = [
+        "evaluate", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "10",
+        "--out-dir", str(tmp_path / "eval"), "--layouts", "split_grid,bogus",
+    ]
+    assert run(argv) == 1
+    assert "unknown layout 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "split_grid.tsv").exists()
+
+
+def test_classify_qa_train_rejects_apply_flags(tmp_path, capsys):
+    argv = [
+        "classify-qa", "train", "--train", f"{FIXTURES / 'qa' / 'ama_train.tsv'}:AMA",
+        "--model-out", str(tmp_path / "m.json"), "--corpus", str(tmp_path),
+    ]
+    assert run(argv) == 1
+    assert "--corpus" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_flag_replaces_config_train_list(tmp_path):
+    ama, uk = f"{FIXTURES / 'qa' / 'ama_train.tsv'}:AMA", f"{FIXTURES / 'qa' / 'ukparl_train.tsv'}:UKParl"
+    cfg = _config(tmp_path, {"train": [ama, uk], "epochs": 2})
+    assert run(["classify-qa", "train", "--config", cfg, "--model-out", str(tmp_path / "a" / "m.json")]) == 0
+    assert run(["classify-qa", "train", "--config", cfg, "--train", ama, "--model-out", str(tmp_path / "b" / "m.json")]) == 0
+    from_config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    from_flag = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]
+    assert from_config["train"] == [ama, uk]
+    assert from_flag["train"] == [ama]
+    assert from_flag["epochs"] == 2
+
+
+def test_config_values_do_not_leak_between_calls(tmp_path, capsys):
+    cfg = _config(tmp_path, {"input": "/nonexistent/path", "output": str(tmp_path / "out")})
+    assert run(["segment", "--config", cfg]) == 1
+    assert "/nonexistent/path" in capsys.readouterr().err
+    assert run(["segment"]) == 1
+    err = capsys.readouterr().err
+    assert "missing required option(s): --input, --output" in err
+    assert "/nonexistent/path" not in err
+
+
+def test_directory_checksum_ignores_upstream_manifest(tmp_path):
+    from gavel.cli import _checksum_input
+
+    store = tmp_path / "corpus"
+    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(store)]) == 0
+    before = _checksum_input(store)
+    manifest = store / "manifest.json"
+    record = json.loads(manifest.read_text())
+    record["started_at"] = record["finished_at"] = "1999-01-01T00:00:00Z"
+    manifest.write_text(json.dumps(record))
+    assert _checksum_input(store) == before
+    (store / "segmentation_report.json").write_text("{}\n")
+    assert _checksum_input(store) != before
+
+
+@pytest.mark.parametrize("grid", [[], [{"n_estimators": 5, "max_depth": "4"}], [{"n_estimators": 5, "depth": 4}]])
+def test_bad_grid_config_exits_one_before_training(pipeline, tmp_path, capsys, grid):
+    cfg = _config(tmp_path, {"grid": grid})
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "10",
+            "--out-dir", str(tmp_path / "eval"), "--config", cfg]
+    assert run(argv) == 1
+    assert "'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+    argv = ["train", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "4",
+            "--model-out", str(tmp_path / "m" / "f.json"), "--config", cfg]
+    assert run(argv) == 1
+    assert not (tmp_path / "m").exists()
