@@ -36,6 +36,8 @@ from .corpus import (
     load_government_config,
     load_roster,
     load_rosters,
+    read_json,
+    read_lines,
     store_corpus,
     write_lines,
     write_tsv,
@@ -44,6 +46,7 @@ from .features import SCHEMA
 from .fetcher import FetchError, Fetcher
 from .forest import ForestHyper, save_forest
 from .harness import (
+    DEFAULT_GRID,
     KINDS,
     LAYOUTS,
     ExperimentConfig,
@@ -157,16 +160,9 @@ def _log(msg: str) -> None:
 
 
 def _load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {p}")
-    try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    return cfg
+    if not Path(path).is_file():
+        raise UsageError(f"config file not found: {path}")
+    return read_json(path, dict, dict)
 
 
 def _config_value(parser: argparse.ArgumentParser, action: Optional[argparse.Action], key: str, value):
@@ -202,6 +198,11 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
+def _listed(path: str) -> list[str]:
+    """The entries of a one-per-line list file, stripped; blank lines skipped."""
+    return [entry for entry in (line.strip() for _, line in read_lines(path)) if entry]
+
+
 def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
@@ -217,7 +218,7 @@ def cmd_fetch(args) -> int:
     _require(args, "endpoint", "cache_dir")
     ids = [i for i in args.ids.split(",") if i]
     if args.ids_file:
-        ids.extend(l.strip() for l in Path(args.ids_file).read_text(encoding="utf-8").splitlines() if l.strip())
+        ids.extend(_listed(args.ids_file))
     if not ids:
         raise UsageError("no hearing ids given (--ids or --ids-file)")
     started = time.time()
@@ -236,9 +237,7 @@ def cmd_segment(args) -> int:
     results = []
     for hdir in _raw_hearing_dirs(Path(args.input)):
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
-        meta = HearingMeta.from_record(
-            json.loads((hdir / "meta.json").read_text(encoding="utf-8")), path=str(hdir / "meta.json")
-        )
+        meta = read_json(hdir / "meta.json", dict, HearingMeta.from_record)
         roster = load_roster(hdir / "roster.json")
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
@@ -374,9 +373,7 @@ def cmd_features(args) -> int:
     directory = ()
     inputs = [corpus_dir, Path(args.government)]
     if args.member_directory:
-        directory = tuple(
-            l.strip() for l in Path(args.member_directory).read_text(encoding="utf-8").splitlines() if l.strip()
-        )
+        directory = tuple(_listed(args.member_directory))
         inputs.append(Path(args.member_directory))
     if args.pairs:
         inputs.append(Path(args.pairs))
@@ -419,7 +416,7 @@ def cmd_kstest(args) -> int:
 def _grid_from_config(value) -> tuple[ForestHyper, ...]:
     """The config-only `grid` key: a non-empty list of forest cells, each key a positive int."""
     if value is None:
-        return (ForestHyper(n_estimators=30, max_depth=8),)
+        return DEFAULT_GRID
     optional = ("max_depth", "max_features")  # null: unlimited depth, sqrt(d) features
     if not (isinstance(value, list) and value and all(
         isinstance(cell, dict)
@@ -428,7 +425,7 @@ def _grid_from_config(value) -> tuple[ForestHyper, ...]:
         for cell in value
     )):
         raise UsageError(f"config key 'grid': expected a non-empty list of forest cells, got {value!r}")
-    return tuple(ForestHyper(**{"n_estimators": 30, **cell}) for cell in value)
+    return tuple(ForestHyper(**{"n_estimators": DEFAULT_GRID[0].n_estimators, **cell}) for cell in value)
 
 
 def cmd_train(args) -> int:
@@ -634,8 +631,9 @@ def build_parser() -> _Parser:
     p.add_argument("--l2", type=float, default=1e-4)
     p = add(modes, "apply", cmd_classify_qa_apply, help="label a corpus in place, or score a labeled file")
     p.add_argument("--model", help="trained model file")
-    p.add_argument("--corpus", help="corpus store to label in place")
-    p.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--corpus", help="corpus store to label in place")
+    mode.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
     p.add_argument("--other-band", dest="other_band", type=float, help="probability margin labeled Other")
 
     p = add(sub, "pair", cmd_pair, help="pair member questions with witness answers")
@@ -665,12 +663,13 @@ def build_parser() -> _Parser:
 
     p = add(sub, "evaluate", cmd_evaluate, help="run the split-wise experiment grid with baselines")
     add_table_options(p, models=("forest", "logistic"))
-    p.add_argument("--split-dims", dest="split_dims", default="",
-                   help="comma list from: committee,session,hearing_type,government,presidency")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--split-dims", dest="split_dims", default="",
+                      help="comma list from: committee,session,hearing_type,government,presidency")
+    mode.add_argument("--predictions", help="score an external predictions TSV instead of training")
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--layouts", type=_layouts, default="split_grid", help=f"comma list from: {','.join(LAYOUTS)}")
-    p.add_argument("--predictions", help="score an external predictions TSV instead of training")
 
     p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
     p.add_argument("--corpus")
@@ -679,11 +678,12 @@ def build_parser() -> _Parser:
     p.add_argument("--output")
 
     p = add(sub, "verify-sample", cmd_verify_sample, help="draw or score the human-verification sample")
-    p.add_argument("--corpus")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--corpus")
+    mode.add_argument("--score", help="verdict TSV (utterance_id, verdict) to summarize")
     p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
     p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
     p.add_argument("--output", help="annotation manifest TSV to write")
-    p.add_argument("--score", help="verdict TSV (utterance_id, verdict) to summarize")
 
     return parser
 

@@ -12,6 +12,11 @@ Every gavel artifact, the store included, reaches disk through `write_lines`
 or `write_tsv`. They overwrite the target in place: a run that dies while
 writing leaves a truncated file, and `store_corpus` leaves alone any hearing
 directory it is not given.
+
+Every input file is read back through `read_json`, `read_records` (JSONL),
+`read_tsv` or `read_lines`. A file that does not decode, or holds a value of
+the wrong shape, raises `RecordError` with its path, and with the line number
+for the line-based formats.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 
 class Chamber(str, Enum):
@@ -85,6 +90,8 @@ HONORIFICS = (
 
 _ID_RE = re.compile(r"^[A-Za-z0-9._\-]+$")
 
+T = TypeVar("T")
+
 
 class CorpusError(Exception):
     """Base class for corpus-store failures."""
@@ -101,6 +108,7 @@ class RecordError(CorpusError):
     """
 
     def __init__(self, message: str, *, path: str = "", line_no: int = 0, field_name: str = ""):
+        self.message = message
         self.path = path
         self.line_no = line_no
         self.field_name = field_name
@@ -155,32 +163,25 @@ class HearingMeta:
         }
 
     @classmethod
-    def from_record(cls, rec: Mapping, *, path: str = "", line_no: int = 0) -> "HearingMeta":
+    def from_record(cls, rec: Mapping) -> "HearingMeta":
         try:
             chamber = Chamber(rec["chamber"])
         except ValueError:
-            raise RecordError(f"unknown chamber {rec.get('chamber')!r}", path=path, line_no=line_no, field_name="chamber")
-        except KeyError:
-            raise RecordError("missing field", path=path, line_no=line_no, field_name="chamber")
+            raise RecordError(f"unknown chamber {rec['chamber']!r}", field_name="chamber")
         # hearing_type defaults to General when absent from metadata
         raw_type = rec.get("hearing_type") or HearingType.GENERAL.value
         try:
             hearing_type = HearingType(raw_type)
         except ValueError:
-            raise RecordError(
-                f"unknown hearing_type {raw_type!r}", path=path, line_no=line_no, field_name="hearing_type"
-            )
-        try:
-            return cls(
-                hearing_id=rec["hearing_id"],
-                session=int(rec["session"]),
-                chamber=chamber,
-                committee=rec["committee"],
-                hearing_type=hearing_type,
-                date=rec.get("date"),
-            )
-        except KeyError as exc:
-            raise RecordError("missing field", path=path, line_no=line_no, field_name=str(exc.args[0]))
+            raise RecordError(f"unknown hearing_type {raw_type!r}", field_name="hearing_type")
+        return cls(
+            hearing_id=rec["hearing_id"],
+            session=int(rec["session"]),
+            chamber=chamber,
+            committee=rec["committee"],
+            hearing_type=hearing_type,
+            date=rec.get("date"),
+        )
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class Person:
         }
 
     @classmethod
-    def from_record(cls, rec: Mapping, *, path: str = "", line_no: int = 0) -> "Person":
+    def from_record(cls, rec: Mapping) -> "Person":
         try:
             return cls(
                 person_id=rec["person_id"],
@@ -227,10 +228,8 @@ class Person:
                 chamber=Chamber(rec["chamber"]) if rec.get("chamber") else None,
                 standing=Standing(rec.get("standing", "NotApplicable")),
             )
-        except KeyError as exc:
-            raise RecordError("missing field", path=path, line_no=line_no, field_name=str(exc.args[0]))
         except ValueError as exc:
-            raise RecordError(str(exc), path=path, line_no=line_no, field_name="role/party/chamber/standing")
+            raise RecordError(str(exc), field_name="role/party/chamber/standing")
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,8 @@ class Roster:
         return {"hearing_id": self.hearing_id, "people": [p.to_record() for p in self.people]}
 
     @classmethod
-    def from_record(cls, rec: Mapping, *, path: str = "") -> "Roster":
-        people = tuple(Person.from_record(r, path=path) for r in rec.get("people", []))
+    def from_record(cls, rec: Mapping) -> "Roster":
+        people = tuple(map(Person.from_record, rec.get("people", [])))
         return cls(hearing_id=rec.get("hearing_id", ""), people=people)
 
 
@@ -299,25 +298,20 @@ class Utterance:
         }
 
     @classmethod
-    def from_record(cls, rec: Mapping, *, path: str = "", line_no: int = 0) -> "Utterance":
+    def from_record(cls, rec: Mapping) -> "Utterance":
         try:
             label = QALabel(rec.get("qa_label", "Unlabeled"))
         except ValueError:
-            raise RecordError(
-                f"unknown qa_label {rec.get('qa_label')!r}", path=path, line_no=line_no, field_name="qa_label"
-            )
-        try:
-            return cls(
-                utterance_id=rec["utterance_id"],
-                hearing_id=rec["hearing_id"],
-                sequence_no=int(rec["sequence_no"]),
-                speaker=rec["speaker"],
-                raw_marker=rec["raw_marker"],
-                text=rec["text"],
-                qa_label=label,
-            )
-        except KeyError as exc:
-            raise RecordError("missing field", path=path, line_no=line_no, field_name=str(exc.args[0]))
+            raise RecordError(f"unknown qa_label {rec.get('qa_label')!r}", field_name="qa_label")
+        return cls(
+            utterance_id=rec["utterance_id"],
+            hearing_id=rec["hearing_id"],
+            sequence_no=int(rec["sequence_no"]),
+            speaker=rec["speaker"],
+            raw_marker=rec["raw_marker"],
+            text=rec["text"],
+            qa_label=label,
+        )
 
 
 @dataclass(frozen=True)
@@ -386,31 +380,21 @@ class GovernmentContext:
         }
 
     @classmethod
-    def from_record(cls, rec: Mapping, *, path: str = "", line_no: int = 0) -> "GovernmentContext":
-        try:
-            return cls(
-                session=int(rec["session"]),
-                president_party=Party(rec["president_party"]),
-                house_majority=Party(rec["house_majority"]),
-                senate_majority=Party(rec["senate_majority"]),
-                unified=rec.get("unified"),
-            )
-        except KeyError as exc:
-            raise RecordError("missing field", path=path, line_no=line_no, field_name=str(exc.args[0]))
+    def from_record(cls, rec: Mapping) -> "GovernmentContext":
+        return cls(
+            session=int(rec["session"]),
+            president_party=Party(rec["president_party"]),
+            house_majority=Party(rec["house_majority"]),
+            senate_majority=Party(rec["senate_majority"]),
+            unified=rec.get("unified"),
+        )
 
 
 def load_government_config(path: Path | str) -> dict[int, GovernmentContext]:
     """Load the per-session government-control config (a JSON array)."""
-    path = Path(path)
-    try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"invalid JSON: {exc}", path=str(path))
-    out: dict[int, GovernmentContext] = {}
-    for i, rec in enumerate(records):
-        ctx = GovernmentContext.from_record(rec, path=str(path), line_no=i + 1)
-        out[ctx.session] = ctx
-    return out
+    return read_json(
+        path, list, lambda records: {ctx.session: ctx for ctx in map(GovernmentContext.from_record, records)}
+    )
 
 
 def derive_standing(
@@ -452,6 +436,66 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
 def write_tsv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Tab-separated table: the header line, then one line per row of cells."""
     write_lines(path, map("\t".join, chain([header], rows)))
+
+
+_JSON_TYPE_NAMES = {dict: "object", list: "array"}
+
+
+def _decoded(decode: Callable[[Any], T], value: Any, path: Path | str, line_no: int = 0) -> T:
+    """`decode(value)`, with a value of the wrong shape reported against its file and line."""
+    try:
+        return decode(value)
+    except RecordError as exc:
+        if exc.path:
+            raise
+        raise RecordError(exc.message, path=str(path), line_no=line_no, field_name=exc.field_name) from None
+    except KeyError as exc:
+        raise RecordError("missing field", path=str(path), line_no=line_no, field_name=str(exc.args[0])) from None
+    except (TypeError, AttributeError, ValueError, InvariantError) as exc:
+        raise RecordError(f"malformed record: {exc}", path=str(path), line_no=line_no) from None
+
+
+def read_json(path: Path | str, kind: type, decode: Callable[[Any], T]) -> T:
+    """Decode a whole-file JSON value of type `kind` (dict or list)."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise RecordError(f"invalid JSON: {exc}", path=str(path)) from None
+    if not isinstance(value, kind):
+        raise RecordError(f"expected a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}", path=str(path))
+    return _decoded(decode, value, path)
+
+
+def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """(line_no, line) for each non-empty line of a UTF-8 text file, newline removed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise RecordError(f"not UTF-8 text: {exc}", path=str(path)) from None
+
+
+def read_tsv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
+    """(line_no, cells) for each non-empty line of a tab-separated file."""
+    for line_no, line in read_lines(path):
+        yield line_no, line.split("\t")
+
+
+def read_records(path: Path | str, decode: Callable[[dict], T]) -> Iterator[T]:
+    """`decode(record)` for each JSON object of a JSONL file; blank lines are skipped."""
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise RecordError(f"malformed record: {exc}", path=str(path), line_no=line_no) from None
+        if not isinstance(rec, dict):
+            raise RecordError(f"expected a JSON object, got {type(rec).__name__}", path=str(path), line_no=line_no)
+        yield _decoded(decode, rec, path, line_no)
 
 
 def _check_sequence(hearing_id: str, utterances: Sequence[Utterance]) -> None:
@@ -496,40 +540,19 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
         meta_path = hdir / "meta.json"
         if not meta_path.is_file():
             continue  # not a hearing directory
-        try:
-            meta_rec = json.loads(meta_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"invalid JSON: {exc}", path=str(meta_path))
-        meta = HearingMeta.from_record(meta_rec, path=str(meta_path))
-        utterances = list(load_utterances(hdir / "utterances.jsonl"))
+        meta = read_json(meta_path, dict, HearingMeta.from_record)
+        utterances = load_utterances(hdir / "utterances.jsonl")
         _check_sequence(meta.hearing_id, utterances)
         out.append((meta, utterances))
     return out
 
 
 def load_utterances(path: Path | str) -> list[Utterance]:
-    path = Path(path)
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"malformed record: {exc}", path=str(path), line_no=line_no)
-            out.append(Utterance.from_record(rec, path=str(path), line_no=line_no))
-    out.sort(key=lambda u: u.sequence_no)
-    return out
+    return sorted(read_records(path, Utterance.from_record), key=lambda u: u.sequence_no)
 
 
 def load_roster(path: Path | str) -> Roster:
-    path = Path(path)
-    try:
-        rec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"invalid JSON: {exc}", path=str(path))
-    return Roster.from_record(rec, path=str(path))
+    return read_json(path, dict, Roster.from_record)
 
 
 def load_rosters(corpus_root: Path | str) -> dict[str, Roster]:

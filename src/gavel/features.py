@@ -141,9 +141,6 @@ class FeatureVector:
     def __repr__(self):
         return f"FeatureVector({dict(zip(SCHEMA, self.values))!r})"
 
-    def as_dict(self) -> dict[str, Optional[float]]:
-        return dict(zip(SCHEMA, self.values))
-
     @classmethod
     def from_parts(cls, *parts: Mapping[str, Optional[float]]) -> "FeatureVector":
         merged: dict[str, Optional[float]] = {}

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import write_lines
+from .corpus import RecordError, read_json, write_lines
 
 FOREST_FORMAT_VERSION = 1
 
@@ -264,10 +264,13 @@ def save_forest(model: ForestModel, path: Path | str) -> None:
 
 
 def load_forest(path: Path | str) -> ForestModel:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path, dict, _forest_from_record)
+
+
+def _forest_from_record(record: dict) -> ForestModel:
     version = record.get("format_version")
     if version != FOREST_FORMAT_VERSION:
-        raise ValueError(f"unsupported forest format_version {version!r}")
+        raise RecordError(f"unsupported forest format_version {version!r}")
     return ForestModel(
         trees=tuple(_node_from_record(t) for t in record["trees"]),
         classes=tuple(record["classes"]),

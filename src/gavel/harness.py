@@ -32,6 +32,7 @@ from .corpus import (
     Roster,
     Utterance,
     derive_standing,
+    read_tsv,
     write_tsv,
 )
 from .features import SCHEMA, FeatureVector, extract_features, format_value, parse_value
@@ -92,6 +93,9 @@ class ExampleRow:
         if dim == "session":
             return str(self.session)
         return getattr(self, dim)
+
+    def label(self, task: Task) -> str:
+        return self.party if task is Task.AFFILIATION else self.standing
 
 
 def build_examples(
@@ -214,29 +218,25 @@ def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
 
 
 def read_examples(path: Path | str) -> list[ExampleRow]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    lines = read_tsv(path)
+    line_no, header = next(lines, (0, None))
+    if header is None:
         raise RecordError("empty examples file", path=str(path))
-    header = lines[0].split("\t")
     expected = list(META_COLUMNS + SCHEMA)
     if header != expected:
         raise RecordError(
-            f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=1
+            f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=line_no
         )
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cols = line.split("\t")
+    for line_no, cols in lines:
         if len(cols) != len(expected):
             raise RecordError(f"expected {len(expected)} columns, got {len(cols)}", path=str(path), line_no=line_no)
         meta = dict(zip(META_COLUMNS, cols))
-        meta["session"] = int(meta["session"])
         try:
+            meta["session"] = int(meta["session"])
             features = FeatureVector([parse_value(v) for v in cols[len(META_COLUMNS) :]])
         except ValueError as exc:
-            raise RecordError(f"bad feature value: {exc}", path=str(path), line_no=line_no)
+            raise RecordError(f"bad value: {exc}", path=str(path), line_no=line_no)
         rows.append(ExampleRow(features=features, **meta))
     return rows
 
@@ -276,12 +276,11 @@ def build_datasets(
 
     Every selected row lands in exactly one split or one skip record.
     """
-    valid_labels = set(Dataset(rows=(), label_task=spec.task, schema=SCHEMA).label_order)
+    valid_labels = set(TASK_LABEL_ORDER[spec.task])
     selected = [r for r in examples if r.kind == spec.utterance_kind]
     groups: dict[tuple[tuple[str, str], ...], list[ExampleRow]] = {}
     for r in selected:
-        label = r.party if spec.task is Task.AFFILIATION else r.standing
-        if label not in valid_labels:
+        if r.label(spec.task) not in valid_labels:
             continue
         key = tuple((d, r.dim_value(d)) for d in spec.dimensions)
         groups.setdefault(key, []).append(r)
@@ -295,7 +294,7 @@ def build_datasets(
         data_rows = tuple(
             DataRow(
                 features=r.features.values,
-                label=r.party if spec.task is Task.AFFILIATION else r.standing,
+                label=r.label(spec.task),
                 row_id=r.example_id,
             )
             for r in sorted(rows, key=lambda r: r.example_id)
@@ -304,10 +303,13 @@ def build_datasets(
     return datasets, skips
 
 
+DEFAULT_GRID = (ForestHyper(n_estimators=30, max_depth=8),)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str = "forest"  # "forest" or "logistic"
-    grid: tuple[ForestHyper, ...] = (ForestHyper(n_estimators=30, max_depth=8),)
+    grid: tuple[ForestHyper, ...] = DEFAULT_GRID
     logistic_hyper: LogisticHyper = LogisticHyper()
     cv_folds: int = 5
     test_fraction: float = 0.2
@@ -631,19 +633,13 @@ def render_prompt(kind: str, question_text: Optional[str] = None, answer_text: O
 
 def read_predictions_file(path: Path | str) -> list[tuple[str, str]]:
     """Rows of (example_id, predicted_label); header line allowed."""
-    path = Path(path)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if line_no == 1 and cols[0] in ("example_id", "utterance_id", "pair_id"):
-                continue
-            if len(cols) < 2:
-                raise RecordError("expected (example_id, predicted_label)", path=str(path), line_no=line_no)
-            out.append((cols[0], cols[1]))
+    for line_no, cols in read_tsv(path):
+        if line_no == 1 and cols[0] in ("example_id", "utterance_id", "pair_id"):
+            continue
+        if len(cols) < 2:
+            raise RecordError("expected (example_id, predicted_label)", path=str(path), line_no=line_no)
+        out.append((cols[0], cols[1]))
     return out
 
 
@@ -665,10 +661,8 @@ def score_predictions(
     task: Task,
 ) -> tuple[EvalReport, list[str]]:
     """Score an external model's label file against example-row truth."""
-    truth: dict[str, str] = {}
-    for r in examples:
-        truth[r.example_id] = r.party if task is Task.AFFILIATION else r.standing
-    order = Dataset(rows=(), label_task=task, schema=SCHEMA).label_order
+    truth = {r.example_id: r.label(task) for r in examples}
+    order = TASK_LABEL_ORDER[task]
     warnings = []
     matched: list[tuple[str, str]] = []
     for example_id, raw_label in predictions:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import write_lines
+from .corpus import read_lines, write_lines
 
 DEFAULT_DIR = Path(__file__).parent / "data" / "lexicons"
 
@@ -66,19 +66,15 @@ class Lexicons:
 def _read_list(path: Path) -> frozenset[str]:
     if not path.is_file():
         raise LexiconError(f"missing lexicon file: {path}")
-    entries = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip().lower()
-        if line:
-            entries.add(" ".join(line.split()))
-    return frozenset(entries)
+    entries = (" ".join(line.split("#", 1)[0].lower().split()) for _, line in read_lines(path))
+    return frozenset(entry for entry in entries if entry)
 
 
 def _read_valence(path: Path) -> dict[str, float]:
     if not path.is_file():
         raise LexiconError(f"missing lexicon file: {path}")
     out: dict[str, float] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -110,11 +106,14 @@ def verify_manifest(directory: Path | str | None = None) -> list[str]:
     if not manifest.is_file():
         return [f"no MANIFEST in {d}"]
     problems = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    for line_no, line in read_lines(manifest):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        digest, name = line.split(None, 1)
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise LexiconError(f"{manifest}:{line_no}: expected '<sha256>  <file name>'")
+        digest, name = parts
         f = d / name
         if not f.is_file():
             problems.append(f"{name}: missing")

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance, write_lines
+from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance, read_json, read_records, read_tsv, write_lines
 from .linear import TrainingMeta, predict_proba, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
@@ -72,31 +72,25 @@ class LoadReport:
 
 def load_training_corpus(path: Path | str, fmt: Source) -> tuple[list[LabeledText], LoadReport]:
     """Read one training file; duplicates (normalized text) are dropped and counted."""
-    path = Path(path)
     rows: list[LabeledText] = []
     seen: set[str] = set()
     duplicates = 0
     n_rows = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            n_rows += 1
-            text, label = _parse_row(line, fmt, str(path), line_no)
-            if not text.strip():
-                raise RecordError("empty text", path=str(path), line_no=line_no, field_name="text")
-            key = " ".join(text.split()).lower()
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            rows.append(LabeledText(text=text, label=label, source=fmt))
+    for line_no, cols in read_tsv(path):
+        n_rows += 1
+        text, label = _parse_row(cols, fmt, str(path), line_no)
+        if not text.strip():
+            raise RecordError("empty text", path=str(path), line_no=line_no, field_name="text")
+        key = " ".join(text.split()).lower()
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        rows.append(LabeledText(text=text, label=label, source=fmt))
     return rows, LoadReport(path=str(path), n_rows=n_rows, n_kept=len(rows), duplicates_removed=duplicates)
 
 
-def _parse_row(line: str, fmt: Source, path: str, line_no: int) -> tuple[str, QALabel]:
-    cols = line.split("\t")
+def _parse_row(cols: list[str], fmt: Source, path: str, line_no: int) -> tuple[str, QALabel]:
     if fmt is Source.HAND_LABELED:
         if len(cols) != 2:
             raise RecordError("expected 2 tab-separated columns (text, label)", path=path, line_no=line_no)
@@ -347,15 +341,8 @@ def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | st
 
 def load_pairs(path: Path | str) -> dict[str, list[QAPair]]:
     out: dict[str, list[QAPair]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"malformed pair record: {exc}", path=str(path), line_no=line_no)
-            out.setdefault(rec["hearing_id"], []).append(QAPair.from_record(rec))
+    for hearing_id, pair in read_records(path, lambda rec: (rec["hearing_id"], QAPair.from_record(rec))):
+        out.setdefault(hearing_id, []).append(pair)
     return out
 
 
@@ -377,14 +364,13 @@ def save_model(model: LexicalModel, path: Path | str) -> None:
 
 
 def load_model(path: Path | str) -> LexicalModel:
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"invalid model file: {exc}", path=str(path))
+    return read_json(path, dict, _model_from_record)
+
+
+def _model_from_record(record: dict) -> LexicalModel:
     version = record.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise RecordError(f"unsupported model format_version {version!r}", path=str(path))
+        raise RecordError(f"unsupported model format_version {version!r}")
     meta = record["training_meta"]
     return LexicalModel(
         vocabulary=record["vocabulary"],

@@ -31,6 +31,8 @@ from .corpus import (
     UNKNOWN_SPEAKER,
     Utterance,
     normalize_surname,
+    read_json,
+    read_tsv,
     write_lines,
     write_tsv,
 )
@@ -92,6 +94,9 @@ def default_marker_patterns(honorifics: Sequence[str] = DEFAULT_HONORIFICS) -> t
     )
 
 
+_RULE_KEYS = ("start_patterns", "end_patterns", "marker_patterns", "honorifics")
+
+
 @dataclass(frozen=True)
 class SegmenterRules:
     start_patterns: tuple[str, ...] = DEFAULT_START_PATTERNS
@@ -119,25 +124,21 @@ class SegmenterRules:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "SegmenterRules":
-        path = Path(path)
-        try:
-            rec = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"invalid rules file: {exc}", path=str(path))
-        kwargs = {}
-        for key in ("start_patterns", "end_patterns", "marker_patterns", "honorifics"):
-            if key in rec:
-                kwargs[key] = tuple(rec[key])
-        return cls(**kwargs)
+        """Rules from a JSON object of pattern lists; keys left out keep their defaults."""
+        return read_json(path, dict, cls._from_record)
+
+    @classmethod
+    def _from_record(cls, rec: dict) -> "SegmenterRules":
+        unknown = sorted(set(rec) - set(_RULE_KEYS))
+        if unknown:
+            raise RecordError(f"unknown rules key(s): {', '.join(unknown)}; valid: {', '.join(_RULE_KEYS)}")
+        for key, value in rec.items():
+            if not isinstance(value, list):
+                raise RecordError(f"expected a list, got {type(value).__name__}", field_name=key)
+        return cls(**{key: tuple(value) for key, value in rec.items()})
 
     def to_file(self, path: Path | str) -> None:
-        rec = {
-            "start_patterns": list(self.start_patterns),
-            "end_patterns": list(self.end_patterns),
-            "marker_patterns": list(self.marker_patterns),
-            "honorifics": list(self.honorifics),
-        }
-        write_lines(path, [json.dumps(rec, indent=1)])
+        write_lines(path, [json.dumps({key: list(getattr(self, key)) for key in _RULE_KEYS}, indent=1)])
 
 
 @dataclass(frozen=True)
@@ -539,17 +540,11 @@ def score_verdicts(verdicts: Sequence[str]) -> VerdictSummary:
 
 def read_verdict_file(path: Path | str) -> list[tuple[str, str]]:
     """Rows of (utterance_id, verdict); tab-separated, header allowed."""
-    path = Path(path)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if line_no == 1 and cols[0] == "utterance_id":
-                continue
-            if len(cols) < 2:
-                raise RecordError("expected (utterance_id, verdict)", path=str(path), line_no=line_no)
-            out.append((cols[0], cols[-1]))
+    for line_no, cols in read_tsv(path):
+        if line_no == 1 and cols[0] == "utterance_id":
+            continue
+        if len(cols) < 2:
+            raise RecordError("expected (utterance_id, verdict)", path=str(path), line_no=line_no)
+        out.append((cols[0], cols[-1]))
     return out

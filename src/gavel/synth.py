@@ -588,16 +588,6 @@ HAND_A_TEMPLATES = (
 )
 
 
-def _rows_from_templates(q_templates, a_templates, filler, n_pairs, rng):
-    rows = []
-    for i in range(n_pairs):
-        q = filler(rng.choice(q_templates), rng, i)
-        a = filler(rng.choice(a_templates), rng, i)
-        rows.append((q, QALabel.QUESTION))
-        rows.append((a, QALabel.ANSWER))
-    return rows
-
-
 def synth_ama_file(path: Path | str, n_pairs: int, seed: int) -> None:
     rng = random.Random(seed)
 

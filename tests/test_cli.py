@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -413,3 +414,141 @@ def test_bad_grid_config_exits_one_before_training(pipeline, tmp_path, capsys, g
             "--model-out", str(tmp_path / "m" / "f.json"), "--config", cfg]
     assert run(argv) == 1
     assert not (tmp_path / "m").exists()
+
+
+def _raw_hearings(tmp_path):
+    raw = tmp_path / "raw"
+    shutil.copytree(FIXTURES / "hearings", raw)
+    return raw, raw / "synth-108-0000"
+
+
+def _segment_bad_roster(pipeline, tmp_path):
+    raw, hdir = _raw_hearings(tmp_path)
+    (hdir / "roster.json").write_text("[]")
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "roster.json"
+
+
+def _segment_bad_meta(pipeline, tmp_path):
+    raw, hdir = _raw_hearings(tmp_path)
+    (hdir / "meta.json").write_text('{"hearing_id": ')
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "meta.json"
+
+
+def _segment_rules(content):
+    def case(pipeline, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(content)
+        argv = ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(tmp_path / "s"), "--rules", str(rules)]
+        return argv, rules
+    return case
+
+
+def _pair_bad_utterance(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    path = next(corpus.glob("*/utterances.jsonl"))
+    lines = path.read_text().splitlines()
+    lines[1] = "[1]"
+    path.write_text("\n".join(lines) + "\n")
+    return ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")], f"{path}:2"
+
+
+def _bad_pairs_file(subcommand, line):
+    def case(pipeline, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        good = (pipeline / "pairs.jsonl").read_text().splitlines()
+        pairs.write_text("\n".join([good[0], line(good[1])]) + "\n")
+        argv = [subcommand, "--corpus", str(pipeline / "corpus"), "--pairs", str(pairs),
+                "--output", str(tmp_path / "out" / "f")]
+        if subcommand == "features":
+            argv += ["--government", str(FIXTURES / "government_context.json")]
+        else:
+            argv += ["--kind", "Both"]
+        return argv, f"{pairs}:2"
+    return case
+
+
+def _no_hearing_id(record_line):
+    record = json.loads(record_line)
+    del record["hearing_id"]
+    return json.dumps(record)
+
+
+def _features_government_object(pipeline, tmp_path):
+    gov = tmp_path / "gov.json"
+    gov.write_text(json.dumps({"session": 108}))
+    argv = ["features", "--corpus", str(pipeline / "corpus"), "--government", str(gov),
+            "--output", str(tmp_path / "ex.tsv")]
+    return argv, gov
+
+
+def _model_without_training_meta(pipeline, tmp_path):
+    model = tmp_path / "model.json"
+    record = json.loads((pipeline / "qa_model.json").read_text())
+    del record["training_meta"]
+    model.write_text(json.dumps(record))
+    argv = ["classify-qa", "apply", "--model", str(model),
+            "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]
+    return argv, model
+
+
+def _kstest_bad_session(pipeline, tmp_path):
+    examples = tmp_path / "examples.tsv"
+    lines = (pipeline / "examples.tsv").read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[3] = "abc"  # session
+    lines[2] = "\t".join(cells)
+    examples.write_text("\n".join(lines) + "\n")
+    return ["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "m.tsv")], f"{examples}:3"
+
+
+MALFORMED_INPUTS = {
+    "roster-not-object": _segment_bad_roster,
+    "meta-invalid-json": _segment_bad_meta,
+    "rules-not-object": _segment_rules("[1]"),
+    "rules-unknown-key": _segment_rules('{"x": 1}'),
+    "utterance-not-object": _pair_bad_utterance,
+    "features-pair-without-hearing-id": _bad_pairs_file("features", _no_hearing_id),
+    "prompts-pair-not-object": _bad_pairs_file("prompts", lambda line: "[1,2]"),
+    "government-not-array": _features_government_object,
+    "model-without-training-meta": _model_without_training_meta,
+    "examples-bad-session": _kstest_bad_session,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys, case):
+    argv, where = MALFORMED_INPUTS[case](pipeline, tmp_path)
+    assert run(argv) == 1
+    assert str(where) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode_argv", [
+    lambda p, t: ["classify-qa", "apply", "--model", str(p / "qa_model.json"),
+                  "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled", "--corpus", str(t / "c")],
+    lambda p, t: ["verify-sample", "--score", str(t / "verdicts.tsv"), "--corpus", str(t / "c"),
+                  "--output", str(t / "out" / "s.tsv")],
+    lambda p, t: ["evaluate", "--examples", str(p / "examples.tsv"), "--predictions", str(t / "predictions.tsv"),
+                  "--split-dims", "session", "--out-dir", str(t / "out")],
+], ids=["classify-qa-apply", "verify-sample", "evaluate"])
+def test_mode_flags_exclude_each_other(pipeline, tmp_path, capsys, mode_argv):
+    (tmp_path / "verdicts.tsv").write_text("u1\tcorrect\n")
+    example_ids = [l.split("\t")[0] for l in (pipeline / "examples.tsv").read_text().splitlines()[1:]]
+    (tmp_path / "predictions.tsv").write_text("".join(f"{i}\tD\n" for i in example_ids))
+    assert run(mode_argv(pipeline, tmp_path)) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rules, named", [
+    ({"start_patterns": "abc"}, "start_patterns"),
+    ({"honorifics": ["Mr"], "marker_paterns": ["x"]}, "marker_paterns"),
+])
+def test_rules_file_checked_like_config(tmp_path, capsys, rules, named):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    argv = ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(tmp_path / "s"), "--rules", str(path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err and str(path) in err
+    assert not (tmp_path / "s").exists()

@@ -26,6 +26,9 @@ from gavel.corpus import (
     load_government_config,
     load_roster,
     normalize_surname,
+    read_json,
+    read_records,
+    read_tsv,
     store_corpus,
     write_lines,
     write_tsv,
@@ -334,3 +337,83 @@ def test_file_writes_go_through_corpus_writers():
         for line, call in _file_writes(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def _record_reads(source: str) -> list[tuple[int, str]]:
+    """(line, call) for each json.load(s), each open() in a text read mode and each read_text().splitlines()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        receiver = getattr(func, "value", None)
+        if name in ("load", "loads") and getattr(receiver, "id", "") == "json":
+            found.append((node.lineno, f"json.{name}"))
+        elif name == "splitlines" and getattr(getattr(receiver, "func", None), "attr", "") == "read_text":
+            found.append((node.lineno, "read_text().splitlines"))
+        elif name == "open":
+            pos = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), pos[0] if pos else None)
+            if mode is None or (isinstance(mode, ast.Constant) and set(mode.value) <= set("rt")):
+                found.append((node.lineno, "open"))
+    return found
+
+
+def test_file_reads_go_through_corpus_readers():
+    offenders = [
+        f"{path.name}:{line} {call}"
+        for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
+        if path.name != "corpus.py"
+        for line, call in _record_reads(path.read_text(encoding="utf-8"))
+        if call.startswith("json.") or path.name != "fetcher.py"
+    ]
+    assert offenders == []
+
+
+def test_read_json_reports_shape_and_decode_errors(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"a": 1}')
+    assert read_json(path, dict, lambda rec: rec["a"]) == 1
+    with pytest.raises(RecordError) as err:
+        read_json(path, list, list)
+    assert err.value.path == str(path) and "expected a JSON array" in str(err.value)
+    with pytest.raises(RecordError) as err:
+        read_json(path, dict, lambda rec: rec["b"])
+    assert (err.value.path, err.value.field_name) == (str(path), "b")
+    with pytest.raises(RecordError) as err:
+        read_json(path, dict, lambda rec: rec["a"].upper())
+    assert err.value.path == str(path)
+    path.write_text("{")
+    with pytest.raises(RecordError) as err:
+        read_json(path, dict, dict)
+    assert err.value.path == str(path)
+
+
+def test_read_records_locates_each_bad_line(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": 1}\n\n  \n[1]\n')
+    records = read_records(path, lambda rec: rec["a"])
+    assert next(records) == 1
+    with pytest.raises(RecordError) as err:
+        next(records)
+    assert (err.value.path, err.value.line_no) == (str(path), 4)
+    path.write_text('{"a": 1}\n{"b": 2}\n')
+    with pytest.raises(RecordError) as err:
+        list(read_records(path, lambda rec: rec["a"]))
+    assert (err.value.line_no, err.value.field_name) == (2, "a")
+    # a RecordError raised by decode without a location gets the file's
+    path.write_text('{"a": 1}\n')
+    with pytest.raises(RecordError) as err:
+        list(read_records(path, lambda rec: HearingMeta.from_record({**rec, "chamber": "Moon"})))
+    assert (err.value.path, err.value.line_no, err.value.field_name) == (str(path), 1, "chamber")
+
+
+def test_read_tsv_numbers_lines_and_skips_empty_ones(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes("a\tb\n\n\tc\n".encode("utf-8"))
+    assert list(read_tsv(path)) == [(1, ["a", "b"]), (3, ["", "c"])]
+    path.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(RecordError) as err:
+        list(read_tsv(path))
+    assert err.value.path == str(path)
