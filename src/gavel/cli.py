@@ -703,10 +703,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (CorpusError, FetchError, LexiconError, SegmentationFailed, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
+        return 1
+    except (CorpusError, FetchError, LexiconError, SegmentationFailed, OSError, ValueError) as exc:
+        # OSError covers a missing file, a directory given as a file and the like; its message names the path
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code if isinstance(exc.code, int) else 0

@@ -541,8 +541,12 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
         if not meta_path.is_file():
             continue  # not a hearing directory
         meta = read_json(meta_path, dict, HearingMeta.from_record)
-        utterances = load_utterances(hdir / "utterances.jsonl")
-        _check_sequence(meta.hearing_id, utterances)
+        utterances_path = hdir / "utterances.jsonl"
+        utterances = load_utterances(utterances_path)
+        try:
+            _check_sequence(meta.hearing_id, utterances)
+        except InvariantError as exc:
+            raise RecordError(str(exc), path=str(utterances_path)) from None
         out.append((meta, utterances))
     return out
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lexicons import Lexicons
@@ -264,6 +265,19 @@ def complexity_features(stats: TextStats) -> dict[str, Optional[float]]:
     return out
 
 
+def _build_entry_index(entries: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
+    index: dict[str, list[tuple[str, ...]]] = {}
+    for entry in entries:
+        parts = tuple(tokens_of(entry))
+        if parts:
+            index.setdefault(parts[0], []).append(parts)
+    return index
+
+
+# Lexicons hold frozensets, so each one's index is built once per process.
+_entry_index = lru_cache(maxsize=64)(_build_entry_index)
+
+
 def count_lexicon_hits(tokens: Sequence[str], entries: Iterable[str]) -> int:
     """Total occurrences of any entry as a contiguous token sequence.
 
@@ -271,25 +285,31 @@ def count_lexicon_hits(tokens: Sequence[str], entries: Iterable[str]) -> int:
     multiword entries ("so-called", "find out") match across separators.
     Every start position is counted, so overlapping hits of distinct
     entries all count.
+
+    Each entry is filed under its first token (entries that tokenize to
+    nothing are dropped), so the scan looks each text token up once and
+    compares only the entries that start with it: linear in the text, not
+    in text x lexicon. Entries that tokenize alike ("so-called", "so
+    called") keep one slot each, and each counts. A frozenset's index is
+    built once and cached; any other iterable is indexed per call.
     """
-    total = 0
+    index = _entry_index(entries) if isinstance(entries, frozenset) else _build_entry_index(entries)
     toks = list(tokens)
-    for entry in entries:
-        parts = tokens_of(entry)
-        k = len(parts)
-        if k == 0:
-            continue
-        if k == 1:
-            total += sum(1 for t in toks if t == parts[0])
-        else:
-            for i in range(len(toks) - k + 1):
-                if toks[i : i + k] == parts:
-                    total += 1
+    total = 0
+    for i, tok in enumerate(toks):
+        for parts in index.get(tok, ()):
+            k = len(parts)
+            if k == 1 or tuple(toks[i : i + k]) == parts:
+                total += 1
     return total
 
 
-def affect_features(text: str, lexicons: Lexicons) -> dict[str, Optional[float]]:
-    tokens = tokens_of(text)
+def affect_features(
+    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
+) -> dict[str, Optional[float]]:
+    """Valence shares and sentiment lexicon hits; `tokens` defaults to tokens_of(text)."""
+    if tokens is None:
+        tokens = tokens_of(text)
     neg = pos = neu = 0.0
     for t in tokens:
         v = lexicons.sentiment_valence.get(t)
@@ -316,8 +336,12 @@ def affect_features(text: str, lexicons: Lexicons) -> dict[str, Optional[float]]
     }
 
 
-def bias_features(text: str, lexicons: Lexicons) -> dict[str, Optional[float]]:
-    tokens = tokens_of(text)
+def bias_features(
+    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
+) -> dict[str, Optional[float]]:
+    """Bias-lexicon hits; `tokens` defaults to tokens_of(text)."""
+    if tokens is None:
+        tokens = tokens_of(text)
     return {
         "bias": float(count_lexicon_hits(tokens, lexicons.bias_words)),
         "assert": float(count_lexicon_hits(tokens, lexicons.assertives)),
@@ -330,8 +354,12 @@ def bias_features(text: str, lexicons: Lexicons) -> dict[str, Optional[float]]:
     }
 
 
-def style_event_features(text: str, lexicons: Lexicons) -> dict[str, Optional[float]]:
-    tokens = tokens_of(text)
+def style_event_features(
+    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
+) -> dict[str, Optional[float]]:
+    """Character-class, all-caps, date and location counts; `tokens` defaults to tokens_of(text)."""
+    if tokens is None:
+        tokens = tokens_of(text)
     raw_words = words_of(text)
     allcaps = sum(1 for w in raw_words if len(w) >= 2 and w.isalpha() and w.isupper())
     return {
@@ -345,12 +373,17 @@ def style_event_features(text: str, lexicons: Lexicons) -> dict[str, Optional[fl
 
 
 def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
-    """Full schema-ordered vector; a pure function of (text, lexicons)."""
+    """Full schema-ordered vector; a pure function of (text, lexicons).
+
+    The text is tokenized once; the affect, bias and style/event parts share
+    the tokens.
+    """
+    tokens = tokens_of(text)
     return FeatureVector.from_parts(
         complexity_features(compute_stats(text)),
-        affect_features(text, lexicons),
-        bias_features(text, lexicons),
-        style_event_features(text, lexicons),
+        affect_features(text, lexicons, tokens),
+        bias_features(text, lexicons, tokens),
+        style_event_features(text, lexicons, tokens),
     )
 
 

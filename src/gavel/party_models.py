@@ -16,6 +16,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Roster
@@ -117,40 +118,43 @@ class EvalReport:
         return counts
 
 
-def _name_variants(roster: Optional[Roster], member_directory: Iterable[str]) -> list[tuple[str, ...]]:
+def _name_variants(names: Iterable[str]) -> list[tuple[str, ...]]:
     variants: set[tuple[str, ...]] = set()
-
-    def add(name: str):
+    for name in names:
         toks = tuple(t.lower() for t in _NAME_TOKEN_RE.findall(name))
         # single-letter "names" (initials) would shred ordinary text
         if toks and not all(len(t) == 1 for t in toks):
             variants.add(toks)
-
-    if roster is not None:
-        for p in roster.people:
-            add(p.surname)
-            add(p.display_name)
-    for name in member_directory:
-        add(name)
     # longest first so full names win over bare surnames
     return sorted(variants, key=lambda v: (-len(v), v))
+
+
+@lru_cache(maxsize=64)
+def _name_pattern(roster_names: tuple[str, ...], directory: tuple[str, ...]) -> Optional[re.Pattern]:
+    variants = _name_variants(roster_names + directory)
+    if not variants:
+        return None
+    alternatives = (r"[^A-Za-z0-9']+".join(re.escape(t) for t in toks) for toks in variants)
+    return re.compile(
+        r"(?<![A-Za-z0-9'])(?<!⟨)(?:" + "|".join(alternatives) + r")(?![A-Za-z0-9'])(?!⟩)",
+        re.IGNORECASE,
+    )
 
 
 def strip_speaker_names(
     text: str, roster: Optional[Roster] = None, member_directory: Iterable[str] = ()
 ) -> str:
-    """Replace roster/directory names with a neutral placeholder. Idempotent."""
-    variants = _name_variants(roster, member_directory)
-    if not variants:
-        return text
-    alternatives = []
-    for toks in variants:
-        alternatives.append(r"[^A-Za-z0-9']+".join(re.escape(t) for t in toks))
-    pattern = re.compile(
-        r"(?<![A-Za-z0-9'])(?<!⟨)(?:" + "|".join(alternatives) + r")(?![A-Za-z0-9'])(?!⟩)",
-        re.IGNORECASE,
-    )
-    return pattern.sub(NAME_PLACEHOLDER, text)
+    """Replace roster/directory names with a neutral placeholder. Idempotent.
+
+    Every surname and display name on the roster, and every directory name,
+    becomes one alternative of a single case-insensitive pattern, longest
+    first. The pattern is built and compiled once per roster and directory
+    and cached under their names, so all utterances of a hearing share it;
+    a call costs one cache lookup and one substitution.
+    """
+    roster_names = () if roster is None else tuple(n for p in roster.people for n in (p.surname, p.display_name))
+    pattern = _name_pattern(roster_names, tuple(member_directory))
+    return text if pattern is None else pattern.sub(NAME_PLACEHOLDER, text)
 
 
 def majority_baseline(labels: Sequence[str], order: Optional[Sequence[str]] = None) -> tuple[str, float]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -158,8 +159,10 @@ def _line_end(text: str, pos: int) -> int:
     return len(text) if nl == -1 else nl + 1
 
 
-def _line_no(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
+def _line_numbers(text: str) -> Callable[[int], int]:
+    """pos -> 1-based line number in `text`: one table of newlines, then a bisect per position."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
+    return lambda pos: bisect_left(newlines, pos) + 1
 
 
 def trim_proceedings(raw: str, rules: SegmenterRules) -> TrimResult:
@@ -190,7 +193,7 @@ def trim_proceedings(raw: str, rules: SegmenterRules) -> TrimResult:
         end = _line_end(raw, max(ends))
     else:
         end = len(raw)
-        warnings.append((_line_no(raw, len(raw) - 1), "no end anchor matched; keeping the tail"))
+        warnings.append((_line_numbers(raw)(len(raw) - 1), "no end anchor matched; keeping the tail"))
     return TrimResult(
         body=raw[begin:end],
         trimmed_head_chars=begin,
@@ -211,13 +214,14 @@ class Segment:
     @property
     def text_raw(self) -> str:
         """The exact body span following the marker (directions reinserted)."""
-        out = self.text
-        shift = 0
+        parts = []
+        cursor = 0
         for offset, span in self.directions:
-            at = offset + shift
-            out = out[:at] + span + out[at:]
-            shift += len(span)
-        return out
+            parts.append(self.text[cursor:offset])
+            parts.append(span)
+            cursor = offset
+        parts.append(self.text[cursor:])
+        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -242,20 +246,39 @@ def _strip_directions(raw_span: str) -> tuple[str, tuple[tuple[int, str], ...]]:
     return "".join(parts), tuple(directions)
 
 
+def _overlaps_taken(taken: list[tuple[int, int]], s: int, e: int) -> bool:
+    """Whether [s, e) overlaps a span of `taken`, by the test `a < e and s < b`.
+
+    `taken` is sorted and its spans pass that test against each other, so the
+    only span starting before s that can reach past s is the last one, and
+    every span starting in (s, e) overlaps. Spans starting at s overlap unless
+    empty; the empty ones sort first, and there is one per pattern at most.
+    """
+    i = bisect_left(taken, (s,))
+    if i and s < taken[i - 1][1]:
+        return True
+    while i < len(taken) and taken[i][0] < e:
+        if s < taken[i][1]:
+            return True
+        i += 1
+    return False
+
+
 def segment_utterances(body: str, rules: SegmenterRules) -> SegmentationResult:
     """Split the body at speaker markers; zero markers is a hard failure."""
     matches: list[tuple[int, int, str, str]] = []  # (start, end, name, honorific)
-    taken: list[tuple[int, int]] = []
+    taken: list[tuple[int, int]] = []  # marker spans kept so far, sorted
     for p in rules.marker_patterns:
         for m in re.compile(p, re.MULTILINE).finditer(body):
-            span = (m.start(), m.end())
-            if any(s < span[1] and span[0] < e for s, e in taken):
+            span = m.span()
+            if _overlaps_taken(taken, *span):
                 continue  # an earlier (higher-priority) pattern owns this span
-            taken.append(span)
+            insort(taken, span)
             matches.append((m.start(), m.end(), m.group("name"), m.groupdict().get("honorific") or ""))
     if not matches:
         raise SegmentationFailed("no speaker marker matched; the hearing needs manual rules")
     matches.sort()
+    line_no = _line_numbers(body)
     warnings: list[tuple[int, str]] = []
     segments: list[Segment] = []
     preamble = body[: matches[0][0]]
@@ -267,7 +290,7 @@ def segment_utterances(body: str, rules: SegmenterRules) -> SegmentationResult:
         text, directions = _strip_directions(raw_span)
         removed = 0
         for offset, span in directions:
-            warnings.append((_line_no(body, end + offset + removed), f"stripped stage direction {span!r}"))
+            warnings.append((line_no(end + offset + removed), f"stripped stage direction {span!r}"))
             removed += len(span)
         segments.append(
             Segment(
@@ -415,11 +438,12 @@ def segment_hearing(
     utterances: list[Utterance] = []
     unresolved = 0
     prev_person_role: Optional[Role] = None
+    line_no = _line_numbers(trim.body)
     for i, seg in enumerate(result.segments):
         prefer = Role.MEMBER if prev_person_role is Role.WITNESS else None
         person_id, warning = recognize(seg.marker_raw, roster, prefer)
         if warning:
-            warnings.append((_line_no(trim.body, seg.start) + head_lines, warning))
+            warnings.append((line_no(seg.start) + head_lines, warning))
         if person_id == UNKNOWN_SPEAKER:
             unresolved += 1
             prev_person_role = None

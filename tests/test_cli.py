@@ -502,6 +502,16 @@ def _kstest_bad_session(pipeline, tmp_path):
     return ["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "m.tsv")], f"{examples}:3"
 
 
+def _pair_sequence_gap(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    path = next(corpus.glob("*/utterances.jsonl"))
+    lines = path.read_text().splitlines()
+    del lines[1]  # sequence_no 1 goes missing
+    path.write_text("\n".join(lines) + "\n")
+    return ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")], path
+
+
 MALFORMED_INPUTS = {
     "roster-not-object": _segment_bad_roster,
     "meta-invalid-json": _segment_bad_meta,
@@ -513,6 +523,7 @@ MALFORMED_INPUTS = {
     "government-not-array": _features_government_object,
     "model-without-training-meta": _model_without_training_meta,
     "examples-bad-session": _kstest_bad_session,
+    "utterances-sequence-gap": _pair_sequence_gap,
 }
 
 
@@ -521,6 +532,27 @@ def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys
     argv, where = MALFORMED_INPUTS[case](pipeline, tmp_path)
     assert run(argv) == 1
     assert str(where) in capsys.readouterr().err
+
+
+DIRECTORY_AS_FILE = {
+    "prompts-pairs": lambda p, d: ["prompts", "--corpus", str(p / "corpus"), "--pairs", str(d), "--kind", "Both",
+                                   "--output", str(d.parent / "out" / "prompts.jsonl")],
+    "features-government": lambda p, d: ["features", "--corpus", str(p / "corpus"), "--government", str(d),
+                                         "--output", str(d.parent / "out" / "ex.tsv")],
+    "classify-qa-apply-model": lambda p, d: ["classify-qa", "apply", "--model", str(d),
+                                             "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"],
+    "kstest-examples": lambda p, d: ["kstest", "--examples", str(d), "--out-matrix", str(d.parent / "out" / "m.tsv")],
+    "evaluate-examples": lambda p, d: ["evaluate", "--examples", str(d), "--out-dir", str(d.parent / "out")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_AS_FILE))
+def test_directory_given_as_input_file_exits_one_and_names_it(pipeline, tmp_path, capsys, case):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert run(DIRECTORY_AS_FILE[case](pipeline, directory)) == 1
+    err = capsys.readouterr().err
+    assert str(directory) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode_argv", [

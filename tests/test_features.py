@@ -1,8 +1,10 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from gavel import features as features_module
 from gavel.features import (
     SCHEMA,
     FeatureVector,
@@ -18,6 +20,9 @@ from gavel.features import (
     tokens_of,
 )
 from gavel.lexicons import Lexicons, load_lexicons
+from gavel.segmenter import SegmenterRules, segment_utterances, trim_proceedings
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 # Independently evaluated formula values for randomized statistics:
 # (words, sentences, letters, syllables, polysyllables, long_words, unique,
@@ -256,6 +261,76 @@ def test_lexicon_counter_matches_naive_scan_oracle(lexicons):
         tokens = tokens_of(text)
         entries = rng.choice(entry_sets)
         assert count_lexicon_hits(tokens, entries) == _naive_scan_count(text, entries)
+
+
+def test_entries_that_tokenize_alike_each_count():
+    tokens = tokens_of("a so-called fix, so called by whom")
+    assert count_lexicon_hits(tokens, frozenset({"so-called", "so called"})) == 4
+    assert count_lexicon_hits(tokens, ["so called", "so called"]) == 4
+
+
+def test_entry_without_tokens_is_skipped():
+    tokens = tokens_of("x -- y")
+    assert count_lexicon_hits(tokens, frozenset({"--", "x"})) == 1
+    assert count_lexicon_hits(tokens, frozenset({"--"})) == 0
+
+
+def test_overlapping_entries_all_count_at_each_start():
+    entries = frozenset({"find", "find out", "find out more", "out", "out more", "more"})
+    assert count_lexicon_hits(tokens_of("Find out more. Find out."), entries) == 6 + 3
+
+
+def test_lexicon_counter_accepts_any_token_iterable(lexicons):
+    tokens = tokens_of("We believe it may perhaps be true, and we claim it.")
+    expected = count_lexicon_hits(tokens, lexicons.hedges)
+    assert expected > 0
+    assert count_lexicon_hits(tuple(tokens), lexicons.hedges) == expected
+    assert count_lexicon_hits(iter(tokens), lexicons.hedges) == expected
+    assert count_lexicon_hits((t for t in tokens), lexicons.hedges) == expected
+
+
+def _per_entry_scan(tokens, entries) -> int:
+    """The counter as it was before the first-token index: every entry scanned against every token."""
+    total = 0
+    toks = list(tokens)
+    for entry in entries:
+        parts = tokens_of(entry)
+        k = len(parts)
+        if k == 0:
+            continue
+        if k == 1:
+            total += sum(1 for t in toks if t == parts[0])
+        else:
+            for i in range(len(toks) - k + 1):
+                if toks[i : i + k] == parts:
+                    total += 1
+    return total
+
+
+def _fixture_utterance_texts() -> list[str]:
+    rules = SegmenterRules()
+    texts = []
+    for transcript in sorted(FIXTURES.glob("hearings/*/transcript.txt")):
+        body = trim_proceedings(transcript.read_text(encoding="utf-8"), rules).body
+        texts.extend(seg.text for seg in segment_utterances(body, rules).segments)
+    return texts
+
+
+def test_extract_features_matches_per_entry_scan_on_fixture_texts(lexicons, monkeypatch):
+    texts = _fixture_utterance_texts()
+    assert len(texts) > 40
+    indexed = [extract_features(text, lexicons) for text in texts]
+    assert sum(v["location_mentions"] + v["hedges"] + v["repVerb"] for v in indexed) > 0
+    # the oracle: each part tokenizes on its own and scans entry by entry
+    monkeypatch.setattr(features_module, "count_lexicon_hits", _per_entry_scan)
+    for text, vector in zip(texts, indexed):
+        oracle = FeatureVector.from_parts(
+            complexity_features(compute_stats(text)),
+            affect_features(text, lexicons),
+            bias_features(text, lexicons),
+            style_event_features(text, lexicons),
+        )
+        assert vector == oracle, text
 
 
 def test_style_event_rule_forced(lexicons):

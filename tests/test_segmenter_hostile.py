@@ -1,15 +1,20 @@
 """Hand-built hostile transcript: edge cases the synthetic corpus never emits."""
 
+import random
+import re
+
 import pytest
 
-from gavel.corpus import Chamber, HearingMeta, Party, Person, Role, Roster
+from gavel.corpus import UNKNOWN_SPEAKER, Chamber, HearingMeta, Party, Person, Role, Roster
 from gavel.segmenter import (
+    STAGE_DIRECTION_RE,
     SegmenterRules,
     reconstruct,
     segment_hearing,
     segment_utterances,
     trim_proceedings,
 )
+from gavel.synth import synth_hearing
 
 RULES = SegmenterRules()
 
@@ -122,3 +127,104 @@ def test_hostile_honorific_without_period():
     body = trim_proceedings(HOSTILE, RULES).body
     result = segment_utterances(body, RULES)
     assert result.segments[4].marker_raw.strip() == "Dr Ibrahim."
+
+
+# Marker patterns whose matches overlap: nested ("Ann Lee" holds "Ann"),
+# adjacent (an empty match right after a period ends where "Bob." ends) and
+# empty matches everywhere (`x*`).
+OVERLAPPING_RULES = SegmenterRules(
+    marker_patterns=(
+        r"^[ \t]*(?P<name>[A-Z][a-z]+)\.[ \t]?",
+        r"(?P<honorific>Mr|Dr)\. (?P<name>[A-Z][a-z]+ [A-Z][a-z]+)",
+        r"(?P<name>[A-Z][a-z]+ [A-Z][a-z]+)",
+        r"(?P<name>[A-Z]{2,})",
+        r"(?<=\.)(?P<name>)",
+        r"(?P<name>x*)",
+    )
+)
+OVERLAP_PIECES = ("Mr. Ann Lee", "Ann Lee", "Bob.", "Dr. Jo Day", "ABC", "x", "xx", ".", " ", "\n", "\n  ",
+                  "said", "[Pause.]", "Cy. ", "NASA", "the")
+
+
+def _markers_by_full_scan(body, rules):
+    """Kept marker spans as an `any(...)` scan over every earlier span decides them."""
+    taken, kept = [], []
+    for p in rules.marker_patterns:
+        for m in re.compile(p, re.MULTILINE).finditer(body):
+            span = (m.start(), m.end())
+            if any(s < span[1] and span[0] < e for s, e in taken):
+                continue
+            taken.append(span)
+            kept.append((m.start(), m.end(), m.group("name"), m.groupdict().get("honorific") or ""))
+    return sorted(kept)
+
+
+def test_overlap_resolution_matches_full_scan():
+    rng = random.Random(17)
+    for _ in range(300):
+        body = "".join(rng.choice(OVERLAP_PIECES) for _ in range(rng.randrange(1, 40)))
+        result = segment_utterances(body, OVERLAPPING_RULES)
+        got = [(seg.start, seg.start + len(seg.marker_raw), seg.name_text, seg.honorific) for seg in result.segments]
+        assert got == _markers_by_full_scan(body, OVERLAPPING_RULES), body
+        assert reconstruct(result) == body
+
+
+def test_overlap_resolution_matches_full_scan_on_hostile_body():
+    body = trim_proceedings(HOSTILE, RULES).body
+    for rules in (RULES, OVERLAPPING_RULES):
+        result = segment_utterances(body, rules)
+        got = [(seg.start, seg.start + len(seg.marker_raw), seg.name_text, seg.honorific) for seg in result.segments]
+        assert got == _markers_by_full_scan(body, rules)
+
+
+def _direction_positions(result):
+    """Body offsets of every stripped stage direction, found again in each segment's raw text."""
+    return [
+        seg.start + len(seg.marker_raw) + m.start()
+        for seg in result.segments
+        for m in STAGE_DIRECTION_RE.finditer(seg.text_raw)
+    ]
+
+
+def _hearing_with_directions():
+    h = synth_hearing("lines-1", 113, random.Random(8), n_exchanges=60)
+    return HOSTILE.replace("[Pause.]", "[Pause.]\n[Crosstalk.] [Off\nmicrophone.]") + h.raw_text
+
+
+def test_stage_direction_warning_lines_count_newlines():
+    body = trim_proceedings(_hearing_with_directions(), RULES).body
+    result = segment_utterances(body, RULES)
+    lines = [line for line, msg in result.warnings if msg.startswith("stripped stage direction")]
+    positions = _direction_positions(result)
+    assert len(positions) >= 5
+    assert lines == [body.count("\n", 0, pos) + 1 for pos in positions]
+
+
+def test_hearing_warning_lines_count_newlines_in_the_raw_transcript():
+    raw = _hearing_with_directions()
+    trim = trim_proceedings(raw, RULES)
+    assert trim.trimmed_head_chars > 0 and raw[: trim.trimmed_head_chars].count("\n") > 0
+    meta = HearingMeta(hearing_id="lines-1", session=113, chamber=Chamber.HOUSE, committee="Oversight")
+
+    def unknown(marker, roster, prefer):
+        return UNKNOWN_SPEAKER, f"recognizer saw {marker.strip()!r}"
+
+    _, report = segment_hearing(raw, RULES, hostile_roster(), meta, recognizer=unknown)
+    result = segment_utterances(trim.body, RULES)
+
+    def raw_line(body_pos):
+        return raw.count("\n", 0, trim.trimmed_head_chars + body_pos) + 1
+
+    recognizer_lines = [line for line, msg in report.warnings if msg.startswith("recognizer saw")]
+    assert recognizer_lines == [raw_line(seg.start) for seg in result.segments]
+    direction_lines = [line for line, msg in report.warnings if msg.startswith("stripped stage direction")]
+    assert direction_lines == [raw_line(pos) for pos in _direction_positions(result)]
+
+
+def test_large_transcript_round_trips():
+    h = synth_hearing("large-1", 112, random.Random(4000), n_exchanges=4000)
+    trim = trim_proceedings(h.raw_text, RULES)
+    assert len(trim.body) > 500_000
+    result = segment_utterances(trim.body, RULES)
+    assert len(result.segments) >= 0.99 * len(h.segments)
+    assert reconstruct(result) == trim.body
