@@ -183,13 +183,24 @@ def _config_value(parser: argparse.ArgumentParser, action: Optional[argparse.Act
 
 
 def _apply_config(args: argparse.Namespace, config: dict) -> None:
-    """Make each config-file value the default of its option in the chosen subcommand."""
+    """Make each config-file value the default of its option in the chosen subcommand.
+
+    A mutually exclusive group admits one member, whether set by flag or by config key.
+    """
     unknown = sorted(set(config) - set(_settings(args)))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     parser = args.command_parser
     actions = {a.dest: a for a in parser._actions}
-    parser.set_defaults(**{k: _config_value(parser, actions.get(k), k, v) for k, v in config.items()})
+    values = {k: _config_value(parser, actions.get(k), k, v) for k, v in config.items()}
+    for group in parser._mutually_exclusive_groups:
+        # a flag counts as set when its value is not the default object, as argparse decides
+        flags = [a.option_strings[0] for a in group._group_actions if getattr(args, a.dest) is not a.default]
+        keys = [f"config key {a.dest!r}" for a in group._group_actions
+                if values.get(a.dest, a.default) != a.default and getattr(args, a.dest) is a.default]
+        if len(flags + keys) > 1:
+            raise UsageError(f"{' and '.join(flags + keys)} cannot be used together")
+    parser.set_defaults(**values)
 
 
 def _require(args: argparse.Namespace, *keys: str) -> None:
@@ -453,7 +464,7 @@ def cmd_train(args) -> int:
         imp = feature_importance(model, schema=SCHEMA)
         ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
         write_tsv(args.importance_out, ["feature", "importance"], ([k, repr(v)] for k, v in ranked))
-    _log(f"trained {args.model} on {len(x)} rows, classes {present}")
+    _log(f"trained forest on {len(x)} rows, classes {present}")
     write_manifest(Path(args.model_out).parent, "train", args, [Path(args.examples)], started)
     return 0
 
@@ -598,11 +609,10 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         return p
 
-    def add_table_options(p, models):
+    def add_table_options(p):
         p.add_argument("--examples", help="examples TSV from `features`")
         p.add_argument("--task", choices=("Affiliation", "Standing"), default="Affiliation")
         p.add_argument("--kind", choices=KINDS, default="Question")
-        p.add_argument("--model", choices=models, default="forest")
         p.add_argument("--min-rows", dest="min_rows", type=int, default=50)
         p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
         p.set_defaults(grid=None)  # forest grid: config file only
@@ -657,12 +667,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out-details", dest="out_details", help="long-format details TSV to write")
 
     p = add(sub, "train", cmd_train, help="train a party-prediction model on the full example table")
-    add_table_options(p, models=("forest",))
+    add_table_options(p)
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--importance-out", dest="importance_out")
 
     p = add(sub, "evaluate", cmd_evaluate, help="run the split-wise experiment grid with baselines")
-    add_table_options(p, models=("forest", "logistic"))
+    add_table_options(p)
+    p.add_argument("--model", choices=("forest", "logistic"), default="forest")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--split-dims", dest="split_dims", default="",
                       help="comma list from: committee,session,hearing_type,government,presidency")

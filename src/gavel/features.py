@@ -1,6 +1,6 @@
 """Per-utterance linguistic feature suite.
 
-Five groups share one fixed, versioned schema:
+Five groups share one fixed schema:
 
   complexity  ttr, avgWlen, wCount, FKGLvl, SmgIn, CLIn, lix
   affect      vneg, vneu, vpos (valence shares), wneg..sneu (lexicon hits)
@@ -27,8 +27,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lexicons import Lexicons
-
-SCHEMA_VERSION = "1"
 
 SCHEMA: tuple[str, ...] = (
     "ttr",

@@ -1,17 +1,17 @@
 """Polite transcript download client with a local cache.
 
 Every downstream operation consumes local files; the fetcher only fills
-the cache. Requests to one endpoint are serialized and spaced by a
-configurable minimum delay (default 1s), with exponential backoff on
-transient failures. The network layer is injectable so tests run offline.
+the cache. Requests are serialized because callers fetch one hearing after
+another, and they are spaced by a configurable minimum delay (default 1s),
+with exponential backoff on transient failures. The network layer is
+injectable so tests run offline; `urllib.request` is imported only when the
+default opener runs.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -28,6 +28,8 @@ class NotFoundError(FetchError):
 
 
 def _default_opener(url: str) -> bytes:
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=60) as resp:  # noqa: S310 (caller controls the endpoint)
         return resp.read()
 
@@ -52,7 +54,6 @@ class Fetcher:
         self._opener = opener or _default_opener
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
         self._last_request: Optional[float] = None
         self.requests_made = 0
 
@@ -77,23 +78,22 @@ class Fetcher:
 
     def _download(self, hearing_id: str) -> bytes:
         url = self.url_for(hearing_id)
-        with self._lock:
-            last_error: Optional[Exception] = None
-            for attempt in range(self.retries + 1):
-                self._respect_delay()
-                self._last_request = self._clock()
-                self.requests_made += 1
-                try:
-                    return self._opener(url)
-                except urllib.error.HTTPError as exc:
-                    if exc.code == 404:
-                        raise NotFoundError(hearing_id, url)
-                    last_error = exc
-                except (urllib.error.URLError, OSError) as exc:
-                    last_error = exc
-                if attempt < self.retries:
-                    self._sleep(self.backoff * (2**attempt))
-            raise FetchError(f"failed to fetch {url} after {self.retries + 1} attempts: {last_error}")
+        last_error: Optional[Exception] = None
+        for attempt in range(self.retries + 1):
+            self._respect_delay()
+            self._last_request = self._clock()
+            self.requests_made += 1
+            try:
+                return self._opener(url)
+            except urllib.error.HTTPError as exc:
+                if exc.code == 404:
+                    raise NotFoundError(hearing_id, url)
+                last_error = exc
+            except (urllib.error.URLError, OSError) as exc:
+                last_error = exc
+            if attempt < self.retries:
+                self._sleep(self.backoff * (2**attempt))
+        raise FetchError(f"failed to fetch {url} after {self.retries + 1} attempts: {last_error}")
 
     def _respect_delay(self) -> None:
         if self._last_request is None:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import RecordError, read_json, write_lines
+from .corpus import write_lines
 
 FOREST_FORMAT_VERSION = 1
 
@@ -241,16 +241,6 @@ def _node_to_record(node: TreeNode) -> dict:
     return rec
 
 
-def _node_from_record(rec: dict) -> TreeNode:
-    node = TreeNode(counts=tuple(rec["counts"]))
-    if "feature" in rec:
-        node.feature = rec["feature"]
-        node.threshold = rec["threshold"]
-        node.left = _node_from_record(rec["left"])
-        node.right = _node_from_record(rec["right"])
-    return node
-
-
 def save_forest(model: ForestModel, path: Path | str) -> None:
     record = {
         "format_version": FOREST_FORMAT_VERSION,
@@ -261,47 +251,3 @@ def save_forest(model: ForestModel, path: Path | str) -> None:
         "trees": [_node_to_record(t) for t in model.trees],
     }
     write_lines(path, [json.dumps(record)])
-
-
-def load_forest(path: Path | str) -> ForestModel:
-    return read_json(path, dict, _forest_from_record)
-
-
-def _forest_from_record(record: dict) -> ForestModel:
-    version = record.get("format_version")
-    if version != FOREST_FORMAT_VERSION:
-        raise RecordError(f"unsupported forest format_version {version!r}")
-    return ForestModel(
-        trees=tuple(_node_from_record(t) for t in record["trees"]),
-        classes=tuple(record["classes"]),
-        n_features=record["n_features"],
-        hyper=ForestHyper(**record["hyper"]),
-        impurity_importance=tuple(record["impurity_importance"]),
-    )
-
-
-def permutation_importance(
-    model: ForestModel,
-    x: Sequence[Sequence[float]],
-    y: Sequence[str],
-    seed: int = 0,
-    repeats: int = 5,
-) -> dict[int, float]:
-    """Mean accuracy drop when one column is shuffled, per feature index."""
-    if not x:
-        raise ValueError("permutation importance needs a non-empty validation set")
-    base = forest_accuracy(model, x, y)
-    n = len(x)
-    out: dict[int, float] = {}
-    for f in range(model.n_features):
-        drops = []
-        for r in range(repeats):
-            rng = random.Random(derive_seed(seed, f * repeats + r))
-            perm = list(range(n))
-            rng.shuffle(perm)
-            shuffled = [list(row) for row in x]
-            for i in range(n):
-                shuffled[i][f] = x[perm[i]][f]
-            drops.append(base - forest_accuracy(model, shuffled, y))
-        out[f] = sum(drops) / repeats
-    return out

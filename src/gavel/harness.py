@@ -43,7 +43,6 @@ from .party_models import (
     Dataset,
     EvalReport,
     TASK_LABEL_ORDER,
-    LogisticHyper,
     Task,
     column_medians,
     cross_validate_grid,
@@ -53,7 +52,6 @@ from .party_models import (
     strip_speaker_names,
     train_logistic,
 )
-from .qa import ConfusionCounts
 
 DIMENSIONS = ("committee", "session", "hearing_type", "government", "presidency")
 
@@ -106,7 +104,6 @@ def build_examples(
     pairs: Mapping[str, Sequence[QAPair]] | None = None,
     member_directory: Iterable[str] = (),
     strip_names: bool = True,
-    kinds: Sequence[str] = KINDS,
 ) -> tuple[list[ExampleRow], list[str]]:
     """Featurized, labeled example rows; returns (rows, warnings).
 
@@ -146,29 +143,28 @@ def build_examples(
                 return None
             return person.party.value, standing.value
 
-        if "Question" in kinds:
-            for u in utterances:
-                if u.qa_label is not QALabel.QUESTION:
-                    continue
-                labels = labels_for(u.speaker)
-                if labels is None:
-                    continue
-                rows.append(
-                    ExampleRow(
-                        example_id=u.utterance_id,
-                        kind="Question",
-                        hearing_id=meta.hearing_id,
-                        session=meta.session,
-                        committee=meta.committee,
-                        chamber=meta.chamber.value,
-                        hearing_type=meta.hearing_type.value,
-                        government=government,
-                        presidency=presidency,
-                        party=labels[0],
-                        standing=labels[1],
-                        features=featurize(u.text),
-                    )
+        for u in utterances:
+            if u.qa_label is not QALabel.QUESTION:
+                continue
+            labels = labels_for(u.speaker)
+            if labels is None:
+                continue
+            rows.append(
+                ExampleRow(
+                    example_id=u.utterance_id,
+                    kind="Question",
+                    hearing_id=meta.hearing_id,
+                    session=meta.session,
+                    committee=meta.committee,
+                    chamber=meta.chamber.value,
+                    hearing_type=meta.hearing_type.value,
+                    government=government,
+                    presidency=presidency,
+                    party=labels[0],
+                    standing=labels[1],
+                    features=featurize(u.text),
                 )
+            )
         hearing_pairs = (pairs or {}).get(meta.hearing_id, ())
         for pair in hearing_pairs:
             labels = labels_for(pair.questioner)
@@ -190,21 +186,17 @@ def build_examples(
                 party=labels[0],
                 standing=labels[1],
             )
-            if "Answer" in kinds:
-                rows.append(
-                    ExampleRow(
-                        example_id=answer.utterance_id, kind="Answer", features=featurize(answer.text), **common
-                    )
+            rows.append(
+                ExampleRow(example_id=answer.utterance_id, kind="Answer", features=featurize(answer.text), **common)
+            )
+            rows.append(
+                ExampleRow(
+                    example_id=pair.pair_id,
+                    kind="Both",
+                    features=featurize(question.text + "\n" + answer.text),
+                    **common,
                 )
-            if "Both" in kinds:
-                rows.append(
-                    ExampleRow(
-                        example_id=pair.pair_id,
-                        kind="Both",
-                        features=featurize(question.text + "\n" + answer.text),
-                        **common,
-                    )
-                )
+            )
     rows.sort(key=lambda r: (r.kind, r.example_id))
     return rows, warnings
 
@@ -310,7 +302,6 @@ DEFAULT_GRID = (ForestHyper(n_estimators=30, max_depth=8),)
 class ExperimentConfig:
     model: str = "forest"  # "forest" or "logistic"
     grid: tuple[ForestHyper, ...] = DEFAULT_GRID
-    logistic_hyper: LogisticHyper = LogisticHyper()
     cv_folds: int = 5
     test_fraction: float = 0.2
     seed: int = 108
@@ -443,7 +434,7 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
         predictions = [predict_forest(model, row)[0] for row in x_test]
         importances = tuple(sorted(feature_importance(model, schema=dataset.schema).items()))
     else:
-        model = train_logistic(x_train, y_train, classes, config.logistic_hyper)
+        model = train_logistic(x_train, y_train, classes)
         predictions = [model.predict(row)[0] for row in x_test]
     return _eval_report(
         key, dataset.label_task, y_test, predictions, len(y_train), degenerate=degenerate, importances=importances
@@ -575,20 +566,6 @@ def _emit_ht_gov(reports: Sequence[EvalReport], path) -> None:
                 ]
         rows.append(cols)
     write_tsv(path, header, rows)
-
-
-def emit_qa_confusion_table(counts_by_column: Sequence[tuple[str, ConfusionCounts]], path: Path | str) -> None:
-    """Q/A identification table: per-column counts plus a display accuracy row."""
-    header = ["row"] + [label for label, _ in counts_by_column]
-    getters = (
-        ("questions_true", lambda c: str(c.q_true)),
-        ("questions_false", lambda c: str(c.q_false)),
-        ("answers_true", lambda c: str(c.a_true)),
-        ("answers_false", lambda c: str(c.a_false)),
-        ("accuracy", lambda c: repr(c.accuracy)),
-        ("accuracy_2dp", lambda c: c.display_accuracy()),
-    )
-    write_tsv(path, header, ([name] + [getter(c) for _, c in counts_by_column] for name, getter in getters))
 
 
 # --- zero-shot prompt rendering ----------------------------------------------

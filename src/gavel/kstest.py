@@ -8,7 +8,6 @@ p-value uses the asymptotic series
 
 with the small-sample correction lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D
 and ne = na*nb/(na+nb); the series is truncated once terms drop below 1e-12.
-An exact permutation mode exists for tiny fixtures (na+nb <= 20).
 
 Group comparisons cover the pairs R-D, R-I, D-I, M-m and R.M.-D.M., where
 R/D/I select by party, M/m by standing, and R.M./D.M. by both. Star levels:
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -119,19 +117,14 @@ def _check_sample(name: str, xs: Sequence[float]) -> None:
             raise ValueError(f"sample {name} contains a non-finite value")
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float], method: str = "series") -> KSResult:
+def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
     _check_sample("a", a)
     _check_sample("b", b)
     na, nb = len(a), len(b)
     d = ks_statistic(a, b)
     ne = na * nb / (na + nb)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-    if method == "series":
-        p = ks_series_p(lam)
-    elif method == "exact":
-        p = ks_exact_p(a, b)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    p = ks_series_p(lam)
     stars = star_level(p)
     return KSResult(
         statistic_d=d,
@@ -144,29 +137,6 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float], method: str = "series"
         stars=stars,
         significant=stars is not Stars.NONE,
     )
-
-
-def ks_exact_p(a: Sequence[float], b: Sequence[float], max_total: int = 20) -> float:
-    """Permutation p-value by full enumeration of group assignments.
-
-    Only for tiny fixtures: the pooled size must not exceed `max_total`.
-    """
-    na, nb = len(a), len(b)
-    if na + nb > max_total:
-        raise ValueError(f"exact mode supports at most {max_total} pooled values, got {na + nb}")
-    pooled = list(a) + list(b)
-    observed = ks_statistic(a, b)
-    hits = 0
-    count = 0
-    indices = range(len(pooled))
-    for pick in combinations(indices, na):
-        picked = set(pick)
-        xa = [pooled[i] for i in pick]
-        xb = [pooled[i] for i in indices if i not in picked]
-        if ks_statistic(xa, xb) >= observed - 1e-15:
-            hits += 1
-        count += 1
-    return hits / count
 
 
 # Group pairs in canonical order; left group listed first.

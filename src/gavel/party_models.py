@@ -1,8 +1,8 @@
 """Classical prediction stack for party affiliation and standing.
 
-Rows are dense feature vectors with optional nulls; training imputes nulls
-with train-split medians and, for the linear model, standardizes columns to
-train mean 0 / variance 1 (parameters stored for test-time reuse).
+Rows are dense feature vectors with optional nulls; callers impute nulls
+with train-split medians before training, and the linear model standardizes
+columns to train mean 0 / variance 1 (parameters stored for test-time reuse).
 Speaker-name removal happens on text before feature extraction so names
 cannot leak the label. Every randomized step derives its stream from the
 root seed, and all tie-breaks are by class/lexicographic order, so repeat
@@ -20,14 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Roster
-from .forest import (
-    ForestHyper,
-    ForestModel,
-    derive_seed,
-    forest_accuracy,
-    permutation_importance,
-    train_forest,
-)
+from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import BinaryLogistic, TrainingMeta, predict_proba, train_binary_logistic
 
 NAME_PLACEHOLDER = "⟨NAME⟩"  # ⟨NAME⟩
@@ -218,17 +211,15 @@ class LogisticHyper:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """One-vs-rest logistic over standardized, median-imputed columns."""
+    """One-vs-rest logistic over standardized columns."""
 
     classes: tuple[str, ...]
     per_class: tuple[BinaryLogistic, ...]
     standardizer: Standardizer
-    medians: tuple[float, ...]
     hyper: LogisticHyper
 
-    def predict(self, row: Sequence[Optional[float]]) -> tuple[str, dict[str, float]]:
-        dense = [m if v is None else v for v, m in zip(row, self.medians)]
-        z = self.standardizer.apply(dense)
+    def predict(self, row: Sequence[float]) -> tuple[str, dict[str, float]]:
+        z = self.standardizer.apply(row)
         sparse = {j: v for j, v in enumerate(z) if v != 0.0}
         scores = [predict_proba(m.weights, m.bias, sparse) for m in self.per_class]
         total = sum(scores)
@@ -238,7 +229,7 @@ class LinearModel:
 
 
 def train_logistic(
-    x: Sequence[Sequence[Optional[float]]],
+    x: Sequence[Sequence[float]],
     y: Sequence[str],
     classes: Sequence[str],
     hyper: LogisticHyper = LogisticHyper(),
@@ -249,10 +240,8 @@ def train_logistic(
     if len(present) < 2:
         raise ValueError("training set contains a single class")
     width = len(x[0])
-    medians = column_medians(x, width)
-    dense = impute(x, medians)
-    std = fit_standardizer(dense)
-    z_rows = [std.apply(r) for r in dense]
+    std = fit_standardizer(x)
+    z_rows = [std.apply(r) for r in x]
     sparse_rows = [{j: v for j, v in enumerate(r) if v != 0.0} for r in z_rows]
     models = []
     for c in classes:
@@ -281,7 +270,6 @@ def train_logistic(
         classes=tuple(classes),
         per_class=tuple(models),
         standardizer=std,
-        medians=tuple(medians),
         hyper=hyper,
     )
 
@@ -381,20 +369,6 @@ def cross_validate_grid(
     return grid[best_i], scores, warnings
 
 
-def feature_importance(
-    model: ForestModel,
-    validation_x: Sequence[Sequence[float]] = (),
-    validation_y: Sequence[str] = (),
-    mode: str = "Impurity",
-    seed: int = 0,
-    schema: Optional[Sequence[str]] = None,
-) -> dict[str, float]:
-    """Feature name -> importance, by impurity decrease or permutation drop."""
-    names = list(schema) if schema is not None else [f"f{i}" for i in range(model.n_features)]
-    if mode == "Impurity":
-        values = model.impurity_importance
-        return {names[i]: values[i] for i in range(model.n_features)}
-    if mode == "Permutation":
-        drops = permutation_importance(model, validation_x, validation_y, seed=seed)
-        return {names[i]: drops[i] for i in range(model.n_features)}
-    raise ValueError(f"unknown importance mode {mode!r}")
+def feature_importance(model: ForestModel, schema: Sequence[str]) -> dict[str, float]:
+    """Feature name -> normalized impurity decrease."""
+    return dict(zip(schema, model.impurity_importance))

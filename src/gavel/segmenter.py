@@ -414,21 +414,13 @@ class SegmentationReport:
             raise ValueError("cannot have more unresolved speakers than utterances")
 
 
-# A speaker recognizer maps (raw_marker, roster, prefer_role) to
-# (person_id or Unknown, warning). The heuristic `resolve_speaker` is the
-# built-in; drop-in replacements (e.g. a learned tagger) plug in here.
-SpeakerRecognizer = Callable[[str, Roster, Optional[Role]], tuple[str, Optional[str]]]
-
-
 def segment_hearing(
     raw: str,
     rules: SegmenterRules,
     roster: Roster,
     meta: HearingMeta,
-    recognizer: Optional[SpeakerRecognizer] = None,
 ) -> tuple[list[Utterance], SegmentationReport]:
     """Full Task-1 pipeline for one hearing: trim, segment, resolve."""
-    recognize = recognizer or (lambda marker, r, prefer: resolve_speaker(marker, r, prefer_role=prefer))
     trim = trim_proceedings(raw, rules)
     result = segment_utterances(trim.body, rules)
     warnings = list(trim.warnings)
@@ -441,7 +433,7 @@ def segment_hearing(
     line_no = _line_numbers(trim.body)
     for i, seg in enumerate(result.segments):
         prefer = Role.MEMBER if prev_person_role is Role.WITNESS else None
-        person_id, warning = recognize(seg.marker_raw, roster, prefer)
+        person_id, warning = resolve_speaker(seg.marker_raw, roster, prefer_role=prefer)
         if warning:
             warnings.append((line_no(seg.start) + head_lines, warning))
         if person_id == UNKNOWN_SPEAKER:

@@ -301,7 +301,7 @@ def test_acceptance_9_end_to_end_smoke(tmp_path):
         ],
         [
             "train", "--examples", str(tmp_path / "examples.tsv"), "--task", "Affiliation",
-            "--kind", "Question", "--model", "forest", "--min-rows", "4",
+            "--kind", "Question", "--min-rows", "4",
             "--model-out", str(tmp_path / "party_model.json"),
         ],
         [

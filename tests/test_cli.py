@@ -84,7 +84,7 @@ def pipeline(tmp_path_factory):
         ],
         [
             "train", "--examples", str(root / "examples.tsv"), "--task", "Affiliation",
-            "--kind", "Question", "--model", "forest", "--min-rows", "4",
+            "--kind", "Question", "--min-rows", "4",
             "--model-out", str(root / "party_model.json"),
             "--importance-out", str(root / "importances.tsv"),
         ],
@@ -385,6 +385,25 @@ def test_config_values_do_not_leak_between_calls(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "missing required option(s): --input, --output" in err
     assert "/nonexistent/path" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, names",
+    [
+        (["classify-qa", "apply", "--model", "absent.json", "--eval", "absent.tsv:HandLabeled"],
+         {"corpus": "/nonexistent"}, ("--eval", "config key 'corpus'")),
+        (["evaluate", "--examples", "absent.tsv", "--out-dir", "eval", "--predictions", "absent-predictions.tsv"],
+         {"split_dims": "session"}, ("--predictions", "config key 'split_dims'")),
+        (["verify-sample", "--score", "absent.tsv"], {"corpus": "/nonexistent"}, ("--score", "config key 'corpus'")),
+        (["verify-sample"], {"corpus": "/nonexistent", "score": "absent.tsv"},
+         ("config key 'corpus'", "config key 'score'")),
+    ],
+)
+def test_config_key_obeys_mode_group(tmp_path, capsys, argv, config, names):
+    assert run(argv + ["--config", _config(tmp_path, config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{names[0]} and {names[1]} cannot be used together" in err
+    assert "absent" not in err  # refused before any input is read
 
 
 def test_directory_checksum_ignores_upstream_manifest(tmp_path):

@@ -1,0 +1,55 @@
+"""Every public module-level name in gavel is used somewhere in gavel.
+
+A function, class or constant that only tests reach is a mode the pipeline
+does not run; this test fails on the first one that appears. A name counts
+as used when other code in `src/gavel/` loads it, or when a module docstring
+documents it in backticks as part of the library's interface (as the
+segmenter's docstring does for `reconstruct`, the losslessness check).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "gavel"
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _used(stmt: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_module_level_name_is_referenced():
+    definitions = []  # (module, name)
+    uses = []  # (module, names defined by the statement, names it uses)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        documented = re.findall(r"`(?:\w+\.)?(\w+)`", ast.get_docstring(tree) or "")
+        uses.append((path.stem, set(), set(documented)))
+        for stmt in tree.body:
+            defined = _defined(stmt)
+            definitions.extend((path.stem, name) for name in defined if not name.startswith("_"))
+            uses.append((path.stem, defined, _used(stmt)))
+    dead = [
+        f"{module}.{name}"
+        for module, name in definitions
+        if not any(name in used and not (where == module and name in defined) for where, defined, used in uses)
+    ]
+    assert dead == []

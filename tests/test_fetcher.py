@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +111,12 @@ def test_url_template_and_join(tmp_path):
     assert fetcher.url_for("abc") == "https://example.test/transcripts/abc"
     plain = Fetcher("https://example.test/base", tmp_path, opener=lambda u: b"")
     assert plain.url_for("abc") == "https://example.test/base/abc"
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    """Only `fetch` talks to the network, so importing the CLI must not load urllib.request."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gavel.cli; print(sorted(m for m in ('urllib.request', 'http.client') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

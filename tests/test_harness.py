@@ -23,7 +23,6 @@ from gavel.harness import (
     SplitSpec,
     build_datasets,
     build_examples,
-    emit_qa_confusion_table,
     emit_tables,
     read_examples,
     render_prompt,
@@ -33,7 +32,6 @@ from gavel.harness import (
 )
 from gavel.lexicons import load_lexicons
 from gavel.party_models import Task
-from gavel.qa import ConfusionCounts
 
 LEX = load_lexicons()
 
@@ -292,25 +290,6 @@ def test_emit_tables_empty_reports_header_only(tmp_path):
     out = tmp_path / "empty.tsv"
     emit_tables([], "split_grid", out)
     assert len(out.read_text().splitlines()) == 1
-
-
-def test_qa_sessions_layout_reference_accuracy_row(tmp_path):
-    sessions = [
-        ("114", ConfusionCounts(20, 6, 26, 0)),
-        ("115", ConfusionCounts(105, 25, 127, 3)),
-        ("116", ConfusionCounts(101, 29, 134, 3)),
-        ("117", ConfusionCounts(65, 28, 93, 5)),
-        ("114-117", ConfusionCounts(291, 88, 380, 11)),
-    ]
-    out = tmp_path / "qa.tsv"
-    emit_qa_confusion_table(sessions, out)
-    lines = out.read_text().splitlines()
-    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in lines[1:]}
-    assert rows["questions_true"] == ["20", "105", "101", "65", "291"]
-    display = rows["accuracy_2dp"]
-    assert display[0] == "0.88" and display[1] == "0.89" and display[3] == "0.83" and display[4] == "0.87"
-    # the counts for session 116 compute to 235/267 = 0.8801 -> 0.88
-    assert display[2] == "0.88"
 
 
 def test_hearing_type_government_layout(tmp_path):

@@ -11,7 +11,6 @@ from gavel.kstest import (
     compare_groups,
     emit_comparison_details,
     emit_heatmap_matrix,
-    ks_exact_p,
     ks_series_p,
     ks_statistic,
     ks_two_sample,
@@ -101,21 +100,6 @@ def test_rank_invariance_under_monotone_transform():
         d0 = ks_statistic(a, b)
         d1 = ks_statistic([transform(x) for x in a], [transform(x) for x in b])
         assert d0 == pytest.approx(d1, abs=1e-15)
-
-
-def test_exact_permutation_mode_small_samples():
-    a = [0.1, 0.9, 0.4]
-    b = [0.5, 0.6, 0.2, 0.8]
-    p_exact = ks_exact_p(a, b)
-    assert 0.0 < p_exact <= 1.0
-    r = ks_two_sample(a, b, method="exact")
-    assert r.p_value == p_exact
-    with pytest.raises(ValueError):
-        ks_exact_p(list(range(15)), list(range(15)))
-
-
-def test_exact_p_is_one_for_identical_constant_samples():
-    assert ks_exact_p([1.0, 1.0], [1.0, 1.0]) == 1.0
 
 
 def test_empty_sample_rejected():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,18 +6,18 @@ import pytest
 from gavel.corpus import Chamber, Party, Person, Role, Roster
 from gavel.forest import (
     ForestHyper,
+    _leaf_for,
     derive_seed,
     forest_accuracy,
-    load_forest,
     predict_forest,
     save_forest,
     train_forest,
 )
+from gavel.harness import impute_with_medians
 from gavel.party_models import (
     NAME_PLACEHOLDER,
     LogisticHyper,
     cross_validate_grid,
-    feature_importance,
     fit_standardizer,
     majority_baseline,
     strip_speaker_names,
@@ -226,26 +227,25 @@ def test_unused_feature_importance_zero():
     assert model.impurity_importance[-1] == 0.0
 
 
-def test_permutation_importance_ranks_separating_feature_first():
-    x, y = separable_rows(150, seed=41)
-    xv, yv = separable_rows(60, seed=42)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=10, max_depth=6, seed=2))
-    imp = feature_importance(model, xv, yv, mode="Permutation", seed=3)
-    assert max(imp, key=imp.get) == "f2"
-    with pytest.raises(ValueError):
-        feature_importance(model, [], [], mode="Permutation")
-
-
 def test_forest_save_load_round_trip(tmp_path):
+    """The saved JSON holds every split and leaf: walking its records reaches the model's own leaves."""
     x, y = separable_rows(80, seed=50)
     model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=4, max_depth=4, seed=9))
     path = tmp_path / "forest.json"
     save_forest(model, path)
-    loaded = load_forest(path)
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert len(saved["trees"]) == len(model.trees)
+
+    def walk(rec, row):
+        while "feature" in rec:
+            rec = rec["left"] if row[rec["feature"]] <= rec["threshold"] else rec["right"]
+        return tuple(rec["counts"])
+
     rng = random.Random(1)
     for _ in range(20):
         row = [rng.uniform(-12, 12) for _ in range(6)]
-        assert predict_forest(model, row) == predict_forest(loaded, row)
+        for rec, tree in zip(saved["trees"], model.trees):
+            assert walk(rec, row) == _leaf_for(tree, row).counts
 
 
 def test_derive_seed_spreads():
@@ -323,7 +323,7 @@ def dense_rows(n=80, seed=0):
         base = 1.0 if label == "A" else -1.0
         x.append([base + rng.gauss(0, 0.3), rng.gauss(0, 1), 7.5, None if rng.random() < 0.2 else rng.gauss(0, 1)])
         y.append(label)
-    return x, y
+    return impute_with_medians(x)[0], y
 
 
 def test_logistic_trains_and_predicts():

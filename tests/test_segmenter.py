@@ -181,20 +181,6 @@ def test_golden_corpus_speaker_resolution():
     assert wrong / total < 0.01
 
 
-def test_custom_speaker_recognizer_plugs_in():
-    h = synth_hearing("plug-test", 114, random.Random(6))
-
-    def everyone_is_first_member(marker, roster, prefer):
-        members = [p for p in roster.people if p.role == Role.MEMBER]
-        return members[0].person_id, None
-
-    utterances, report = segment_hearing(h.raw_text, RULES, h.roster, h.meta,
-                                         recognizer=everyone_is_first_member)
-    first = [p for p in h.roster.people if p.role == Role.MEMBER][0].person_id
-    assert all(u.speaker == first for u in utterances)
-    assert report.n_unresolved_speakers == 0
-
-
 def test_segmentation_insensitive_to_trailing_whitespace():
     h = synth_hearing("ws-test", 115, random.Random(3))
     trimmed_ws = "\n".join(line.rstrip() for line in h.raw_text.splitlines()) + "\n"

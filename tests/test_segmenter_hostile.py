@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from gavel.corpus import UNKNOWN_SPEAKER, Chamber, HearingMeta, Party, Person, Role, Roster
+from gavel.corpus import Chamber, HearingMeta, Party, Person, Role, Roster
 from gavel.segmenter import (
     STAGE_DIRECTION_RE,
     SegmenterRules,
@@ -205,18 +205,15 @@ def test_hearing_warning_lines_count_newlines_in_the_raw_transcript():
     trim = trim_proceedings(raw, RULES)
     assert trim.trimmed_head_chars > 0 and raw[: trim.trimmed_head_chars].count("\n") > 0
     meta = HearingMeta(hearing_id="lines-1", session=113, chamber=Chamber.HOUSE, committee="Oversight")
-
-    def unknown(marker, roster, prefer):
-        return UNKNOWN_SPEAKER, f"recognizer saw {marker.strip()!r}"
-
-    _, report = segment_hearing(raw, RULES, hostile_roster(), meta, recognizer=unknown)
+    # an empty roster leaves every marker unresolved, so each one gets a resolver warning
+    _, report = segment_hearing(raw, RULES, Roster(hearing_id="lines-1", people=()), meta)
     result = segment_utterances(trim.body, RULES)
 
     def raw_line(body_pos):
         return raw.count("\n", 0, trim.trimmed_head_chars + body_pos) + 1
 
-    recognizer_lines = [line for line, msg in report.warnings if msg.startswith("recognizer saw")]
-    assert recognizer_lines == [raw_line(seg.start) for seg in result.segments]
+    resolver_lines = [line for line, msg in report.warnings if msg.startswith(("surname ", "marker "))]
+    assert resolver_lines == [raw_line(seg.start) for seg in result.segments]
     direction_lines = [line for line, msg in report.warnings if msg.startswith("stripped stage direction")]
     assert direction_lines == [raw_line(pos) for pos in _direction_positions(result)]
 
