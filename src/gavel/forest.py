@@ -5,8 +5,11 @@ subset (sqrt of the feature count by default). Candidate thresholds are
 midpoints between consecutive distinct values; the best split minimizes the
 weighted child Gini, with ties going to the first candidate in (feature,
 threshold) order so training is deterministic. Per-tree seeds derive from
-the root seed through a splitmix-style mixer, which keeps parallel and
-sequential training identical.
+the root seed through a splitmix-style mixer.
+
+Each column's distinct values are ranked once per `train_forest` call, so a
+node tallies its rows per (value, class) and scans only the distinct values
+it holds, never re-sorting rows. Feature values must be finite.
 
 Leaves store class-count distributions. Forest prediction averages the
 normalized leaf distributions and takes the argmax, breaking ties by class
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -83,78 +87,63 @@ def _gini(counts: Sequence[int], total: int) -> float:
     return 1.0 - acc
 
 
+def _split_tables(
+    columns: Sequence[Sequence[float]], y_idx: Sequence[int], n_classes: int
+) -> tuple[list[list[float]], list[list[int]]]:
+    """Per feature column: its sorted distinct values, and per-row codes
+    rank(value) * n_classes + class, so a node's sorted code tally walks its
+    values in ascending order with their class counts."""
+    values = []
+    codes = []
+    for f, col in enumerate(columns):
+        distinct = sorted(set(col))
+        if not all(map(math.isfinite, distinct)):
+            raise ValueError(f"non-finite value in feature {f}")
+        rank = {v: r * n_classes for r, v in enumerate(distinct)}
+        values.append(distinct)
+        codes.append([rank[v] + c for v, c in zip(col, y_idx)])
+    return values, codes
+
+
 def _best_split(
-    x: Sequence[Sequence[float]],
-    y_idx: Sequence[int],
+    values: Sequence[Sequence[float]],
+    codes: Sequence[Sequence[int]],
     indices: list[int],
+    parent: Sequence[int],
     features: list[int],
-    n_classes: int,
 ):
-    """Minimum weighted-Gini split over the candidate features, or None."""
+    """Minimum weighted-Gini split over the candidate features, or None.
+
+    `parent` holds the node's class counts. Candidates are the midpoints
+    between consecutive distinct values; ties keep the first candidate in
+    (feature, threshold) order.
+    """
     n = len(indices)
-    parent_counts = [0] * n_classes
-    for i in indices:
-        parent_counts[y_idx[i]] += 1
+    n_classes = len(parent)
     best = None  # (score, feature, threshold)
     for f in features:
-        ordered = sorted(indices, key=lambda i: x[i][f])
-        left_counts = [0] * n_classes
-        right_counts = parent_counts.copy()
+        tally = Counter(map(codes[f].__getitem__, indices))
+        left = [0] * n_classes
         n_left = 0
-        for pos in range(n - 1):
-            i = ordered[pos]
-            left_counts[y_idx[i]] += 1
-            right_counts[y_idx[i]] -= 1
-            n_left += 1
-            v, v_next = x[i][f], x[ordered[pos + 1]][f]
-            if v == v_next:
-                continue
-            n_right = n - n_left
-            score = (n_left * _gini(left_counts, n_left) + n_right * _gini(right_counts, n_right)) / n
-            threshold = v + (v_next - v) / 2.0
-            if best is None or score < best[0]:
-                best = (score, f, threshold)
+        prev = None
+        for code, m in sorted(tally.items()):
+            r = code // n_classes
+            if r != prev and prev is not None:
+                n_right = n - n_left
+                acc_l = acc_r = 0.0
+                for j in range(n_classes):
+                    p = left[j] / n_left
+                    acc_l += p * p
+                    p = (parent[j] - left[j]) / n_right
+                    acc_r += p * p
+                score = (n_left * (1.0 - acc_l) + n_right * (1.0 - acc_r)) / n
+                if best is None or score < best[0]:
+                    v, v_next = values[f][prev], values[f][r]
+                    best = (score, f, v + (v_next - v) / 2.0)
+            prev = r
+            left[code - r * n_classes] += m
+            n_left += m
     return best
-
-
-def _grow(
-    x: Sequence[Sequence[float]],
-    y_idx: Sequence[int],
-    indices: list[int],
-    depth: int,
-    hyper: ForestHyper,
-    rng: random.Random,
-    n_classes: int,
-    n_features: int,
-    importance: list[float],
-    n_root: int,
-) -> TreeNode:
-    counts = [0] * n_classes
-    for i in indices:
-        counts[y_idx[i]] += 1
-    node = TreeNode(counts=tuple(counts))
-    n = len(indices)
-    pure = sum(1 for c in counts if c > 0) <= 1
-    depth_stop = hyper.max_depth is not None and depth >= hyper.max_depth
-    if pure or depth_stop or n < hyper.min_samples_split:
-        return node
-    k = hyper.resolved_max_features(n_features)
-    features = sorted(rng.sample(range(n_features), k))
-    best = _best_split(x, y_idx, indices, features, n_classes)
-    if best is None:
-        return node
-    score, f, threshold = best
-    left_idx = [i for i in indices if x[i][f] <= threshold]
-    right_idx = [i for i in indices if x[i][f] > threshold]
-    if not left_idx or not right_idx:
-        return node
-    # weighted impurity decrease, accumulated per feature for importances
-    importance[f] += (n / n_root) * (_gini(counts, n) - score)
-    node.feature = f
-    node.threshold = threshold
-    node.left = _grow(x, y_idx, left_idx, depth + 1, hyper, rng, n_classes, n_features, importance, n_root)
-    node.right = _grow(x, y_idx, right_idx, depth + 1, hyper, rng, n_classes, n_features, importance, n_root)
-    return node
 
 
 def train_forest(
@@ -174,17 +163,46 @@ def train_forest(
     if unknown:
         raise ValueError(f"labels outside the class list: {sorted(unknown)}")
     n_features = len(x[0])
+    n_classes = len(classes)
     class_index = {c: i for i, c in enumerate(classes)}
     y_idx = [class_index[label] for label in y]
-    n = len(x)
-    trees = []
+    columns = [list(col) for col in zip(*x)]
+    values, codes = _split_tables(columns, y_idx, n_classes)
+    k = hyper.resolved_max_features(n_features)
     importance = [0.0] * n_features
+
+    def grow(indices: list[int], depth: int) -> TreeNode:
+        tally = Counter(map(y_idx.__getitem__, indices))
+        counts = [tally[c] for c in range(n_classes)]
+        node = TreeNode(counts=tuple(counts))
+        n = len(indices)
+        depth_stop = hyper.max_depth is not None and depth >= hyper.max_depth
+        if len(tally) <= 1 or depth_stop or n < hyper.min_samples_split:
+            return node
+        features = sorted(rng.sample(range(n_features), k))
+        best = _best_split(values, codes, indices, counts, features)
+        if best is None:
+            return node
+        score, f, threshold = best
+        col = columns[f]
+        left_idx = [i for i in indices if col[i] <= threshold]
+        right_idx = [i for i in indices if col[i] > threshold]
+        if not left_idx or not right_idx:
+            return node
+        # weighted impurity decrease, accumulated per feature for importances
+        importance[f] += (n / n_rows) * (_gini(counts, n) - score)
+        node.feature = f
+        node.threshold = threshold
+        node.left = grow(left_idx, depth + 1)
+        node.right = grow(right_idx, depth + 1)
+        return node
+
+    n_rows = len(x)
+    trees = []
     for t in range(hyper.n_estimators):
-        rng = random.Random(derive_seed(hyper.seed, t))
-        boot = [rng.randrange(n) for _ in range(n)]
-        trees.append(
-            _grow(x, y_idx, boot, 0, hyper, rng, len(classes), n_features, importance, n_root=len(boot))
-        )
+        rng = random.Random(derive_seed(hyper.seed, t))  # read by grow
+        boot = [rng.randrange(n_rows) for _ in range(n_rows)]
+        trees.append(grow(boot, 0))
     total = sum(importance)
     if total > 0:
         importance = [v / total for v in importance]

@@ -16,6 +16,7 @@ from the same examples; their label files feed back in through
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -226,10 +227,13 @@ def read_examples(path: Path | str) -> list[ExampleRow]:
         meta = dict(zip(META_COLUMNS, cols))
         try:
             meta["session"] = int(meta["session"])
-            features = FeatureVector([parse_value(v) for v in cols[len(META_COLUMNS) :]])
+            values = [parse_value(v) for v in cols[len(META_COLUMNS) :]]
         except ValueError as exc:
             raise RecordError(f"bad value: {exc}", path=str(path), line_no=line_no)
-        rows.append(ExampleRow(features=features, **meta))
+        bad = [name for name, v in zip(SCHEMA, values) if v is not None and not math.isfinite(v)]
+        if bad:
+            raise RecordError(f"non-finite value in column {bad[0]!r}", path=str(path), line_no=line_no)
+        rows.append(ExampleRow(features=FeatureVector(values), **meta))
     return rows
 
 

@@ -331,7 +331,8 @@ def cross_validate_grid(
     """Grid search by k-fold mean validation accuracy.
 
     Ties prefer the smaller model: fewer estimators, then shallower trees,
-    then grid order.
+    then grid order. A fold whose training part holds fewer than 2 classes,
+    or whose validation part is empty, scores 0.0; any other error raises.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
@@ -346,12 +347,12 @@ def cross_validate_grid(
             yt = [y[i] for i in train_idx]
             xv = [x[i] for i in val_idx]
             yv = [y[i] for i in val_idx]
-            cell_hyper = replace(hyper, seed=derive_seed(seed, cell_no * k + held_out))
-            try:
-                model = train_forest(xt, yt, classes, cell_hyper)
-                fold_accs.append(forest_accuracy(model, xv, yv))
-            except ValueError:
+            if len(set(yt)) < 2 or not yv:
                 fold_accs.append(0.0)  # degenerate fold; scored as useless
+                continue
+            cell_hyper = replace(hyper, seed=derive_seed(seed, cell_no * k + held_out))
+            model = train_forest(xt, yt, classes, cell_hyper)
+            fold_accs.append(forest_accuracy(model, xv, yv))
         scores.append(GridCellScore(hyper, sum(fold_accs) / k, tuple(fold_accs)))
 
     def depth_rank(h: ForestHyper) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gavel.cli import main
+from gavel.harness import META_COLUMNS
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -551,6 +552,30 @@ def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys
     argv, where = MALFORMED_INPUTS[case](pipeline, tmp_path)
     assert run(argv) == 1
     assert str(where) in capsys.readouterr().err
+
+
+NON_FINITE_READERS = {
+    "kstest": lambda ex, out: ["kstest", "--examples", str(ex), "--out-matrix", str(out / "m.tsv")],
+    "train": lambda ex, out: ["train", "--examples", str(ex), "--model-out", str(out / "model.json")],
+    "evaluate": lambda ex, out: ["evaluate", "--examples", str(ex), "--out-dir", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_READERS))
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_non_finite_feature_cell_exits_one_and_names_the_line(pipeline, tmp_path, capsys, cell, command):
+    examples = tmp_path / "examples.tsv"
+    lines = (pipeline / "examples.tsv").read_text().splitlines()
+    cells = lines[2].split("\t")
+    column = lines[0].split("\t")[len(META_COLUMNS)]
+    cells[len(META_COLUMNS)] = cell
+    lines[2] = "\t".join(cells)
+    examples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(NON_FINITE_READERS[command](examples, out)) == 1
+    err = capsys.readouterr().err
+    assert f"{examples}:3" in err and "non-finite" in err and column in err
+    assert not out.exists()
 
 
 DIRECTORY_AS_FILE = {

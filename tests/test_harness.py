@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gavel import party_models
 from gavel.corpus import (
     Chamber,
     GovernmentContext,
@@ -210,6 +211,17 @@ def test_run_experiment_separable_beats_baseline():
     assert report.accuracy == 1.0
     assert report.beats_baseline
     assert report.n_train + report.n_test == 200
+
+
+def test_run_experiment_records_a_grid_search_error(monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(party_models, "train_forest", boom)
+    datasets, _ = build_datasets(synthetic_examples(200), SplitSpec(min_rows=20))
+    grid = (ForestHyper(n_estimators=2, max_depth=2), ForestHyper(n_estimators=3, max_depth=2))
+    (report,) = run_experiment(datasets, ExperimentConfig(grid=grid, seed=3))
+    assert report.error == "ValueError: boom"
 
 
 def test_run_experiment_constant_features_match_baseline():

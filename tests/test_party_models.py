@@ -13,6 +13,7 @@ from gavel.forest import (
     save_forest,
     train_forest,
 )
+from gavel import party_models
 from gavel.harness import impute_with_medians
 from gavel.party_models import (
     NAME_PLACEHOLDER,
@@ -306,6 +307,26 @@ def test_cv_grid_tie_prefers_smaller_model():
     accs = {s.hyper: s.mean_accuracy for s in scores}
     if accs[small] == accs[big]:  # separable: both usually perfect
         assert best == small
+
+
+def test_cv_grid_training_error_propagates(monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(party_models, "train_forest", boom)
+    x, y = separable_rows(40, seed=4)
+    with pytest.raises(ValueError, match="boom"):
+        cross_validate_grid(x, y, ("A", "B"), (ForestHyper(n_estimators=2),), k=4, seed=0)
+
+
+def test_cv_grid_single_class_training_fold_scores_zero():
+    x = [[float(i)] for i in range(4)]
+    y = ["A", "A", "A", "B"]
+    folds, warnings = stratified_folds(y, 2, seed=0)
+    assert warnings  # B is too rare to stratify, so one training part is all A
+    _, (score,), _ = cross_validate_grid(x, y, ("A", "B"), (ForestHyper(n_estimators=2),), k=2, seed=0)
+    held_out_b = next(i for i, fold in enumerate(folds) if 3 in fold)
+    assert score.fold_accuracies[held_out_b] == 0.0
 
 
 def test_cv_grid_empty_rejected():
