@@ -209,6 +209,25 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
+def _check_outputs(args: argparse.Namespace, files: Sequence[str] = (), dirs: Sequence[str] = ()) -> None:
+    """Reject output locations that cannot be written, before any input is read.
+
+    A file output must not be an existing directory; a directory output, and
+    every parent of either kind, must not be an existing non-directory.
+    """
+    for dest in (*files, *dirs):
+        value = getattr(args, dest)
+        if not value:
+            continue
+        path = Path(value)
+        option = "--" + dest.replace("_", "-")
+        if dest in files and path.is_dir():
+            raise UsageError(f"{option} {value}: is a directory, expected a file")
+        for p in (path, *path.parents) if dest in dirs else path.parents:
+            if p.exists() and not p.is_dir():
+                raise UsageError(f"{option} {value}: {p} exists and is not a directory")
+
+
 def _listed(path: str) -> list[str]:
     """The entries of a one-per-line list file, stripped; blank lines skipped."""
     return [entry for entry in (line.strip() for _, line in read_lines(path)) if entry]
@@ -227,6 +246,7 @@ def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
 
 def cmd_fetch(args) -> int:
     _require(args, "endpoint", "cache_dir")
+    _check_outputs(args, dirs=("cache_dir",))
     ids = [i for i in args.ids.split(",") if i]
     if args.ids_file:
         ids.extend(_listed(args.ids_file))
@@ -243,6 +263,7 @@ def cmd_fetch(args) -> int:
 
 def cmd_segment(args) -> int:
     _require(args, "input", "output")
+    _check_outputs(args, dirs=("output",))
     started = time.time()
     rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
     results = []
@@ -294,6 +315,7 @@ def _parse_train_specs(specs: Sequence[str]) -> list[tuple[Path, Source]]:
 
 def cmd_classify_qa_train(args) -> int:
     _require(args, "train", "model_out")
+    _check_outputs(args, files=("model_out",))
     started = time.time()
     corpus = []
     inputs = []
@@ -349,6 +371,7 @@ def cmd_classify_qa_apply(args) -> int:
 
 def cmd_pair(args) -> int:
     _require(args, "corpus", "output")
+    _check_outputs(args, files=("output",))
     started = time.time()
     corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
@@ -371,8 +394,9 @@ def cmd_pair(args) -> int:
 
 def cmd_features(args) -> int:
     _require(args, "corpus", "government", "output")
+    _check_outputs(args, files=("output",))
     started = time.time()
-    problems = verify_manifest(args.lexicons) if args.lexicons else verify_manifest()
+    problems = verify_manifest(args.lexicons)
     for p in problems:
         _log(f"lexicon manifest: {p}")
     lexicons = load_lexicons(args.lexicons)
@@ -401,6 +425,7 @@ def cmd_features(args) -> int:
 
 def cmd_kstest(args) -> int:
     _require(args, "examples", "out_matrix")
+    _check_outputs(args, files=("out_matrix", "out_details"))
     started = time.time()
     rows = read_examples(args.examples)
     selected = []
@@ -441,6 +466,7 @@ def _grid_from_config(value) -> tuple[ForestHyper, ...]:
 
 def cmd_train(args) -> int:
     _require(args, "examples", "model_out")
+    _check_outputs(args, files=("model_out", "importance_out"))
     grid = _grid_from_config(args.grid)
     started = time.time()
     rows = read_examples(args.examples)
@@ -453,7 +479,7 @@ def cmd_train(args) -> int:
     present = sorted(set(labels), key=dataset.label_order.index)
     if len(present) < 2:
         raise UsageError("training data holds a single class")
-    x, _ = impute_with_medians([list(row.features) for row in dataset.rows])
+    x, _ = impute_with_medians([row.features.values for row in dataset.rows])
     model, warnings = fit_forest(x, labels, present, grid, args.cv_folds, args.seed)
     for w in warnings:
         _log(f"warning: {w}")
@@ -471,6 +497,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _require(args, "examples", "out_dir")
+    _check_outputs(args, dirs=("out_dir",))
     started = time.time()
     out_dir = Path(args.out_dir)
     task = Task(args.task)
@@ -523,6 +550,7 @@ def cmd_prompts(args) -> int:
     _require(args, "corpus", "output")
     if args.kind in ("Answer", "Both") and not args.pairs:
         raise UsageError(f"kind {args.kind} needs --pairs")
+    _check_outputs(args, files=("output",))
     started = time.time()
     corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
@@ -576,6 +604,7 @@ def cmd_verify_sample(args) -> int:
         )
         return 0
     _require(args, "corpus", "output")
+    _check_outputs(args, files=("output",))
     corpus = load_corpus(Path(args.corpus))
     manifest = verify_sample(corpus, args.hearings_per_session, args.utterances_per_hearing, args.seed)
     for w in manifest.warnings:

@@ -401,13 +401,12 @@ def derive_standing(
     person: Person,
     meta: HearingMeta,
     ctx: GovernmentContext,
-    caucus_overrides: Mapping[str, Party] | None = None,
 ) -> Standing:
     """Majority/minority standing of a member at a given hearing.
 
-    Independents count as Minority unless a caucus override maps them onto
-    the chamber's majority party. Joint hearings fall back to the member's
-    own chamber; without one the standing is undecidable.
+    A member is Majority when their party holds the chamber's majority, so
+    Independents always count as Minority. Joint hearings fall back to the
+    member's own chamber; without one the standing is undecidable.
     """
     if person.role is not Role.MEMBER:
         raise InvariantError(f"standing is defined for members only, got role={person.role.value}")
@@ -418,11 +417,7 @@ def derive_standing(
         if person.chamber is None or person.chamber is Chamber.JOINT:
             raise InvariantError(f"cannot derive standing for {person.person_id} in a Joint hearing without a chamber")
         chamber = person.chamber
-    effective_party = person.party
-    if caucus_overrides and person.person_id in caucus_overrides:
-        effective_party = caucus_overrides[person.person_id]
-    majority = ctx.majority_of(chamber)
-    return Standing.MAJORITY if effective_party == majority else Standing.MINORITY
+    return Standing.MAJORITY if person.party == ctx.majority_of(chamber) else Standing.MINORITY
 
 
 def write_lines(path: Path | str, lines: Iterable[str]) -> None:

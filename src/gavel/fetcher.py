@@ -55,7 +55,6 @@ class Fetcher:
         self._clock = clock
         self._sleep = sleep
         self._last_request: Optional[float] = None
-        self.requests_made = 0
 
     def url_for(self, hearing_id: str) -> str:
         if "{hearing_id}" in self.endpoint:
@@ -82,7 +81,6 @@ class Fetcher:
         for attempt in range(self.retries + 1):
             self._respect_delay()
             self._last_request = self._clock()
-            self.requests_made += 1
             try:
                 return self._opener(url)
             except urllib.error.HTTPError as exc:

@@ -3,10 +3,11 @@
 Examples are built per question-answer exchange: the Question row carries
 the question utterance's features, the Answer row the paired answer's, and
 the Both row the concatenated pair; every row is labeled with the
-questioner's party and standing. Datasets are then partitioned along any
-subset of five dimensions (committee, session, hearing type,
-unified/divided government, presidency), each split is trained and scored
-against its own majority-class baseline, and results land in stable,
+questioner's party and standing. `build_datasets` then partitions them
+into one `Dataset` per split along any subset of five dimensions
+(committee, session, hearing type, unified/divided government,
+presidency). Each split hands its learners plain rows and labels, is
+scored against its own majority-class baseline, and lands in stable,
 byte-reproducible tab-separated tables.
 
 Zero-shot prompt rendering is included so external models can be driven
@@ -40,14 +41,12 @@ from .features import SCHEMA, FeatureVector, extract_features, format_value, par
 from .forest import ForestHyper, ForestModel, derive_seed, predict_forest, train_forest
 from .lexicons import Lexicons
 from .party_models import (
-    DataRow,
-    Dataset,
     EvalReport,
     TASK_LABEL_ORDER,
     Task,
     column_medians,
     cross_validate_grid,
-    feature_importance,
+    feature_importance,  # not called here; perfbench/tracing.py wraps it under this module's name
     impute,
     majority_baseline,
     strip_speaker_names,
@@ -259,6 +258,22 @@ class SplitSpec:
 
 
 @dataclass(frozen=True)
+class Dataset:
+    """One split's example rows, ordered by `example_id`, and the task they are labeled for."""
+
+    rows: tuple[ExampleRow, ...]
+    task: Task
+
+    @property
+    def labels(self) -> list[str]:
+        return [r.label(self.task) for r in self.rows]
+
+    @property
+    def label_order(self) -> tuple[str, ...]:
+        return TASK_LABEL_ORDER[self.task]
+
+
+@dataclass(frozen=True)
 class SplitSkip:
     key: tuple[tuple[str, str], ...]
     n_rows: int
@@ -287,15 +302,7 @@ def build_datasets(
         if len(rows) < spec.min_rows:
             skips.append(SplitSkip(key=key, n_rows=len(rows), reason=f"fewer than min_rows={spec.min_rows}"))
             continue
-        data_rows = tuple(
-            DataRow(
-                features=r.features.values,
-                label=r.label(spec.task),
-                row_id=r.example_id,
-            )
-            for r in sorted(rows, key=lambda r: r.example_id)
-        )
-        datasets.append((key, Dataset(rows=data_rows, label_task=spec.task, schema=SCHEMA)))
+        datasets.append((key, Dataset(rows=tuple(sorted(rows, key=lambda r: r.example_id)), task=spec.task)))
     return datasets, skips
 
 
@@ -369,7 +376,7 @@ def _eval_report(
     y_true: Sequence[str],
     y_pred: Sequence[str],
     n_train: int,
-    **extra,
+    degenerate: bool = False,
 ) -> EvalReport:
     """Score predictions against truth and the truth's own majority-class baseline."""
     confusion = Counter(zip(y_true, y_pred))
@@ -384,8 +391,8 @@ def _eval_report(
         confusion=tuple(sorted((t, p, n) for (t, p), n in confusion.items())),
         n_train=n_train,
         n_test=len(y_true),
+        degenerate=degenerate,
         beats_baseline=accuracy > base_acc,
-        **extra,
     )
 
 
@@ -404,7 +411,7 @@ def run_experiment(
             reports.append(
                 EvalReport(
                     split_key=key,
-                    task=dataset.label_task,
+                    task=dataset.task,
                     accuracy=0.0,
                     baseline_accuracy=0.0,
                     baseline_class="",
@@ -420,7 +427,7 @@ def run_experiment(
 def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> EvalReport:
     labels = dataset.labels
     train_idx, test_idx = _stratified_holdout(labels, config.test_fraction, seed)
-    raw_rows = [list(r.features) for r in dataset.rows]
+    raw_rows = [r.features.values for r in dataset.rows]
     x_train, medians = impute_with_medians([raw_rows[i] for i in train_idx])
     y_train = [labels[i] for i in train_idx]
     x_test = impute([raw_rows[i] for i in test_idx], medians)
@@ -428,7 +435,6 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
     present_train = set(y_train)
     classes = [c for c in dataset.label_order if c in present_train]
     degenerate = len(present_train) < 2 or len(set(y_test)) < 2
-    importances = None
     if len(present_train) < 2:
         # single-class split: constant prediction, flagged, never suppressed
         constant = next(iter(present_train))
@@ -436,13 +442,10 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
     elif config.model == "forest":
         model, _ = fit_forest(x_train, y_train, classes, config.grid, config.cv_folds, seed)
         predictions = [predict_forest(model, row)[0] for row in x_test]
-        importances = tuple(sorted(feature_importance(model, schema=dataset.schema).items()))
     else:
         model = train_logistic(x_train, y_train, classes)
         predictions = [model.predict(row)[0] for row in x_test]
-    return _eval_report(
-        key, dataset.label_task, y_test, predictions, len(y_train), degenerate=degenerate, importances=importances
-    )
+    return _eval_report(key, dataset.task, y_test, predictions, len(y_train), degenerate=degenerate)
 
 
 # --- table emission ----------------------------------------------------------

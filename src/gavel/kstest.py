@@ -183,17 +183,15 @@ class ComparisonSkip:
 
 def compare_groups(
     rows: Sequence[tuple[Party, Standing, FeatureVector]],
-    feature_names: Sequence[str] = SCHEMA,
-    pairs: Sequence[tuple[str, str]] = GROUP_PAIRS,
 ) -> tuple[list[GroupComparison], list[ComparisonSkip]]:
     """One KS comparison per (feature, group pair); null-flagged values excluded."""
     comparisons: list[GroupComparison] = []
     skips: list[ComparisonSkip] = []
-    for left, right in pairs:
+    for left, right in GROUP_PAIRS:
         sel_l, sel_r = group_selector(left), group_selector(right)
         rows_l = [fv for p, s, fv in rows if sel_l(p, s)]
         rows_r = [fv for p, s, fv in rows if sel_r(p, s)]
-        for name in feature_names:
+        for name in SCHEMA:
             a = [fv[name] for fv in rows_l if fv[name] is not None]
             b = [fv[name] for fv in rows_r if fv[name] is not None]
             if len(a) < 2 or len(b) < 2:
@@ -211,11 +209,7 @@ def compare_groups(
 _CELL_FIELDS = ("direction", "stars", "D", "p", "hatched")
 
 
-def emit_heatmap_matrix(
-    comparisons: Sequence[GroupComparison],
-    path: Path | str,
-    pairs: Sequence[tuple[str, str]] = GROUP_PAIRS,
-) -> None:
+def emit_heatmap_matrix(comparisons: Sequence[GroupComparison], path: Path | str) -> None:
     """Wide matrix: one row per feature, five cell fields per group pair.
 
     `hatched` is true exactly when the difference is not significant, the
@@ -223,16 +217,13 @@ def emit_heatmap_matrix(
     """
     by_key = {(c.feature_name, c.left_group, c.right_group): c for c in comparisons}
     feature_order = [n for n in SCHEMA if any(k[0] == n for k in by_key)]
-    for c in comparisons:  # features outside the fixed schema keep input order
-        if c.feature_name not in feature_order:
-            feature_order.append(c.feature_name)
     header = ["feature"]
-    for left, right in pairs:
+    for left, right in GROUP_PAIRS:
         header.extend(f"{left}|{right}:{f}" for f in _CELL_FIELDS)
     rows = []
     for name in feature_order:
         cells = [name]
-        for left, right in pairs:
+        for left, right in GROUP_PAIRS:
             c = by_key.get((name, left, right))
             if c is None:
                 cells.extend([""] * len(_CELL_FIELDS))

@@ -11,30 +11,9 @@ regularized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 SparseRow = dict[int, float]
-
-
-@dataclass(frozen=True)
-class TrainingMeta:
-    seed: int
-    epochs: int
-    learning_rate: float
-    l2: float
-    n_examples: int
-
-
-@dataclass(frozen=True)
-class BinaryLogistic:
-    weights: tuple[float, ...]
-    bias: float
-    meta: TrainingMeta
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
-            raise ValueError("model weights must be finite")
 
 
 def sigmoid(z: float) -> float:
@@ -87,9 +66,8 @@ def train_binary_logistic(
     learning_rate: float = 0.5,
     epochs: int = 100,
     l2: float = 1e-4,
-    seed: int = 0,
-) -> tuple[BinaryLogistic, list[float]]:
-    """Train and return the model plus the per-epoch loss trace.
+) -> tuple[tuple[tuple[float, ...], float], list[float]]:
+    """Train and return `((weights, bias), trace)`, the trace holding the per-epoch loss.
 
     The trace starts with the initial loss, so trace[i+1] <= trace[i] holds
     for every accepted epoch.
@@ -124,7 +102,6 @@ def train_binary_logistic(
         trace.append(loss)
         if not stepped:
             break  # no descent possible at float precision
-    meta = TrainingMeta(
-        seed=seed, epochs=epochs, learning_rate=learning_rate, l2=l2, n_examples=len(rows)
-    )
-    return BinaryLogistic(weights=tuple(weights), bias=bias, meta=meta), trace
+    if not all(math.isfinite(w) for w in weights) or not math.isfinite(bias):
+        raise ValueError("model weights must be finite")
+    return (tuple(weights), bias), trace

@@ -6,7 +6,8 @@ columns to train mean 0 / variance 1 (parameters stored for test-time reuse).
 Speaker-name removal happens on text before feature extraction so names
 cannot leak the label. Every randomized step derives its stream from the
 root seed, and all tie-breaks are by class/lexicographic order, so repeat
-runs are identical.
+runs are identical. The models take plain rows and labels; the per-split
+`Dataset` they are cut from lives in `harness`, next to `build_datasets`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus import Roster
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
-from .linear import BinaryLogistic, TrainingMeta, predict_proba, train_binary_logistic
+from .linear import predict_proba, train_binary_logistic
 
 NAME_PLACEHOLDER = "⟨NAME⟩"  # ⟨NAME⟩
 
@@ -37,37 +38,6 @@ TASK_LABEL_ORDER: dict[Task, tuple[str, ...]] = {
     Task.AFFILIATION: ("Democrat", "Republican", "Independent"),
     Task.STANDING: ("Majority", "Minority"),
 }
-
-
-@dataclass(frozen=True)
-class DataRow:
-    features: tuple[Optional[float], ...]
-    label: str
-    row_id: str = ""
-
-
-@dataclass(frozen=True)
-class Dataset:
-    rows: tuple[DataRow, ...]
-    label_task: Task
-    schema: tuple[str, ...]
-
-    def __post_init__(self):
-        order = TASK_LABEL_ORDER[self.label_task]
-        width = len(self.schema)
-        for row in self.rows:
-            if len(row.features) != width:
-                raise ValueError(f"row {row.row_id!r} has {len(row.features)} features, schema has {width}")
-            if row.label not in order:
-                raise ValueError(f"row {row.row_id!r}: label {row.label!r} outside task {self.label_task.value}")
-
-    @property
-    def labels(self) -> list[str]:
-        return [r.label for r in self.rows]
-
-    @property
-    def label_order(self) -> tuple[str, ...]:
-        return TASK_LABEL_ORDER[self.label_task]
 
 
 @dataclass(frozen=True)
@@ -90,7 +60,6 @@ class EvalReport:
     n_test: int
     degenerate: bool = False
     beats_baseline: bool = False
-    importances: Optional[tuple[tuple[str, float], ...]] = None
     error: Optional[str] = None
 
     def __post_init__(self):
@@ -103,12 +72,6 @@ class EvalReport:
         if not self.split_key:
             return "all"
         return "|".join(f"{dim}={value}" for dim, value in self.split_key)
-
-    def test_class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for true_label, _, n in self.confusion:
-            counts[true_label] = counts.get(true_label, 0) + n
-        return counts
 
 
 def _name_variants(names: Iterable[str]) -> list[tuple[str, ...]]:
@@ -150,15 +113,13 @@ def strip_speaker_names(
     return text if pattern is None else pattern.sub(NAME_PLACEHOLDER, text)
 
 
-def majority_baseline(labels: Sequence[str], order: Optional[Sequence[str]] = None) -> tuple[str, float]:
+def majority_baseline(labels: Sequence[str], order: Sequence[str]) -> tuple[str, float]:
     """Most frequent label and its share; ties break by `order` position."""
     if not labels:
         raise ValueError("empty label list")
     counts: dict[str, int] = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
-    if order is None:
-        order = sorted(counts)
     rank = {lab: i for i, lab in enumerate(order)}
     best = min(counts, key=lambda lab: (-counts[lab], rank.get(lab, len(rank))))
     return best, counts[best] / len(labels)
@@ -202,38 +163,24 @@ def fit_standardizer(rows: Sequence[Sequence[float]]) -> Standardizer:
 
 
 @dataclass(frozen=True)
-class LogisticHyper:
-    learning_rate: float = 0.5
-    epochs: int = 200
-    l2: float = 1e-3
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class LinearModel:
     """One-vs-rest logistic over standardized columns."""
 
     classes: tuple[str, ...]
-    per_class: tuple[BinaryLogistic, ...]
+    per_class: tuple[tuple[tuple[float, ...], float], ...]  # (weights, bias) per class
     standardizer: Standardizer
-    hyper: LogisticHyper
 
     def predict(self, row: Sequence[float]) -> tuple[str, dict[str, float]]:
         z = self.standardizer.apply(row)
         sparse = {j: v for j, v in enumerate(z) if v != 0.0}
-        scores = [predict_proba(m.weights, m.bias, sparse) for m in self.per_class]
+        scores = [predict_proba(weights, bias, sparse) for weights, bias in self.per_class]
         total = sum(scores)
         probs = [s / total for s in scores] if total > 0 else [1.0 / len(scores)] * len(scores)
         best_i = max(range(len(self.classes)), key=lambda i: (probs[i], -i))
         return self.classes[best_i], dict(zip(self.classes, probs))
 
 
-def train_logistic(
-    x: Sequence[Sequence[float]],
-    y: Sequence[str],
-    classes: Sequence[str],
-    hyper: LogisticHyper = LogisticHyper(),
-) -> LinearModel:
+def train_logistic(x: Sequence[Sequence[float]], y: Sequence[str], classes: Sequence[str]) -> LinearModel:
     if not x:
         raise ValueError("empty training set")
     present = set(y)
@@ -248,34 +195,13 @@ def train_logistic(
         yc = [1 if lab == c else 0 for lab in y]
         if len(set(yc)) < 2:
             # class absent from training data: constant near-zero scorer
-            models.append(
-                BinaryLogistic(
-                    weights=tuple([0.0] * width),
-                    bias=-20.0,
-                    meta=_zero_meta(hyper, len(x)),
-                )
-            )
+            models.append(((0.0,) * width, -20.0))
             continue
-        core, _ = train_binary_logistic(
-            sparse_rows,
-            yc,
-            n_features=width,
-            learning_rate=hyper.learning_rate,
-            epochs=hyper.epochs,
-            l2=hyper.l2,
-            seed=hyper.seed,
+        weights_bias, _ = train_binary_logistic(
+            sparse_rows, yc, n_features=width, learning_rate=0.5, epochs=200, l2=1e-3
         )
-        models.append(core)
-    return LinearModel(
-        classes=tuple(classes),
-        per_class=tuple(models),
-        standardizer=std,
-        hyper=hyper,
-    )
-
-
-def _zero_meta(hyper: LogisticHyper, n: int) -> TrainingMeta:
-    return TrainingMeta(seed=hyper.seed, epochs=0, learning_rate=hyper.learning_rate, l2=hyper.l2, n_examples=n)
+        models.append(weights_bias)
+    return LinearModel(classes=tuple(classes), per_class=tuple(models), standardizer=std)
 
 
 def stratified_folds(

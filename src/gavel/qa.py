@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance, read_json, read_records, read_tsv, write_lines
-from .linear import TrainingMeta, predict_proba, train_binary_logistic
+from .linear import predict_proba, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
 BIGRAM_CAP = 50_000
@@ -151,7 +151,7 @@ class LexicalModel:
     vocabulary: Mapping[str, int]
     weights: tuple[float, ...]
     bias: float
-    training_meta: TrainingMeta
+    training_meta: dict  # seed, epochs, learning_rate, l2, n_examples; saved in this key order
 
     def __post_init__(self):
         if len(self.weights) != len(self.vocabulary):
@@ -198,17 +198,17 @@ def train_qa(corpus: Sequence[LabeledText], hyper: QAHyper = QAHyper()) -> tuple
         {vocab[name]: value for name, value in feats.items() if name in vocab} for feats in featurized
     ]
     y = [1 if r.label is QALabel.QUESTION else 0 for r in corpus]
-    core, trace = train_binary_logistic(
-        rows,
-        y,
-        n_features=len(vocab),
-        learning_rate=hyper.learning_rate,
-        epochs=hyper.epochs,
-        l2=hyper.l2,
-        seed=hyper.seed,
+    (weights, bias), trace = train_binary_logistic(
+        rows, y, n_features=len(vocab), learning_rate=hyper.learning_rate, epochs=hyper.epochs, l2=hyper.l2
     )
-    model = LexicalModel(vocabulary=vocab, weights=core.weights, bias=core.bias, training_meta=core.meta)
-    return model, trace
+    meta = {
+        "seed": hyper.seed,
+        "epochs": hyper.epochs,
+        "learning_rate": hyper.learning_rate,
+        "l2": hyper.l2,
+        "n_examples": len(rows),
+    }
+    return LexicalModel(vocabulary=vocab, weights=weights, bias=bias, training_meta=meta), trace
 
 
 def classify_qa(
@@ -352,13 +352,7 @@ def save_model(model: LexicalModel, path: Path | str) -> None:
         "vocabulary": dict(model.vocabulary),
         "weights": list(model.weights),
         "bias": model.bias,
-        "training_meta": {
-            "seed": model.training_meta.seed,
-            "epochs": model.training_meta.epochs,
-            "learning_rate": model.training_meta.learning_rate,
-            "l2": model.training_meta.l2,
-            "n_examples": model.training_meta.n_examples,
-        },
+        "training_meta": model.training_meta,
     }
     write_lines(path, [json.dumps(record)])
 
@@ -376,11 +370,5 @@ def _model_from_record(record: dict) -> LexicalModel:
         vocabulary=record["vocabulary"],
         weights=tuple(record["weights"]),
         bias=record["bias"],
-        training_meta=TrainingMeta(
-            seed=meta["seed"],
-            epochs=meta["epochs"],
-            learning_rate=meta["learning_rate"],
-            l2=meta["l2"],
-            n_examples=meta["n_examples"],
-        ),
+        training_meta={key: meta[key] for key in ("seed", "epochs", "learning_rate", "l2", "n_examples")},
     )

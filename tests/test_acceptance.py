@@ -237,14 +237,14 @@ def test_acceptance_6_forest_properties():
 # --- criterion 7: experiment-grid partition and baseline consistency ----------------
 
 def test_acceptance_7_experiment_grid(tmp_path):
-    from test_harness import synthetic_examples
+    from test_harness import synthetic_examples, true_class_counts
 
     rows = synthetic_examples(400, seed=6)
     for dims in ((), ("committee",), ("committee", "government"), ("session",)):
         spec = SplitSpec(dimensions=dims, min_rows=12)
         datasets, skips = build_datasets(rows, spec)
         assert sum(len(ds.rows) for _, ds in datasets) + sum(s.n_rows for s in skips) == len(rows)
-        ids = [r.row_id for _, ds in datasets for r in ds.rows]
+        ids = [r.example_id for _, ds in datasets for r in ds.rows]
         assert len(ids) == len(set(ids))
     spec = SplitSpec(dimensions=("committee",), min_rows=40)
     datasets, _ = build_datasets(rows, spec)
@@ -252,7 +252,7 @@ def test_acceptance_7_experiment_grid(tmp_path):
     reports = run_experiment(datasets, config)
     for report in reports:
         assert report.error is None
-        counts = report.test_class_counts()
+        counts = true_class_counts(report)
         assert max(counts.values()) / report.n_test == pytest.approx(report.baseline_accuracy)
     again = run_experiment(datasets, config)
     p1, p2 = tmp_path / "r1.tsv", tmp_path / "r2.tsv"

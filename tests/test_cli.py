@@ -512,6 +512,16 @@ def _model_without_training_meta(pipeline, tmp_path):
     return argv, model
 
 
+def _model_without_n_examples(pipeline, tmp_path):
+    model = tmp_path / "model.json"
+    record = json.loads((pipeline / "qa_model.json").read_text())
+    del record["training_meta"]["n_examples"]
+    model.write_text(json.dumps(record))
+    argv = ["classify-qa", "apply", "--model", str(model),
+            "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]
+    return argv, f"{model} field 'n_examples'"
+
+
 def _kstest_bad_session(pipeline, tmp_path):
     examples = tmp_path / "examples.tsv"
     lines = (pipeline / "examples.tsv").read_text().splitlines()
@@ -542,6 +552,7 @@ MALFORMED_INPUTS = {
     "prompts-pair-not-object": _bad_pairs_file("prompts", lambda line: "[1,2]"),
     "government-not-array": _features_government_object,
     "model-without-training-meta": _model_without_training_meta,
+    "model-training-meta-without-n-examples": _model_without_n_examples,
     "examples-bad-session": _kstest_bad_session,
     "utterances-sequence-gap": _pair_sequence_gap,
 }
@@ -597,6 +608,49 @@ def test_directory_given_as_input_file_exits_one_and_names_it(pipeline, tmp_path
     assert run(DIRECTORY_AS_FILE[case](pipeline, directory)) == 1
     err = capsys.readouterr().err
     assert str(directory) in err and "Traceback" not in err
+
+
+def _bad_examples(tmp_path):
+    path = tmp_path / "bad-examples.tsv"
+    path.write_text("not\ta\theader\n")
+    return path
+
+
+def _bad_government(tmp_path):
+    path = tmp_path / "bad-government.json"
+    path.write_text("{")
+    return path
+
+
+# (argv, option, output path): each output cannot be written, and each command also has a malformed input
+BAD_OUTPUTS = {
+    "evaluate-out-dir-is-a-file": lambda p, t, f, d: (
+        ["evaluate", "--examples", str(_bad_examples(t)), "--out-dir", str(f)], "--out-dir", f),
+    "kstest-out-matrix-is-a-directory": lambda p, t, f, d: (
+        ["kstest", "--examples", str(_bad_examples(t)), "--out-matrix", str(d)], "--out-matrix", d),
+    "features-output-is-a-directory": lambda p, t, f, d: (
+        ["features", "--corpus", str(p / "corpus"), "--government", str(_bad_government(t)), "--output", str(d)],
+        "--output", d),
+    "train-model-out-under-a-file": lambda p, t, f, d: (
+        ["train", "--examples", str(_bad_examples(t)), "--model-out", str(f / "model.json")], "--model-out", f),
+    "segment-output-under-a-file": lambda p, t, f, d: (
+        ["segment", "--input", str(t / "absent-input"), "--output", str(f / "corpus")], "--output", f),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUTS))
+def test_bad_output_location_exits_one_before_reading_input(pipeline, tmp_path, capsys, case):
+    a_file = tmp_path / "an-output-file"
+    a_file.write_text("keep")
+    a_dir = tmp_path / "an-output-dir"
+    a_dir.mkdir()
+    argv, option, where = BAD_OUTPUTS[case](pipeline, tmp_path, a_file, a_dir)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {option} " in err and str(where) in err
+    # the malformed input was never read
+    assert str(tmp_path / "bad-") not in err and str(tmp_path / "absent-input") not in err
+    assert a_file.read_text() == "keep" and list(a_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode_argv", [

@@ -241,13 +241,8 @@ def test_derive_standing_definitions():
     g = ctx(house="Democrat", senate="Democrat")
     assert derive_standing(member(Party.DEMOCRAT), house_meta, g) is Standing.MAJORITY
     assert derive_standing(member(Party.REPUBLICAN, Chamber.SENATE), senate_meta, g) is Standing.MINORITY
-    # Independents are Minority unless a caucus override maps them to the majority
+    # Independents are always Minority
     assert derive_standing(member(Party.INDEPENDENT, Chamber.SENATE), senate_meta, g) is Standing.MINORITY
-    assert (
-        derive_standing(member(Party.INDEPENDENT, Chamber.SENATE), senate_meta, g,
-                        caucus_overrides={"m1": Party.DEMOCRAT})
-        is Standing.MAJORITY
-    )
 
 
 def test_derive_standing_requires_member_and_matching_session():

@@ -5,6 +5,9 @@ does not run; this test fails on the first one that appears. A name counts
 as used when other code in `src/gavel/` loads it, or when a module docstring
 documents it in backticks as part of the library's interface (as the
 segmenter's docstring does for `reconstruct`, the losslessness check).
+
+Likewise every field of every dataclass in gavel is read somewhere: a field
+that is only ever written holds data nothing looks at.
 """
 
 import ast
@@ -12,6 +15,7 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "gavel"
+TESTS = Path(__file__).parent
 
 
 def _defined(stmt: ast.stmt) -> set[str]:
@@ -53,3 +57,33 @@ def test_every_public_module_level_name_is_referenced():
         if not any(name in used and not (where == module and name in defined) for where, defined, used in uses)
     ]
     assert dead == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when some attribute load names it, or some string literal
+    equals it (which covers `getattr` over a list of field names, as with META_COLUMNS)."""
+    fields = []  # (class, field)
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and path.parent == SRC and _is_dataclass(node):
+                fields.extend(
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(fields) > 50
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []

@@ -169,8 +169,8 @@ def test_build_datasets_partition_property():
     seen = set()
     for _, ds in datasets:
         for row in ds.rows:
-            assert row.row_id not in seen
-            seen.add(row.row_id)
+            assert row.example_id not in seen
+            seen.add(row.example_id)
 
 
 def test_build_datasets_committee_counts_sum():
@@ -244,13 +244,21 @@ def test_run_experiment_constant_features_match_baseline():
     assert not report.beats_baseline
 
 
+def true_class_counts(report):
+    """Test rows per true class: the row sums of the report's confusion matrix."""
+    counts = {}
+    for true_label, _, n in report.confusion:
+        counts[true_label] = counts.get(true_label, 0) + n
+    return counts
+
+
 def test_every_report_baseline_recomputable_from_confusion():
     rows = synthetic_examples(300)
     datasets, _ = build_datasets(rows, SplitSpec(dimensions=("committee",), min_rows=30))
     reports = run_experiment(datasets, ExperimentConfig(grid=(ForestHyper(n_estimators=6, max_depth=5),), seed=9))
     assert not any(r.degenerate for r in reports)  # committees hold both parties
     for report in reports:
-        counts = report.test_class_counts()
+        counts = true_class_counts(report)
         assert sum(counts.values()) == report.n_test
         assert max(counts.values()) / report.n_test == pytest.approx(report.baseline_accuracy)
         confusion_accuracy = sum(n for t, p, n in report.confusion if t == p) / report.n_test

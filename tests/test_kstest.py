@@ -141,9 +141,15 @@ def make_rows(n_per_group, value_fn):
     return rows
 
 
+def _only(items, features, pairs=GROUP_PAIRS):
+    """The comparisons or skips of `compare_groups` for the given features and group pairs."""
+    return [c for c in items if c.feature_name in features and (c.left_group, c.right_group) in pairs]
+
+
 def test_compare_groups_identical_distributions():
     rows = make_rows(30, lambda party, i: float(i % 5))
-    comparisons, skips = compare_groups(rows, feature_names=("ttr", "wCount"))
+    comparisons, _ = compare_groups(rows)
+    comparisons = _only(comparisons, ("ttr", "wCount"))
     assert comparisons
     for c in comparisons:
         assert c.result.statistic_d == 0.0
@@ -155,8 +161,8 @@ def test_compare_groups_shifted_direction():
         base = float(i % 7)
         return base + 10.0 if party is Party.REPUBLICAN else base
 
-    comparisons, _ = compare_groups(make_rows(25, value), feature_names=("ttr",))
-    rd = next(c for c in comparisons if (c.left_group, c.right_group) == ("R", "D"))
+    comparisons, _ = compare_groups(make_rows(25, value))
+    (rd,) = _only(comparisons, ("ttr",), (("R", "D"),))
     assert rd.direction > 0
 
 
@@ -166,8 +172,8 @@ def test_compare_groups_strong_separation_three_stars():
     for i in range(500):
         rows.append((Party.REPUBLICAN, Standing.MAJORITY, _fv(rng.uniform(0.0, 1.0))))
         rows.append((Party.DEMOCRAT, Standing.MINORITY, _fv(rng.uniform(0.5, 1.5))))
-    comparisons, _ = compare_groups(rows, feature_names=("ttr",), pairs=(("R", "D"),))
-    (c,) = comparisons
+    comparisons, _ = compare_groups(rows)
+    (c,) = _only(comparisons, ("ttr",), (("R", "D"),))
     assert c.result.stars is Stars.THREE
     assert c.result.p_value < 0.001
 
@@ -179,16 +185,17 @@ def test_compare_groups_skips_small_and_null_flagged():
         (Party.DEMOCRAT, Standing.MINORITY, _fv_null_except(3.0, "wCount")),
         (Party.DEMOCRAT, Standing.MINORITY, _fv_null_except(4.0, "wCount")),
     ]
-    comparisons, skips = compare_groups(rows, feature_names=("ttr", "wCount"), pairs=(("R", "D"),))
-    assert [c.feature_name for c in comparisons] == ["wCount"]  # ttr all null on both sides
-    assert any(s.feature_name == "ttr" and "usable" in s.reason for s in skips)
+    comparisons, skips = compare_groups(rows)
+    assert [c.feature_name for c in _only(comparisons, ("ttr", "wCount"), (("R", "D"),))] == ["wCount"]
+    # ttr is all null on both sides
+    assert any("usable" in s.reason for s in _only(skips, ("ttr",), (("R", "D"),)))
 
 
 def test_emit_heatmap_matrix(tmp_path):
     rows = make_rows(20, lambda party, i: float(i) + (5.0 if party is Party.REPUBLICAN else 0.0))
-    comparisons, skips = compare_groups(rows, feature_names=("ttr",))
+    comparisons, skips = compare_groups(rows)
     out = tmp_path / "matrix.tsv"
-    emit_heatmap_matrix(comparisons, out)
+    emit_heatmap_matrix(_only(comparisons, ("ttr",)), out)
     lines = out.read_text().splitlines()
     header = lines[0].split("\t")
     assert header[0] == "feature"
@@ -216,8 +223,8 @@ def test_emit_heatmap_empty(tmp_path):
 
 def test_emit_details_carries_both_means(tmp_path):
     rows = make_rows(10, lambda party, i: float(i))
-    comparisons, skips = compare_groups(rows, feature_names=("ttr",), pairs=(("R", "D"),))
+    comparisons, skips = compare_groups(rows)
     out = tmp_path / "details.tsv"
-    emit_comparison_details(comparisons, skips, out)
+    emit_comparison_details(_only(comparisons, ("ttr",), (("R", "D"),)), _only(skips, ("ttr",), (("R", "D"),)), out)
     header = out.read_text().splitlines()[0].split("\t")
     assert "mean_a" in header and "mean_b" in header and "direction" in header

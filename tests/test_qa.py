@@ -218,7 +218,6 @@ def test_classifier_confidence_always_at_least_half():
 
 
 def test_zero_weight_model_ties_to_question():
-    from gavel.linear import TrainingMeta
     from gavel.qa import LexicalModel
 
     vocab = build_vocabulary([featurize_text("is this?"), featurize_text("it is.")])
@@ -226,7 +225,7 @@ def test_zero_weight_model_ties_to_question():
         vocabulary=vocab,
         weights=tuple([0.0] * len(vocab)),
         bias=0.0,
-        training_meta=TrainingMeta(seed=0, epochs=0, learning_rate=0.1, l2=0.0, n_examples=0),
+        training_meta={},
     )
     label, confidence = classify_qa(model, "anything at all")
     assert label is QALabel.QUESTION
@@ -234,7 +233,6 @@ def test_zero_weight_model_ties_to_question():
 
 
 def test_other_band_calibration_hook():
-    from gavel.linear import TrainingMeta
     from gavel.qa import LexicalModel
 
     vocab = build_vocabulary([featurize_text("is this?")])
@@ -242,7 +240,7 @@ def test_other_band_calibration_hook():
         vocabulary=vocab,
         weights=tuple([0.0] * len(vocab)),
         bias=0.0,
-        training_meta=TrainingMeta(seed=0, epochs=0, learning_rate=0.1, l2=0.0, n_examples=0),
+        training_meta={},
     )
     label, _ = classify_qa(model, "anything", other_band=0.05)
     assert label is QALabel.OTHER
