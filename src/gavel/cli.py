@@ -22,6 +22,7 @@ import sys
 import time
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ from .corpus import (
     Party,
     QALabel,
     Standing,
+    from_record,
     load_corpus,
     load_government_config,
     load_roster,
@@ -39,6 +41,7 @@ from .corpus import (
     read_json,
     read_lines,
     store_corpus,
+    to_record,
     write_lines,
     write_tsv,
 )
@@ -269,7 +272,7 @@ def cmd_segment(args) -> int:
     results = []
     for hdir in _raw_hearing_dirs(Path(args.input)):
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
-        meta = read_json(hdir / "meta.json", dict, HearingMeta.from_record)
+        meta = read_json(hdir / "meta.json", dict, partial(from_record, HearingMeta))
         roster = load_roster(hdir / "roster.json")
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
@@ -285,16 +288,7 @@ def cmd_segment(args) -> int:
             f"{meta.hearing_id}: {report.n_utterances} utterances, "
             f"{report.n_unresolved_speakers} unresolved, {len(report.warnings)} warnings"
         )
-    reports = {
-        meta.hearing_id: {
-            "n_utterances": rep.n_utterances,
-            "n_unresolved_speakers": rep.n_unresolved_speakers,
-            "trimmed_head_chars": rep.trimmed_head_chars,
-            "trimmed_tail_chars": rep.trimmed_tail_chars,
-            "warnings": [[line, msg] for line, msg in rep.warnings],
-        }
-        for meta, _, _, rep in results
-    }
+    reports = {meta.hearing_id: to_record(rep) for meta, _, _, rep in results}
     write_lines(out / "segmentation_report.json", [json.dumps(reports, indent=1, sort_keys=True)])
     write_manifest(out, "segment", args, [Path(args.input)], started)
     return 0
@@ -362,7 +356,7 @@ def cmd_classify_qa_apply(args) -> int:
     for meta, utterances in corpus:
         relabeled = [replace(u, qa_label=classify_qa(model, u.text, other_band=args.other_band)[0]) for u in utterances]
         labeled.append((meta, relabeled))
-    store_corpus(labeled, corpus_dir, rosters=load_rosters(corpus_dir))
+    store_corpus(labeled, corpus_dir)
     n = sum(len(u) for _, u in labeled)
     _log(f"labeled {n} utterances in place under {corpus_dir}")
     write_manifest(corpus_dir, "classify-qa apply", args, [Path(args.model)], started)
@@ -580,7 +574,8 @@ def cmd_prompts(args) -> int:
                 out_lines.append(json.dumps({"example_id": example_id, "prompt": prompt}, ensure_ascii=False))
     write_lines(args.output, out_lines)
     _log(f"wrote {len(out_lines)} prompts")
-    write_manifest(Path(args.output).parent, "prompts", args, [corpus_dir], started)
+    inputs = [corpus_dir, Path(args.pairs)] if args.pairs else [corpus_dir]
+    write_manifest(Path(args.output).parent, "prompts", args, inputs, started)
     return 0
 
 

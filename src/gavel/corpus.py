@@ -13,6 +13,9 @@ or `write_tsv`. They overwrite the target in place: a run that dies while
 writing leaves a truncated file, and `store_corpus` leaves alone any hearing
 directory it is not given.
 
+A stored JSON record is `to_record` of its dataclass and is read back by
+`from_record`, one rule for every type (docs/formats.md, "JSON records").
+
 Every input file is read back through `read_json`, `read_records` (JSONL),
 `read_tsv` or `read_lines`. A file that does not decode, or holds a value of
 the wrong shape, raises `RecordError` with its path, and with the line number
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import get_args, get_origin, get_type_hints
 
 
 class Chamber(str, Enum):
@@ -152,37 +157,6 @@ class HearingMeta:
         if not self.hearing_id or not _ID_RE.match(self.hearing_id):
             raise InvariantError(f"hearing_id must be a non-empty identifier, got {self.hearing_id!r}")
 
-    def to_record(self) -> dict:
-        return {
-            "hearing_id": self.hearing_id,
-            "session": self.session,
-            "chamber": self.chamber.value,
-            "committee": self.committee,
-            "hearing_type": self.hearing_type.value,
-            "date": self.date,
-        }
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "HearingMeta":
-        try:
-            chamber = Chamber(rec["chamber"])
-        except ValueError:
-            raise RecordError(f"unknown chamber {rec['chamber']!r}", field_name="chamber")
-        # hearing_type defaults to General when absent from metadata
-        raw_type = rec.get("hearing_type") or HearingType.GENERAL.value
-        try:
-            hearing_type = HearingType(raw_type)
-        except ValueError:
-            raise RecordError(f"unknown hearing_type {raw_type!r}", field_name="hearing_type")
-        return cls(
-            hearing_id=rec["hearing_id"],
-            session=int(rec["session"]),
-            chamber=chamber,
-            committee=rec["committee"],
-            hearing_type=hearing_type,
-            date=rec.get("date"),
-        )
-
 
 @dataclass(frozen=True)
 class Person:
@@ -205,32 +179,6 @@ class Person:
         ):
             raise InvariantError(f"member {self.person_id} must have a party affiliation")
 
-    def to_record(self) -> dict:
-        return {
-            "person_id": self.person_id,
-            "display_name": self.display_name,
-            "surname": self.surname,
-            "role": self.role.value,
-            "party": self.party.value,
-            "chamber": self.chamber.value if self.chamber else None,
-            "standing": self.standing.value,
-        }
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "Person":
-        try:
-            return cls(
-                person_id=rec["person_id"],
-                display_name=rec["display_name"],
-                surname=rec["surname"],
-                role=Role(rec["role"]),
-                party=Party(rec.get("party", "None")),
-                chamber=Chamber(rec["chamber"]) if rec.get("chamber") else None,
-                standing=Standing(rec.get("standing", "NotApplicable")),
-            )
-        except ValueError as exc:
-            raise RecordError(str(exc), field_name="role/party/chamber/standing")
-
 
 @dataclass(frozen=True)
 class Roster:
@@ -241,8 +189,8 @@ class Roster:
     context cue to resolve (see segmenter.resolve_speaker).
     """
 
-    hearing_id: str
-    people: tuple[Person, ...]
+    hearing_id: str = ""
+    people: tuple[Person, ...] = ()
     name_index: Mapping[str, str] = field(init=False)
     ambiguous: Mapping[str, tuple[str, ...]] = field(init=False)
 
@@ -263,14 +211,6 @@ class Roster:
                 return p
         raise KeyError(person_id)
 
-    def to_record(self) -> dict:
-        return {"hearing_id": self.hearing_id, "people": [p.to_record() for p in self.people]}
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "Roster":
-        people = tuple(map(Person.from_record, rec.get("people", [])))
-        return cls(hearing_id=rec.get("hearing_id", ""), people=people)
-
 
 @dataclass(frozen=True)
 class Utterance:
@@ -286,33 +226,6 @@ class Utterance:
         if self.sequence_no < 0:
             raise InvariantError(f"utterance {self.utterance_id}: sequence_no must be >= 0")
 
-    def to_record(self) -> dict:
-        return {
-            "utterance_id": self.utterance_id,
-            "hearing_id": self.hearing_id,
-            "sequence_no": self.sequence_no,
-            "speaker": self.speaker,
-            "raw_marker": self.raw_marker,
-            "text": self.text,
-            "qa_label": self.qa_label.value,
-        }
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "Utterance":
-        try:
-            label = QALabel(rec.get("qa_label", "Unlabeled"))
-        except ValueError:
-            raise RecordError(f"unknown qa_label {rec.get('qa_label')!r}", field_name="qa_label")
-        return cls(
-            utterance_id=rec["utterance_id"],
-            hearing_id=rec["hearing_id"],
-            sequence_no=int(rec["sequence_no"]),
-            speaker=rec["speaker"],
-            raw_marker=rec["raw_marker"],
-            text=rec["text"],
-            qa_label=label,
-        )
-
 
 @dataclass(frozen=True)
 class QAPair:
@@ -321,25 +234,6 @@ class QAPair:
     answer_utterance_id: str
     questioner: str
     answerer: str
-
-    def to_record(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "question_utterance_id": self.question_utterance_id,
-            "answer_utterance_id": self.answer_utterance_id,
-            "questioner": self.questioner,
-            "answerer": self.answerer,
-        }
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "QAPair":
-        return cls(
-            pair_id=rec["pair_id"],
-            question_utterance_id=rec["question_utterance_id"],
-            answer_utterance_id=rec["answer_utterance_id"],
-            questioner=rec["questioner"],
-            answerer=rec["answerer"],
-        )
 
 
 @dataclass(frozen=True)
@@ -370,30 +264,82 @@ class GovernmentContext:
             return self.senate_majority
         raise ValueError("Joint hearings have no single majority party; resolve the member's own chamber")
 
-    def to_record(self) -> dict:
-        return {
-            "session": self.session,
-            "president_party": self.president_party.value,
-            "house_majority": self.house_majority.value,
-            "senate_majority": self.senate_majority.value,
-            "unified": self.unified,
-        }
 
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "GovernmentContext":
-        return cls(
-            session=int(rec["session"]),
-            president_party=Party(rec["president_party"]),
-            house_majority=Party(rec["house_majority"]),
-            senate_majority=Party(rec["senate_majority"]),
-            unified=rec.get("unified"),
-        )
+_PLAIN_TYPES = (str, int, float, bool)
+
+
+def _plain(value: Any) -> Any:
+    """`value` as JSON data: an enum by its value, a tuple as a list, a dataclass as its record."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [v if type(v) in _PLAIN_TYPES else _plain(v) for v in value]
+    if is_dataclass(value):
+        return to_record(value)
+    return value
+
+
+def _enum_member(name: str, kind: type[Enum], value: Any) -> Enum:
+    try:
+        return kind(value)
+    except ValueError:
+        raise RecordError(f"unknown {name} {value!r}", field_name=name) from None
+
+
+def _decoder(name: str, hint: Any) -> Optional[Callable[[Any], Any]]:
+    """How a stored value becomes field `name`: an enum from its value, an int, or a tuple of records."""
+    if type(None) in get_args(hint):  # Optional[X] decodes as X; null takes the default
+        (hint,) = set(get_args(hint)) - {type(None)}
+    if hint is int:
+        return int
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return partial(_enum_member, name, hint)
+    if get_origin(hint) is tuple and is_dataclass(item := get_args(hint)[0]):
+        return lambda records: tuple(from_record(item, rec) for rec in records)
+    return None
+
+
+@cache
+def _field_plan(cls: type) -> tuple[tuple[str, bool, bool, Optional[Callable[[Any], Any]]], ...]:
+    """(name, required, needs `_plain` to write, decoder to read) for each constructor field of `cls`."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.default is MISSING and f.default_factory is MISSING, hints[f.name] not in _PLAIN_TYPES,
+         _decoder(f.name, hints[f.name]))
+        for f in fields(cls)
+        if f.init
+    )
+
+
+def to_record(obj: Any) -> dict:
+    """The stored record of a dataclass: each constructor field by name, in declaration order."""
+    plan = _field_plan(type(obj))
+    return {name: _plain(getattr(obj, name)) if plain else getattr(obj, name) for name, _, plain, _ in plan}
+
+
+def from_record(cls: type[T], rec: Mapping) -> T:
+    """Build `cls` from a stored record, reading each constructor field by name.
+
+    A missing required field raises KeyError; a missing or null field with a
+    default takes the default; an unknown enum value raises RecordError naming
+    the field. Keys that are not fields are ignored.
+    """
+    kwargs = {}
+    for name, required, _, decode in _field_plan(cls):
+        if required:
+            value = rec[name]
+        else:
+            value = rec.get(name)
+            if value is None:
+                continue
+        kwargs[name] = value if decode is None else decode(value)
+    return cls(**kwargs)
 
 
 def load_government_config(path: Path | str) -> dict[int, GovernmentContext]:
     """Load the per-session government-control config (a JSON array)."""
     return read_json(
-        path, list, lambda records: {ctx.session: ctx for ctx in map(GovernmentContext.from_record, records)}
+        path, list, lambda records: {ctx.session: ctx for ctx in (from_record(GovernmentContext, r) for r in records)}
     )
 
 
@@ -518,11 +464,11 @@ def store_corpus(
         seen.add(meta.hearing_id)
         _check_sequence(meta.hearing_id, utterances)
         hdir = root / meta.hearing_id
-        write_lines(hdir / "meta.json", [json.dumps(meta.to_record(), indent=1)])
-        write_lines(hdir / "utterances.jsonl", (json.dumps(u.to_record(), ensure_ascii=False) for u in utterances))
+        write_lines(hdir / "meta.json", [json.dumps(to_record(meta), indent=1)])
+        write_lines(hdir / "utterances.jsonl", (json.dumps(to_record(u), ensure_ascii=False) for u in utterances))
         if rosters and meta.hearing_id in rosters:
             roster = rosters[meta.hearing_id]
-            write_lines(hdir / "roster.json", [json.dumps(roster.to_record(), ensure_ascii=False, indent=1)])
+            write_lines(hdir / "roster.json", [json.dumps(to_record(roster), ensure_ascii=False, indent=1)])
 
 
 def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
@@ -535,7 +481,7 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
         meta_path = hdir / "meta.json"
         if not meta_path.is_file():
             continue  # not a hearing directory
-        meta = read_json(meta_path, dict, HearingMeta.from_record)
+        meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
         utterances_path = hdir / "utterances.jsonl"
         utterances = load_utterances(utterances_path)
         try:
@@ -547,11 +493,11 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
 
 
 def load_utterances(path: Path | str) -> list[Utterance]:
-    return sorted(read_records(path, Utterance.from_record), key=lambda u: u.sequence_no)
+    return sorted(read_records(path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
 
 
 def load_roster(path: Path | str) -> Roster:
-    return read_json(path, dict, Roster.from_record)
+    return read_json(path, dict, partial(from_record, Roster))
 
 
 def load_rosters(corpus_root: Path | str) -> dict[str, Roster]:

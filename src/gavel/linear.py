@@ -86,6 +86,10 @@ def train_binary_logistic(
     bias = 0.0
     lr = learning_rate
     loss, grad_w, grad_b = loss_and_gradient(weights, bias, rows, labels, l2)
+    if not math.isfinite(loss):
+        # a step is kept only when its loss is <= this one, so from a finite
+        # start every kept loss, and with it every weight, stays finite
+        raise ValueError("initial loss is not finite; the rows hold a non-finite value")
     trace = [loss]
     for _ in range(epochs):
         stepped = False
@@ -102,6 +106,4 @@ def train_binary_logistic(
         trace.append(loss)
         if not stepped:
             break  # no descent possible at float precision
-    if not all(math.isfinite(w) for w in weights) or not math.isfinite(bias):
-        raise ValueError("model weights must be finite")
     return (tuple(weights), bias), trace

@@ -21,7 +21,20 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import Person, QALabel, QAPair, RecordError, Role, Utterance, read_json, read_records, read_tsv, write_lines
+from .corpus import (
+    Person,
+    QALabel,
+    QAPair,
+    RecordError,
+    Role,
+    Utterance,
+    from_record,
+    read_json,
+    read_records,
+    read_tsv,
+    to_record,
+    write_lines,
+)
 from .linear import predict_proba, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
@@ -53,7 +66,6 @@ class Source(str, Enum):
 class LabeledText:
     text: str
     label: QALabel
-    source: Source
 
     def __post_init__(self):
         if not self.text.strip():
@@ -86,7 +98,7 @@ def load_training_corpus(path: Path | str, fmt: Source) -> tuple[list[LabeledTex
             duplicates += 1
             continue
         seen.add(key)
-        rows.append(LabeledText(text=text, label=label, source=fmt))
+        rows.append(LabeledText(text=text, label=label))
     return rows, LoadReport(path=str(path), n_rows=n_rows, n_kept=len(rows), duplicates_removed=duplicates)
 
 
@@ -246,8 +258,8 @@ class ConfusionCounts:
             raise ValueError("empty confusion matrix")
         return (self.q_true + self.a_true) / self.total
 
-    def display_accuracy(self, places: int = 2) -> str:
-        return f"{self.accuracy:.{places}f}"
+    def display_accuracy(self) -> str:
+        return f"{self.accuracy:.2f}"
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
@@ -332,7 +344,7 @@ def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | st
     write_lines(
         path,
         (
-            json.dumps({**pair.to_record(), "hearing_id": hearing_id}, ensure_ascii=False)
+            json.dumps({**to_record(pair), "hearing_id": hearing_id}, ensure_ascii=False)
             for hearing_id in sorted(pairs_by_hearing)
             for pair in pairs_by_hearing[hearing_id]
         ),
@@ -341,20 +353,13 @@ def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | st
 
 def load_pairs(path: Path | str) -> dict[str, list[QAPair]]:
     out: dict[str, list[QAPair]] = {}
-    for hearing_id, pair in read_records(path, lambda rec: (rec["hearing_id"], QAPair.from_record(rec))):
+    for hearing_id, pair in read_records(path, lambda rec: (rec["hearing_id"], from_record(QAPair, rec))):
         out.setdefault(hearing_id, []).append(pair)
     return out
 
 
 def save_model(model: LexicalModel, path: Path | str) -> None:
-    record = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "vocabulary": dict(model.vocabulary),
-        "weights": list(model.weights),
-        "bias": model.bias,
-        "training_meta": model.training_meta,
-    }
-    write_lines(path, [json.dumps(record)])
+    write_lines(path, [json.dumps({"format_version": MODEL_FORMAT_VERSION, **to_record(model)})])
 
 
 def load_model(path: Path | str) -> LexicalModel:

@@ -15,7 +15,6 @@ stripped from utterance text into the result with their offsets.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from bisect import bisect_left, insort
@@ -34,7 +33,6 @@ from .corpus import (
     normalize_surname,
     read_json,
     read_tsv,
-    write_lines,
     write_tsv,
 )
 
@@ -79,9 +77,10 @@ class SegmentationFailed(Exception):
 def default_marker_patterns(honorifics: Sequence[str] = DEFAULT_HONORIFICS) -> tuple[str, ...]:
     """Line-anchored marker regexes built over the honorific list.
 
-    Each pattern must expose a `name` group (used for speaker resolution)
+    Each pattern must expose a `name` group, which fills `Segment.name_text`,
     and may expose `honorific`. The whole match is the marker span: leading
     indentation, the marker itself, its terminating period and one space.
+    Speaker resolution normalizes the whole marker, not the `name` group.
     """
     hon = "|".join(re.escape(h) for h in honorifics)
     # [ \t] only: a marker never spans a line break
@@ -137,9 +136,6 @@ class SegmenterRules:
             if not isinstance(value, list):
                 raise RecordError(f"expected a list, got {type(value).__name__}", field_name=key)
         return cls(**{key: tuple(value) for key, value in rec.items()})
-
-    def to_file(self, path: Path | str) -> None:
-        write_lines(path, [json.dumps({key: list(getattr(self, key)) for key in _RULE_KEYS}, indent=1)])
 
 
 @dataclass(frozen=True)
@@ -400,7 +396,6 @@ def _display_is_female(display_name: str) -> Optional[bool]:
 
 @dataclass(frozen=True)
 class SegmentationReport:
-    hearing_id: str
     n_utterances: int
     n_unresolved_speakers: int
     trimmed_head_chars: int
@@ -453,7 +448,6 @@ def segment_hearing(
             )
         )
     report = SegmentationReport(
-        hearing_id=meta.hearing_id,
         n_utterances=len(utterances),
         n_unresolved_speakers=unresolved,
         trimmed_head_chars=trim.trimmed_head_chars,

@@ -32,6 +32,7 @@ from .corpus import (
     Role,
     Roster,
     Standing,
+    to_record,
     write_lines,
 )
 from .forest import derive_seed
@@ -358,19 +359,12 @@ def synth_hearing(
     hearing_id: str,
     session: int,
     rng: random.Random,
-    committee: Optional[str] = None,
-    chamber: Optional[Chamber] = None,
-    hearing_type: Optional[HearingType] = None,
     n_exchanges: Optional[int] = None,
 ) -> SynthHearing:
-    if committee is None:
-        committee, chamber = rng.choice(COMMITTEES)
-    if chamber is None:
-        chamber = Chamber.HOUSE
-    if hearing_type is None:
-        hearing_type = rng.choice(
-            (HearingType.GENERAL,) * 5 + (HearingType.OVERSIGHT, HearingType.AUTHORIZATION, HearingType.FIELD)
-        )
+    committee, chamber = rng.choice(COMMITTEES)
+    hearing_type = rng.choice(
+        (HearingType.GENERAL,) * 5 + (HearingType.OVERSIGHT, HearingType.AUTHORIZATION, HearingType.FIELD)
+    )
     meta = HearingMeta(
         hearing_id=hearing_id,
         session=session,
@@ -413,9 +407,9 @@ def synth_hearing(
 
     segments: list[TrueSegment] = []
 
-    def add(person: Person, text: str, label: QALabel, marker: Optional[str] = None):
+    def add(person: Person, text: str, label: QALabel):
         is_chair = person.person_id == chair.person_id
-        marker_core = marker or _marker_for(person, female[person.person_id], rng, is_chair)
+        marker_core = _marker_for(person, female[person.person_id], rng, is_chair)
         indent = "    "
         wrapped = _wrap(text, rng)
         if rng.random() < 0.12:
@@ -484,12 +478,12 @@ def write_raw_tree(hearings: Sequence[SynthHearing], root: Path | str) -> None:
     for h in hearings:
         hdir = root / h.meta.hearing_id
         write_lines(hdir / "transcript.txt", [h.raw_text.removesuffix("\n")])  # the raw text ends in a newline
-        write_lines(hdir / "meta.json", [json.dumps(h.meta.to_record(), indent=1)])
-        write_lines(hdir / "roster.json", [json.dumps(h.roster.to_record(), ensure_ascii=False, indent=1)])
+        write_lines(hdir / "meta.json", [json.dumps(to_record(h.meta), indent=1)])
+        write_lines(hdir / "roster.json", [json.dumps(to_record(h.roster), ensure_ascii=False, indent=1)])
 
 
 def write_government_config(path: Path | str) -> None:
-    records = [government_context(s).to_record() for s in sorted(GOVERNMENT_BY_SESSION)]
+    records = [to_record(government_context(s)) for s in sorted(GOVERNMENT_BY_SESSION)]
     write_lines(path, [json.dumps(records, indent=1)])
 
 

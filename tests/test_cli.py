@@ -209,10 +209,11 @@ def test_fetch_requires_endpoint_and_ids(capsys):
 
 
 def test_segment_with_custom_rules_file(tmp_path):
+    from gavel.corpus import to_record
     from gavel.segmenter import SegmenterRules
 
     rules_path = tmp_path / "rules.json"
-    SegmenterRules().to_file(rules_path)
+    rules_path.write_text(json.dumps(to_record(SegmenterRules())))
     out = tmp_path / "store"
     assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(out),
                 "--rules", str(rules_path)]) == 0
@@ -407,6 +408,34 @@ def test_config_key_obeys_mode_group(tmp_path, capsys, argv, config, names):
     assert "absent" not in err  # refused before any input is read
 
 
+def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    stored = {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file() and p.name != "manifest.json"}
+    assert any(p.name == "roster.json" for p in stored)
+
+    def no_rosters(root):
+        raise AssertionError(f"apply read the rosters under {root}")
+
+    monkeypatch.setattr("gavel.cli.load_rosters", no_rosters)
+    assert run(["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)]) == 0
+    assert {p: p.read_bytes() for p in stored} == stored
+
+
+def test_prompts_manifest_checksums_the_pairs_file(pipeline, tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    lines = (pipeline / "pairs.jsonl").read_text().splitlines()
+    hashes = []
+    for kept in (lines, lines[:-1]):
+        pairs.write_text("\n".join(kept) + "\n")
+        assert run(["prompts", "--corpus", str(pipeline / "corpus"), "--pairs", str(pairs), "--kind", "Both",
+                    "--output", str(tmp_path / "prompts.jsonl")]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert str(pairs) in manifest["input_checksums"]
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
 def test_directory_checksum_ignores_upstream_manifest(tmp_path):
     from gavel.cli import _checksum_input
 
@@ -452,6 +481,38 @@ def _segment_bad_meta(pipeline, tmp_path):
     raw, hdir = _raw_hearings(tmp_path)
     (hdir / "meta.json").write_text('{"hearing_id": ')
     return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "meta.json"
+
+
+def _rewrite_json(path, change):
+    record = json.loads(path.read_text())
+    change(record)
+    path.write_text(json.dumps(record))
+
+
+def _segment_meta(change, where):
+    def case(pipeline, tmp_path):
+        raw, hdir = _raw_hearings(tmp_path)
+        _rewrite_json(hdir / "meta.json", change)
+        return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], where.format(hdir / "meta.json")
+    return case
+
+
+def _segment_roster_person_party(pipeline, tmp_path):
+    raw, hdir = _raw_hearings(tmp_path)
+    _rewrite_json(hdir / "roster.json", lambda record: record["people"][0].update(party="Whig"))
+    argv = ["segment", "--input", str(raw), "--output", str(tmp_path / "s")]
+    return argv, f"unknown party 'Whig' ({hdir / 'roster.json'} field 'party')"
+
+
+def _pair_utterance_label(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    path = next(corpus.glob("*/utterances.jsonl"))
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "qa_label": "Maybe"})
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")]
+    return argv, f"unknown qa_label 'Maybe' ({path}:2 field 'qa_label')"
 
 
 def _segment_rules(content):
@@ -545,6 +606,11 @@ def _pair_sequence_gap(pipeline, tmp_path):
 MALFORMED_INPUTS = {
     "roster-not-object": _segment_bad_roster,
     "meta-invalid-json": _segment_bad_meta,
+    "meta-unknown-chamber": _segment_meta(lambda r: r.update(chamber="Moon"),
+                                          "unknown chamber 'Moon' ({} field 'chamber')"),
+    "meta-without-committee": _segment_meta(lambda r: r.pop("committee"), "missing field ({} field 'committee')"),
+    "roster-person-unknown-party": _segment_roster_person_party,
+    "utterance-unknown-qa-label": _pair_utterance_label,
     "rules-not-object": _segment_rules("[1]"),
     "rules-unknown-key": _segment_rules('{"x": 1}'),
     "utterance-not-object": _pair_bad_utterance,

@@ -22,6 +22,7 @@ from gavel.corpus import (
     Standing,
     Utterance,
     derive_standing,
+    from_record,
     load_corpus,
     load_government_config,
     load_roster,
@@ -30,6 +31,7 @@ from gavel.corpus import (
     read_records,
     read_tsv,
     store_corpus,
+    to_record,
     write_lines,
     write_tsv,
 )
@@ -198,8 +200,78 @@ def test_roster_round_trip(tmp_path):
     )
     roster = Roster(hearing_id="h-1", people=people)
     path = tmp_path / "roster.json"
-    path.write_text(json.dumps(roster.to_record()))
+    path.write_text(json.dumps(to_record(roster)))
     assert load_roster(path) == roster
+
+
+def test_meta_round_trip_keeps_date(tmp_path):
+    for date in ("2019-03-14", None):
+        meta = HearingMeta(hearing_id="h-1", session=116, chamber=Chamber.SENATE, committee="X",
+                           hearing_type=HearingType.OVERSIGHT, date=date)
+        store_corpus([(meta, [])], tmp_path / "store")
+        assert json.loads((tmp_path / "store" / "h-1" / "meta.json").read_text())["date"] == date
+        [(loaded, _)] = load_corpus(tmp_path / "store")
+        assert loaded.date == date
+        assert loaded == meta
+
+
+def test_record_holds_each_field_in_order_with_enum_values():
+    witness = Person(person_id="w", display_name="Walt Gray", surname="Gray", role=Role.WITNESS)
+    assert json.dumps(to_record(witness)) == (
+        '{"person_id": "w", "display_name": "Walt Gray", "surname": "Gray", "role": "Witness", '
+        '"party": "None", "chamber": null, "standing": "NotApplicable"}'
+    )
+    roster = Roster(hearing_id="h-1", people=(witness,))
+    assert to_record(roster) == {"hearing_id": "h-1", "people": [to_record(witness)]}
+    assert to_record(make_utterance("h-1", 3)) == {
+        "utterance_id": "h-1-u00003", "hearing_id": "h-1", "sequence_no": 3, "speaker": "p1",
+        "raw_marker": "Mr. Smith. ", "text": "Hello.", "qa_label": "Unlabeled",
+    }
+
+
+META_RECORD = {"hearing_id": "h-1", "session": 116, "chamber": "House", "committee": "X"}
+GOVERNMENT_RECORD = {"session": 116, "president_party": "Democrat", "house_majority": "Democrat",
+                     "senate_majority": "Democrat"}
+
+
+def test_from_record_gives_missing_or_null_fields_their_default():
+    for optional in ({}, {"hearing_type": None, "date": None}):
+        meta = from_record(HearingMeta, {**META_RECORD, **optional})
+        assert (meta.hearing_type, meta.date) == (HearingType.GENERAL, None)
+    witness = from_record(Person, {"person_id": "w", "display_name": "W", "surname": "W", "role": "Witness",
+                                   "party": None, "chamber": None})
+    assert (witness.party, witness.chamber, witness.standing) == (Party.NONE, None, Standing.NOT_APPLICABLE)
+    assert from_record(Roster, {}) == Roster(hearing_id="", people=())
+    assert from_record(GovernmentContext, {**GOVERNMENT_RECORD, "unified": None}).unified is True
+    # keys that are not fields are ignored; int fields are read as ints
+    meta = from_record(HearingMeta, {**META_RECORD, "session": "116", "pages": 40})
+    assert meta == HearingMeta(hearing_id="h-1", session=116, chamber=Chamber.HOUSE, committee="X")
+
+
+@pytest.mark.parametrize("cls, record, field, value", [
+    (HearingMeta, {**META_RECORD, "hearing_type": "Plenary"}, "hearing_type", "Plenary"),
+    (Person, {"person_id": "w", "display_name": "W", "surname": "W", "role": "Senator"}, "role", "Senator"),
+    (Roster, {"people": [{"person_id": "m", "display_name": "M", "surname": "M", "role": "Member",
+                          "party": "Whig"}]}, "party", "Whig"),
+    (Utterance, {**to_record(make_utterance("h-1", 0)), "qa_label": "Maybe"}, "qa_label", "Maybe"),
+    (GovernmentContext, {**GOVERNMENT_RECORD, "house_majority": "Whig"}, "house_majority", "Whig"),
+])
+def test_from_record_names_the_field_of_an_unknown_enum_value(cls, record, field, value):
+    with pytest.raises(RecordError) as err:
+        from_record(cls, record)
+    assert (err.value.message, err.value.field_name) == (f"unknown {field} {value!r}", field)
+
+
+def test_from_record_names_a_missing_required_field(tmp_path):
+    record = dict(META_RECORD)
+    del record["committee"]
+    with pytest.raises(KeyError, match="committee"):
+        from_record(HearingMeta, record)
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(RecordError) as err:
+        read_json(path, dict, lambda rec: from_record(HearingMeta, rec))
+    assert (err.value.message, err.value.path, err.value.field_name) == ("missing field", str(path), "committee")
 
 
 def ctx(session=116, president="Republican", house="Democrat", senate="Republican"):
@@ -400,7 +472,7 @@ def test_read_records_locates_each_bad_line(tmp_path):
     # a RecordError raised by decode without a location gets the file's
     path.write_text('{"a": 1}\n')
     with pytest.raises(RecordError) as err:
-        list(read_records(path, lambda rec: HearingMeta.from_record({**rec, "chamber": "Moon"})))
+        list(read_records(path, lambda rec: from_record(HearingMeta, {**to_record(make_meta()), "chamber": "Moon"})))
     assert (err.value.path, err.value.line_no, err.value.field_name) == (str(path), 1, "chamber")
 
 

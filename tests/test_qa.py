@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from gavel.corpus import Party, Person, QALabel, RecordError, Role
-from gavel.linear import loss_and_gradient
+from gavel.linear import loss_and_gradient, train_binary_logistic
 from gavel.qa import (
     ConfusionCounts,
     LabeledText,
@@ -27,8 +28,8 @@ from test_corpus import make_utterance
 def toy_corpus(n=40):
     rows = []
     for i in range(n):
-        rows.append(LabeledText(f"is this item {i} ?", QALabel.QUESTION, Source.HAND_LABELED))
-        rows.append(LabeledText(f"the answer is item {i} .", QALabel.ANSWER, Source.HAND_LABELED))
+        rows.append(LabeledText(f"is this item {i} ?", QALabel.QUESTION))
+        rows.append(LabeledText(f"the answer is item {i} .", QALabel.ANSWER))
     return rows
 
 
@@ -157,9 +158,14 @@ def test_train_deterministic_same_seed():
 
 
 def test_train_rejects_single_class():
-    rows = [LabeledText("why?", QALabel.QUESTION, Source.HAND_LABELED)]
+    rows = [LabeledText("why?", QALabel.QUESTION)]
     with pytest.raises(ValueError):
         train_qa(rows + rows)
+
+
+def test_logistic_rejects_a_non_finite_row():
+    with pytest.raises(ValueError, match="not finite"):
+        train_binary_logistic([{0: math.inf}, {0: 1.0}], [1, 0], n_features=1)
 
 
 def test_gradient_matches_central_finite_differences():

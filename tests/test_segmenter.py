@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from gavel.corpus import Chamber, Party, Person, Role, Roster
+from gavel.corpus import Chamber, Party, Person, Role, Roster, to_record
 from gavel.segmenter import (
     SegmentationFailed,
     SegmenterRules,
@@ -91,7 +92,7 @@ def test_rules_validation():
 
 def test_rules_file_round_trip(tmp_path):
     path = tmp_path / "rules.json"
-    RULES.to_file(path)
+    path.write_text(json.dumps(to_record(RULES)))
     assert SegmenterRules.from_file(path) == RULES
 
 
