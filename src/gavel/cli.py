@@ -212,13 +212,17 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _check_outputs(args: argparse.Namespace, files: Sequence[str] = (), dirs: Sequence[str] = ()) -> None:
+def _check_outputs(
+    args: argparse.Namespace, files: Sequence[str] = (), dirs: Sequence[str] = (), new_dirs: Sequence[str] = ()
+) -> None:
     """Reject output locations that cannot be written, before any input is read.
 
     A file output must not be an existing directory; a directory output, and
-    every parent of either kind, must not be an existing non-directory.
+    every parent of either kind, must not be an existing non-directory. A new
+    directory output must also be absent or empty, so that nothing stale from
+    an earlier run is read back with the new contents.
     """
-    for dest in (*files, *dirs):
+    for dest in (*files, *dirs, *new_dirs):
         value = getattr(args, dest)
         if not value:
             continue
@@ -226,9 +230,11 @@ def _check_outputs(args: argparse.Namespace, files: Sequence[str] = (), dirs: Se
         option = "--" + dest.replace("_", "-")
         if dest in files and path.is_dir():
             raise UsageError(f"{option} {value}: is a directory, expected a file")
-        for p in (path, *path.parents) if dest in dirs else path.parents:
+        for p in path.parents if dest in files else (path, *path.parents):
             if p.exists() and not p.is_dir():
                 raise UsageError(f"{option} {value}: {p} exists and is not a directory")
+        if dest in new_dirs and path.is_dir() and any(path.iterdir()):
+            raise UsageError(f"{option} {value}: directory exists and is not empty")
 
 
 def _listed(path: str) -> list[str]:
@@ -266,7 +272,7 @@ def cmd_fetch(args) -> int:
 
 def cmd_segment(args) -> int:
     _require(args, "input", "output")
-    _check_outputs(args, dirs=("output",))
+    _check_outputs(args, new_dirs=("output",))
     started = time.time()
     rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
     results = []
@@ -633,6 +639,14 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         return p
 
+    def exclude(p, mode, *ignored):
+        """`mode` selects a run that reads none of `ignored`: each of them is refused with it,
+        by flag or by config key, as a two-member exclusive group. The ignored option goes
+        first, so that usage lines do not bracket the pair (it never directly precedes `mode`)."""
+        actions = {a.dest: a for a in p._actions}
+        for dest in ignored:
+            p.add_mutually_exclusive_group()._group_actions += (actions[dest], actions[mode])
+
     def add_table_options(p):
         p.add_argument("--examples", help="examples TSV from `features`")
         p.add_argument("--task", choices=("Affiliation", "Standing"), default="Affiliation")
@@ -669,6 +683,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--corpus", help="corpus store to label in place")
     mode.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
     p.add_argument("--other-band", dest="other_band", type=float, help="probability margin labeled Other")
+    exclude(p, "eval", "other_band")
 
     p = add(sub, "pair", cmd_pair, help="pair member questions with witness answers")
     p.add_argument("--corpus", help="labeled corpus store")
@@ -705,6 +720,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--layouts", type=_layouts, default="split_grid", help=f"comma list from: {','.join(LAYOUTS)}")
+    exclude(p, "predictions", "model", "layouts", "cv_folds", "test_fraction", "min_rows", "kind")
 
     p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
     p.add_argument("--corpus")
@@ -719,6 +735,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
     p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
     p.add_argument("--output", help="annotation manifest TSV to write")
+    exclude(p, "score", "output", "hearings_per_session", "utterances_per_hearing")
 
     return parser
 

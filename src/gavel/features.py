@@ -8,6 +8,13 @@ Five groups share one fixed schema:
   style       punct_count, symbol_count, quote_count, allcaps_count
   event       date_mentions, location_mentions
 
+`extract_features` computes all of them in one pass: a text's words are
+found once, and their lowercased forms (its tokens) feed the readability
+counts, the valence sums and one scan that counts the hits of all fifteen
+word lists (`count_lexicon_hits`). Per-word syllable counts are memoized, and
+sentence and character-class counts run at C speed, so the cost is linear in
+the text with small constants.
+
 Degenerate inputs (no words or no sentences) null-flag the ratio features
 (value None) instead of reporting 0, so distribution tests can exclude them.
 
@@ -24,7 +31,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress, count
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from .lexicons import Lexicons
 
@@ -72,6 +81,9 @@ ABBREVIATIONS = frozenset(
 )
 
 VOWELS = "aeiouy"
+_VOWEL_RUN_RE = re.compile(f"[{VOWELS}]+")
+_TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
+_ALNUM_RE = re.compile(r"[^\W_]")  # exactly the characters for which str.isalnum() holds
 
 PUNCT_CHARS = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 SYMBOL_CHARS = set("$%&@#^~*+=<>|\\")
@@ -140,69 +152,49 @@ class FeatureVector:
     def __repr__(self):
         return f"FeatureVector({dict(zip(SCHEMA, self.values))!r})"
 
-    @classmethod
-    def from_parts(cls, *parts: Mapping[str, Optional[float]]) -> "FeatureVector":
-        merged: dict[str, Optional[float]] = {}
-        for part in parts:
-            merged.update(part)
-        missing = [n for n in SCHEMA if n not in merged]
-        if missing:
-            raise FeatureError(f"incomplete feature set, missing {missing}")
-        return cls([merged[n] for n in SCHEMA])
-
-
-def words_of(text: str) -> list[str]:
-    return WORD_RE.findall(text)
-
 
 def tokens_of(text: str) -> list[str]:
     """Lowercased word tokens, the unit for all lexicon matching."""
     return [w.lower() for w in WORD_RE.findall(text)]
 
 
+@lru_cache(maxsize=1 << 14)
 def count_syllables(word: str) -> int:
-    """Deterministic rule-based syllable count.
+    """Deterministic rule-based syllable count, memoized per distinct word.
 
     Counts vowel-group runs (a e i o u y); a final 'e' after a consonant is
     silent ("cake") unless the word ends in consonant+'le' ("table").
     """
-    w = "".join(c for c in word.lower() if c.isalpha())
+    w = "".join(filter(str.isalpha, word.lower()))
     if not w:
         return 0
-    groups = 0
-    prev_vowel = False
-    for c in w:
-        is_vowel = c in VOWELS
-        if is_vowel and not prev_vowel:
-            groups += 1
-        prev_vowel = is_vowel
-    if groups > 1 and w.endswith("e") and len(w) >= 2 and w[-2] not in VOWELS:
+    groups = len(_VOWEL_RUN_RE.findall(w))
+    if groups > 1 and w.endswith("e") and w[-2] not in VOWELS:
         if not (w.endswith("le") and len(w) >= 3 and w[-3] not in VOWELS):
             groups -= 1
     return max(groups, 1)
 
 
 def count_sentences(text: str) -> int:
-    """Sentences end at . ! or ? except after known abbreviations or initials."""
+    """Sentences end at . ! or ? except after known abbreviations or initials.
+
+    A run of terminators ends at most one sentence, and only a sentence that
+    holds an alphanumeric character; a trailing fragment counts as one. Only
+    the terminator runs are visited, so the scan runs at regex speed.
+    """
     n = 0
     open_sentence = False
-    i = 0
-    length = len(text)
-    while i < length:
-        c = text[i]
-        if c.isalnum():
-            open_sentence = True
-        if c in ".!?":
-            j = i
-            while j + 1 < length and text[j + 1] in ".!?":
-                j += 1
-            if open_sentence and not (c == "." and _is_abbreviation(text, i)):
+    pos = 0
+    for run in _TERMINATOR_RUN_RE.finditer(text):
+        start = run.start()
+        if open_sentence or _ALNUM_RE.search(text, pos, start):
+            if text[start] == "." and _is_abbreviation(text, start):
+                open_sentence = True
+            else:
                 n += 1
                 open_sentence = False
-            i = j + 1
-            continue
-        i += 1
-    if open_sentence:
+        pos = run.end()
+    if open_sentence or _ALNUM_RE.search(text, pos):
         n += 1
     return n
 
@@ -218,20 +210,20 @@ def _is_abbreviation(text: str, dot_index: int) -> bool:
     return word in ABBREVIATIONS or len(word) == 1
 
 
-def compute_stats(text: str) -> TextStats:
-    wlist = words_of(text)
-    if not wlist:
+def compute_stats(text: str, words: Sequence[str], tokens: Sequence[str]) -> TextStats:
+    """Readability counts of `text`, given its words (WORD_RE matches) and their lowercased tokens."""
+    if not words:
         return TextStats()
-    syllables = [count_syllables(w) for w in wlist]
-    chars = [sum(1 for c in w if c.isalnum()) for w in wlist]
+    syllables = list(map(count_syllables, tokens))
+    letters = [len(w) - w.count("'") for w in words]  # a word is ASCII alphanumerics and apostrophes
     return TextStats(
-        n_words=len(wlist),
+        n_words=len(words),
         n_sentences=max(count_sentences(text), 1),
-        n_characters_in_words=sum(chars),
+        n_characters_in_words=sum(letters),
         n_syllables=sum(syllables),
-        n_polysyllables=sum(1 for s in syllables if s >= 3),
-        n_long_words=sum(1 for c in chars if c > 6),
-        n_unique_words=len({w.lower() for w in wlist}),
+        n_polysyllables=sum(s >= 3 for s in syllables),
+        n_long_words=sum(c > 6 for c in letters),
+        n_unique_words=len(set(tokens)),
     )
 
 
@@ -263,125 +255,90 @@ def complexity_features(stats: TextStats) -> dict[str, Optional[float]]:
     return out
 
 
-def _build_entry_index(entries: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-    index: dict[str, list[tuple[str, ...]]] = {}
-    for entry in entries:
-        parts = tuple(tokens_of(entry))
-        if parts:
-            index.setdefault(parts[0], []).append(parts)
+# The fifteen word lists, in schema order: wneg .. noWords, then location_mentions.
+_lexicon_lists = attrgetter(
+    "weak_negative",
+    "weak_positive",
+    "weak_neutral",
+    "strong_negative",
+    "strong_positive",
+    "strong_neutral",
+    "bias_words",
+    "assertives",
+    "factives",
+    "hedges",
+    "implicatives",
+    "report_verbs",
+    "positive_opinion",
+    "negative_opinion",
+    "gazetteer",
+)
+
+
+@lru_cache(maxsize=8)
+def _lexicon_index(lists: tuple[frozenset[str], ...]) -> dict[str, list[tuple[int, tuple[str, ...]]]]:
+    index: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
+    for slot, entries in enumerate(lists):
+        for entry in entries:
+            parts = tuple(tokens_of(entry))
+            if parts:
+                index.setdefault(parts[0], []).append((slot, parts))
     return index
 
 
-# Lexicons hold frozensets, so each one's index is built once per process.
-_entry_index = lru_cache(maxsize=64)(_build_entry_index)
-
-
-def count_lexicon_hits(tokens: Sequence[str], entries: Iterable[str]) -> int:
-    """Total occurrences of any entry as a contiguous token sequence.
+def count_lexicon_hits(tokens: Sequence[str], lists: tuple[frozenset[str], ...]) -> list[int]:
+    """Occurrences of each list's entries as contiguous token sequences, one count per list.
 
     Entries are tokenized with the same rule as text, so hyphenated or
     multiword entries ("so-called", "find out") match across separators.
     Every start position is counted, so overlapping hits of distinct
     entries all count.
 
-    Each entry is filed under its first token (entries that tokenize to
-    nothing are dropped), so the scan looks each text token up once and
-    compares only the entries that start with it: linear in the text, not
-    in text x lexicon. Entries that tokenize alike ("so-called", "so
-    called") keep one slot each, and each counts. A frozenset's index is
-    built once and cached; any other iterable is indexed per call.
+    Every entry of every list is filed, with its list's slot, under its first
+    token in one index (entries that tokenize to nothing are dropped), so one
+    scan of the tokens serves all the lists, and it compares entries only at
+    tokens that start one: linear in the text, not in text x lexicon. Entries
+    that tokenize alike ("so-called", "so called") keep one place each, and
+    each counts. The index is built once per tuple of lists and cached.
     """
-    index = _entry_index(entries) if isinstance(entries, frozenset) else _build_entry_index(entries)
-    toks = list(tokens)
-    total = 0
-    for i, tok in enumerate(toks):
-        for parts in index.get(tok, ()):
-            k = len(parts)
-            if k == 1 or tuple(toks[i : i + k]) == parts:
-                total += 1
-    return total
+    index = _lexicon_index(lists)
+    counts = [0] * len(lists)
+    for i in compress(count(), map(index.__contains__, tokens)):
+        for slot, parts in index[tokens[i]]:
+            if len(parts) == 1 or tuple(tokens[i : i + len(parts)]) == parts:
+                counts[slot] += 1
+    return counts
 
 
-def affect_features(
-    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
-) -> dict[str, Optional[float]]:
-    """Valence shares and sentiment lexicon hits; `tokens` defaults to tokens_of(text)."""
-    if tokens is None:
-        tokens = tokens_of(text)
+def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
+    """Full schema-ordered vector; a pure function of (text, lexicons)."""
+    words = WORD_RE.findall(text)
+    tokens = [w.lower() for w in words]
+    complexity = complexity_features(compute_stats(text, words, tokens))
     neg = pos = neu = 0.0
-    for t in tokens:
-        v = lexicons.sentiment_valence.get(t)
-        if v is None:
-            continue
+    valence = lexicons.sentiment_valence
+    for v in [v for v in map(valence.get, tokens) if v is not None]:
         neg += max(-v, 0.0)
         pos += max(v, 0.0)
         neu += 1.0 - abs(v)
     total = neg + pos + neu
     if total == 0.0:
-        vneg, vneu, vpos = 0.0, 1.0, 0.0
+        shares = (0.0, 1.0, 0.0)  # no covered token: all neutral
     else:
-        vneg, vneu, vpos = neg / total, neu / total, pos / total
-    return {
-        "vneg": vneg,
-        "vneu": vneu,
-        "vpos": vpos,
-        "wneg": float(count_lexicon_hits(tokens, lexicons.weak_negative)),
-        "wpos": float(count_lexicon_hits(tokens, lexicons.weak_positive)),
-        "wneu": float(count_lexicon_hits(tokens, lexicons.weak_neutral)),
-        "sneg": float(count_lexicon_hits(tokens, lexicons.strong_negative)),
-        "spos": float(count_lexicon_hits(tokens, lexicons.strong_positive)),
-        "sneu": float(count_lexicon_hits(tokens, lexicons.strong_neutral)),
-    }
-
-
-def bias_features(
-    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
-) -> dict[str, Optional[float]]:
-    """Bias-lexicon hits; `tokens` defaults to tokens_of(text)."""
-    if tokens is None:
-        tokens = tokens_of(text)
-    return {
-        "bias": float(count_lexicon_hits(tokens, lexicons.bias_words)),
-        "assert": float(count_lexicon_hits(tokens, lexicons.assertives)),
-        "facts": float(count_lexicon_hits(tokens, lexicons.factives)),
-        "hedges": float(count_lexicon_hits(tokens, lexicons.hedges)),
-        "implctv": float(count_lexicon_hits(tokens, lexicons.implicatives)),
-        "repVerb": float(count_lexicon_hits(tokens, lexicons.report_verbs)),
-        "poWords": float(count_lexicon_hits(tokens, lexicons.positive_opinion)),
-        "noWords": float(count_lexicon_hits(tokens, lexicons.negative_opinion)),
-    }
-
-
-def style_event_features(
-    text: str, lexicons: Lexicons, tokens: Optional[Sequence[str]] = None
-) -> dict[str, Optional[float]]:
-    """Character-class, all-caps, date and location counts; `tokens` defaults to tokens_of(text)."""
-    if tokens is None:
-        tokens = tokens_of(text)
-    raw_words = words_of(text)
-    allcaps = sum(1 for w in raw_words if len(w) >= 2 and w.isalpha() and w.isupper())
-    return {
-        "punct_count": float(sum(1 for c in text if c in PUNCT_CHARS)),
-        "symbol_count": float(sum(1 for c in text if c in SYMBOL_CHARS)),
-        "quote_count": float(sum(1 for c in text if c in QUOTE_CHARS)),
-        "allcaps_count": float(allcaps),
-        "date_mentions": float(len(DATE_RE.findall(text))),
-        "location_mentions": float(count_lexicon_hits(tokens, lexicons.gazetteer)),
-    }
-
-
-def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
-    """Full schema-ordered vector; a pure function of (text, lexicons).
-
-    The text is tokenized once; the affect, bias and style/event parts share
-    the tokens.
-    """
-    tokens = tokens_of(text)
-    return FeatureVector.from_parts(
-        complexity_features(compute_stats(text)),
-        affect_features(text, lexicons, tokens),
-        bias_features(text, lexicons, tokens),
-        style_event_features(text, lexicons, tokens),
+        shares = (neg / total, neu / total, pos / total)
+    hits = count_lexicon_hits(tokens, _lexicon_lists(lexicons))
+    return FeatureVector(
+        (
+            *(complexity[name] for name in SCHEMA[:7]),
+            *shares,
+            *map(float, hits[:14]),
+            float(sum(map(text.count, PUNCT_CHARS))),
+            float(sum(map(text.count, SYMBOL_CHARS))),
+            float(sum(map(text.count, QUOTE_CHARS))),
+            float(sum(1 for w in filter(str.isupper, words) if len(w) >= 2 and w.isalpha())),
+            float(len(DATE_RE.findall(text))),
+            float(hits[14]),
+        )
     )
 
 

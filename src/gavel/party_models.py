@@ -27,6 +27,10 @@ from .linear import predict_proba, train_binary_logistic
 NAME_PLACEHOLDER = "⟨NAME⟩"  # ⟨NAME⟩
 
 _NAME_TOKEN_RE = re.compile(r"[A-Za-z0-9']+")
+# The four non-ASCII characters that re.IGNORECASE matches to [A-Za-z0-9'], mapped to
+# the letters they match; after this and lower(), text tokens are runs of [a-z0-9'].
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
+_FOLDED_TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
 class Task(str, Enum):
@@ -86,15 +90,12 @@ def _name_variants(names: Iterable[str]) -> list[tuple[str, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _name_pattern(roster_names: tuple[str, ...], directory: tuple[str, ...]) -> Optional[re.Pattern]:
-    variants = _name_variants(roster_names + directory)
-    if not variants:
-        return None
-    alternatives = (r"[^A-Za-z0-9']+".join(re.escape(t) for t in toks) for toks in variants)
-    return re.compile(
-        r"(?<![A-Za-z0-9'])(?<!⟨)(?:" + "|".join(alternatives) + r")(?![A-Za-z0-9'])(?!⟩)",
-        re.IGNORECASE,
-    )
+def _name_index(roster_names: tuple[str, ...], directory: tuple[str, ...]) -> dict[str, list[tuple[str, ...]]]:
+    """First name token -> the name variants starting with it, longest first."""
+    index: dict[str, list[tuple[str, ...]]] = {}
+    for toks in _name_variants(roster_names + directory):
+        index.setdefault(toks[0], []).append(toks)
+    return index
 
 
 def strip_speaker_names(
@@ -103,14 +104,41 @@ def strip_speaker_names(
     """Replace roster/directory names with a neutral placeholder. Idempotent.
 
     Every surname and display name on the roster, and every directory name,
-    becomes one alternative of a single case-insensitive pattern, longest
-    first. The pattern is built and compiled once per roster and directory
-    and cached under their names, so all utterances of a hearing share it;
-    a call costs one cache lookup and one substitution.
+    is a name; a name matches a run of whole text tokens (maximal runs of
+    ASCII letters, digits and apostrophes) equal to its own tokens ignoring
+    case, with any run of other characters between them. At each token the
+    longest name wins, and text already replaced (a name right after `⟨` or
+    right before `⟩`) is left alone. The name index is built once per roster
+    and directory and cached under their names, so all utterances of a
+    hearing share it; a text holding no name's first token costs one
+    case fold and one tokenization.
     """
     roster_names = () if roster is None else tuple(n for p in roster.people for n in (p.surname, p.display_name))
-    pattern = _name_pattern(roster_names, tuple(member_directory))
-    return text if pattern is None else pattern.sub(NAME_PLACEHOLDER, text)
+    index = _name_index(roster_names, tuple(member_directory))
+    # Folding first makes a token match exactly what case-insensitive [A-Za-z0-9'] matches,
+    # and keeps every position: U+0130 is the one character whose lower() is longer.
+    folded = (text if text.isascii() else text.translate(_FOLD)).lower()
+    if index.keys().isdisjoint(_FOLDED_TOKEN_RE.findall(folded)):
+        return text
+    spans = [m.span() for m in _FOLDED_TOKEN_RE.finditer(folded)]
+    tokens = [folded[a:b] for a, b in spans]
+    pieces = []
+    last = i = 0
+    while i < len(tokens):
+        start = spans[i][0]
+        candidates = () if text[start - 1 : start] == "⟨" else index.get(tokens[i], ())
+        for toks in candidates:
+            j = i + len(toks)
+            if tuple(tokens[i:j]) != toks:
+                continue
+            end = spans[j - 1][1]
+            if text[end : end + 1] != "⟩":
+                pieces += (text[last:start], NAME_PLACEHOLDER)
+                last, i = end, j
+                break
+        else:
+            i += 1
+    return "".join(pieces) + text[last:]
 
 
 def majority_baseline(labels: Sequence[str], order: Sequence[str]) -> tuple[str, float]:

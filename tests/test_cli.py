@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -5,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from gavel.cli import main
+from gavel.corpus import HearingMeta, QALabel, Utterance, from_record, load_roster, read_json, store_corpus
 from gavel.harness import META_COLUMNS
+from test_party_models import oracle_strip
+
+# sha256 of the fixture pipeline's examples.tsv, as written before name removal
+# and feature extraction became token scans: the table must not change.
+GOLDEN_EXAMPLES_SHA256 = "b1f759a8a715d5752b6adb10452189be61749816ae616f7378d53c754d3b417d"
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -141,6 +148,10 @@ def test_pipeline_manifest_hash_fields(pipeline):
     for field in ("subcommand", "config", "config_hash", "input_checksums", "seed", "version"):
         assert field in manifest
     assert manifest["subcommand"] == "evaluate"
+
+
+def test_pipeline_examples_match_golden_bytes(pipeline):
+    assert hashlib.sha256((pipeline / "examples.tsv").read_bytes()).hexdigest() == GOLDEN_EXAMPLES_SHA256
 
 
 def test_verify_sample_scoring_round_trip(pipeline, tmp_path, capsys):
@@ -748,3 +759,108 @@ def test_rules_file_checked_like_config(tmp_path, capsys, rules, named):
     err = capsys.readouterr().err
     assert named in err and str(path) in err
     assert not (tmp_path / "s").exists()
+
+
+def _named_hearing_store(tmp_path) -> Path:
+    """One fixture hearing whose member questions name roster members in hostile ways."""
+    hearing = FIXTURES / "hearings" / "synth-108-0000"
+    meta = read_json(hearing / "meta.json", dict, lambda rec: from_record(HearingMeta, rec))
+    roster = load_roster(hearing / "roster.json")
+    members = [p.person_id for p in roster.people if p.role.value == "Member"]
+    texts = [
+        "Thank you, MR. GOMEZ. Dr. McCLAIN said the same thing in 2019, did he not?",
+        "Mr. Patel, is Mr. Hansen's estimate right, or is Mr. Hansen\u2019s?",
+        "I yield to Richard, Gomez and then to Richard\u2014Gomez again. Why?",
+        "Ms. Lev\u0131n has asked about Ohio; LEVIN's staff asked too. Will you answer?",
+        "Would Robert Lawrence, or Lawrence alone, or \u27e8Lawrence\u27e9, agree? Perhaps not!",
+        "Nobody here is named at all. Is that so?",
+    ]
+    utterances = [
+        Utterance(f"{meta.hearing_id}-u{i:05d}", meta.hearing_id, i, members[i % len(members)], "Mr. X.", text,
+                  QALabel.QUESTION)
+        for i, text in enumerate(texts)
+    ]
+    store = tmp_path / "corpus"
+    store_corpus([(meta, utterances)], store, rosters={meta.hearing_id: roster})
+    return store
+
+
+def test_features_remove_names_as_the_regex_oracle_does(tmp_path, monkeypatch):
+    store = _named_hearing_store(tmp_path)
+
+    def table(name, *extra):
+        out = tmp_path / name
+        argv = ["features", "--corpus", str(store), "--government", str(FIXTURES / "government_context.json"),
+                "--output", str(out), *extra]
+        assert run(argv) == 0
+        return out.read_bytes()
+
+    stripped = table("stripped.tsv")
+    kept = table("kept.tsv", "--no-strip-names")
+    assert len(stripped.splitlines()) == 7
+    assert stripped != kept
+    monkeypatch.setattr("gavel.harness.strip_speaker_names", oracle_strip)
+    assert table("oracle.tsv") == stripped
+
+
+def test_segment_refuses_a_non_empty_output_directory(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()  # an empty directory is a fine place for a new store
+    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(store)]) == 0
+    before = sorted(p for p in store.rglob("*"))
+    capsys.readouterr()
+    assert run(["segment", "--input", str(tmp_path / "absent-input"), "--output", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --output {store}: directory exists and is not empty" in err
+    assert "absent-input" not in err  # refused before any input is read
+    assert sorted(p for p in store.rglob("*")) == before
+
+
+# (argv of one mode, that mode's flag, a setting it ignores as a flag, the same setting as a config key)
+IGNORED_SETTINGS = {
+    "apply-eval-other-band": (
+        ["classify-qa", "apply", "--model", "absent.json", "--eval", "absent.tsv:HandLabeled"], "--eval",
+        ["--other-band", "0.1"], {"other_band": 0.1}),
+    **{
+        f"evaluate-predictions-{flag[2:]}": (
+            ["evaluate", "--examples", "absent.tsv", "--out-dir", "OUT", "--predictions", "absent-predictions.tsv"],
+            "--predictions", [flag, value], {key: config})
+        for flag, value, key, config in (
+            ("--model", "logistic", "model", "logistic"),
+            ("--layouts", "committee", "layouts", "committee"),
+            ("--cv-folds", "3", "cv_folds", 3),
+            ("--test-fraction", "0.3", "test_fraction", 0.3),
+            ("--min-rows", "7", "min_rows", 7),
+            ("--kind", "Answer", "kind", "Answer"),
+        )
+    },
+    **{
+        f"verify-sample-score-{flag[2:]}": (
+            ["verify-sample", "--score", "absent.tsv"], "--score", [flag, value], {key: config})
+        for flag, value, key, config in (
+            ("--output", "OUT/sample.tsv", "output", "OUT/sample.tsv"),
+            ("--hearings-per-session", "3", "hearings_per_session", 3),
+            ("--utterances-per-hearing", "3", "utterances_per_hearing", 3),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("case", sorted(IGNORED_SETTINGS))
+def test_mode_refuses_settings_it_ignores(tmp_path, capsys, case, source):
+    argv, mode, flag, config = IGNORED_SETTINGS[case]
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    config = {k: v.replace("OUT", str(out)) if isinstance(v, str) else v for k, v in config.items()}
+    flag = [f.replace("OUT", str(out)) for f in flag]
+    if source == "flag":
+        assert run(argv + flag) == 1
+        expected = f"argument {flag[0]}: not allowed with argument {mode}"
+    else:
+        assert run(argv + ["--config", _config(tmp_path, config)]) == 1
+        expected = f"{mode} and config key {next(iter(config))!r} cannot be used together"
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "absent" not in err  # refused before any input is read
+    assert not out.exists()

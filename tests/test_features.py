@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from pathlib import Path
@@ -6,17 +7,20 @@ import pytest
 
 from gavel import features as features_module
 from gavel.features import (
+    DATE_RE,
+    PUNCT_CHARS,
+    QUOTE_CHARS,
     SCHEMA,
+    SYMBOL_CHARS,
+    WORD_RE,
     FeatureVector,
     TextStats,
-    affect_features,
-    bias_features,
     complexity_features,
     compute_stats,
     count_lexicon_hits,
+    count_sentences,
     count_syllables,
     extract_features,
-    style_event_features,
     tokens_of,
 )
 from gavel.lexicons import Lexicons, load_lexicons
@@ -136,8 +140,13 @@ def test_cli_and_lix_hand_values():
     assert complexity_features(stats)["lix"] == pytest.approx(45.0, abs=1e-9)
 
 
+def stats_of(text: str) -> TextStats:
+    words = WORD_RE.findall(text)
+    return compute_stats(text, words, [w.lower() for w in words])
+
+
 def test_compute_stats_hand_count():
-    stats = compute_stats("The cat sat.")
+    stats = stats_of("The cat sat.")
     assert stats.n_words == 3
     assert stats.n_sentences == 1
     assert stats.n_characters_in_words == 9
@@ -145,18 +154,18 @@ def test_compute_stats_hand_count():
 
 
 def test_compute_stats_empty():
-    assert compute_stats("") == TextStats()
+    assert stats_of("") == TextStats()
 
 
 def test_compute_stats_repeated_word():
-    stats = compute_stats("a a a a")
+    stats = stats_of("a a a a")
     assert stats.n_words == 4
     assert stats.n_unique_words == 1
     assert stats.n_sentences == 1  # trailing fragment counts
 
 
 def test_stats_abbreviations_do_not_split():
-    stats = compute_stats("Mr. Smith met Dr. Jones. They spoke.")
+    stats = stats_of("Mr. Smith met Dr. Jones. They spoke.")
     assert stats.n_sentences == 2
 
 
@@ -194,7 +203,7 @@ def test_ttr_bounds_random_texts():
     vocab = ["alpha", "beta", "gamma", "delta", "run", "walk"]
     for _ in range(100):
         text = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 40))) + "."
-        stats = compute_stats(text)
+        stats = stats_of(text)
         feats = complexity_features(stats)
         assert 0.0 < feats["ttr"] <= 1.0
         if stats.n_unique_words == stats.n_words:
@@ -202,14 +211,14 @@ def test_ttr_bounds_random_texts():
 
 
 def test_affect_zero_hits_is_all_neutral(lexicons):
-    feats = affect_features("zxqv flibber jabberwock", lexicons)
+    feats = extract_features("zxqv flibber jabberwock", lexicons)
     assert feats["vneu"] == 1.0
     assert feats["vpos"] == 0.0 and feats["vneg"] == 0.0
     assert feats["wneg"] == feats["spos"] == 0.0
 
 
 def test_affect_single_strong_positive_word(lexicons):
-    feats = affect_features("excellent", lexicons)
+    feats = extract_features("excellent", lexicons)
     assert feats["spos"] == 1.0
     assert feats["sneg"] == feats["wpos"] == feats["wneu"] == 0.0
 
@@ -219,19 +228,19 @@ def test_affect_shares_sum_to_one(lexicons):
     words = list(lexicons.sentiment_valence) + ["committee", "hearing", "zxqv", "terrible", "great"]
     for _ in range(200):
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 30)))
-        feats = affect_features(text, lexicons)
+        feats = extract_features(text, lexicons)
         assert feats["vneg"] + feats["vneu"] + feats["vpos"] == pytest.approx(1.0, abs=1e-12)
         assert min(feats["vneg"], feats["vneu"], feats["vpos"]) >= 0.0
 
 
 def test_bias_counts_rule_forced(lexicons):
-    feats = bias_features("I assert and claim this", lexicons)
+    feats = extract_features("I assert and claim this", lexicons)
     assert feats["assert"] == 2.0
 
 
 def test_bias_empty_text(lexicons):
-    feats = bias_features("", lexicons)
-    assert all(v == 0.0 for v in feats.values())
+    feats = extract_features("", lexicons)
+    assert all(feats[name] == 0.0 for name in SCHEMA[16:24])
 
 
 def _naive_scan_count(text: str, entries) -> int:
@@ -253,40 +262,132 @@ def test_lexicon_counter_matches_naive_scan_oracle(lexicons):
         + list(lexicons.hedges)
         + ["sort", "of", "kind", "committee,", "urgent!", "so-called", "find", "out", "zzz"]
     )
-    entry_sets = [lexicons.assertives, lexicons.hedges, lexicons.factives, lexicons.bias_words]
-    for _ in range(1000):
+    lists = (lexicons.assertives, lexicons.hedges, lexicons.factives, lexicons.bias_words)
+    for _ in range(400):
         n = rng.randrange(0, 25)
         sep = rng.choice([" ", "  ", ", ", " -- ", "\n"])
         text = sep.join(rng.choice(pieces) for _ in range(n))
         tokens = tokens_of(text)
-        entries = rng.choice(entry_sets)
-        assert count_lexicon_hits(tokens, entries) == _naive_scan_count(text, entries)
+        assert count_lexicon_hits(tokens, lists) == [_naive_scan_count(text, entries) for entries in lists]
 
 
 def test_entries_that_tokenize_alike_each_count():
     tokens = tokens_of("a so-called fix, so called by whom")
-    assert count_lexicon_hits(tokens, frozenset({"so-called", "so called"})) == 4
-    assert count_lexicon_hits(tokens, ["so called", "so called"]) == 4
+    assert count_lexicon_hits(tokens, (frozenset({"so-called", "so called"}),)) == [4]
+    # an entry in two lists counts once in each
+    assert count_lexicon_hits(tokens, (frozenset({"so called"}), frozenset({"so called", "fix"}))) == [2, 3]
 
 
 def test_entry_without_tokens_is_skipped():
     tokens = tokens_of("x -- y")
-    assert count_lexicon_hits(tokens, frozenset({"--", "x"})) == 1
-    assert count_lexicon_hits(tokens, frozenset({"--"})) == 0
+    assert count_lexicon_hits(tokens, (frozenset({"--", "x"}), frozenset({"--"}))) == [1, 0]
 
 
 def test_overlapping_entries_all_count_at_each_start():
     entries = frozenset({"find", "find out", "find out more", "out", "out more", "more"})
-    assert count_lexicon_hits(tokens_of("Find out more. Find out."), entries) == 6 + 3
+    assert count_lexicon_hits(tokens_of("Find out more. Find out."), (entries,)) == [6 + 3]
 
 
-def test_lexicon_counter_accepts_any_token_iterable(lexicons):
+def test_lexicon_counter_accepts_any_token_sequence(lexicons):
     tokens = tokens_of("We believe it may perhaps be true, and we claim it.")
-    expected = count_lexicon_hits(tokens, lexicons.hedges)
-    assert expected > 0
-    assert count_lexicon_hits(tuple(tokens), lexicons.hedges) == expected
-    assert count_lexicon_hits(iter(tokens), lexicons.hedges) == expected
-    assert count_lexicon_hits((t for t in tokens), lexicons.hedges) == expected
+    expected = count_lexicon_hits(tokens, (lexicons.hedges, lexicons.assertives))
+    assert expected[0] > 0 and expected[1] > 0
+    assert count_lexicon_hits(tuple(tokens), (lexicons.hedges, lexicons.assertives)) == expected
+
+
+# --- the feature code before the one-pass scan, kept as the oracle for extract_features ---
+
+
+def _old_count_syllables(word: str) -> int:
+    w = "".join(c for c in word.lower() if c.isalpha())
+    if not w:
+        return 0
+    groups = 0
+    prev_vowel = False
+    for c in w:
+        is_vowel = c in "aeiouy"
+        if is_vowel and not prev_vowel:
+            groups += 1
+        prev_vowel = is_vowel
+    if groups > 1 and w.endswith("e") and len(w) >= 2 and w[-2] not in "aeiouy":
+        if not (w.endswith("le") and len(w) >= 3 and w[-3] not in "aeiouy"):
+            groups -= 1
+    return max(groups, 1)
+
+
+ABBREVIATIONS_ORACLE = frozenset(
+    "mr mrs ms dr hon rev gen sen rep gov sgt col capt lt st no vs etc al inc corp dept".split()
+)
+
+
+def _old_is_abbreviation(text: str, dot_index: int) -> bool:
+    start = dot_index
+    while start > 0 and text[start - 1].isalpha():
+        start -= 1
+    word = text[start:dot_index].lower()
+    return bool(word) and (word in ABBREVIATIONS_ORACLE or len(word) == 1)
+
+
+def _old_count_sentences(text: str) -> int:
+    n = 0
+    open_sentence = False
+    i = 0
+    length = len(text)
+    while i < length:
+        c = text[i]
+        if c.isalnum():
+            open_sentence = True
+        if c in ".!?":
+            j = i
+            while j + 1 < length and text[j + 1] in ".!?":
+                j += 1
+            if open_sentence and not (c == "." and _old_is_abbreviation(text, i)):
+                n += 1
+                open_sentence = False
+            i = j + 1
+            continue
+        i += 1
+    if open_sentence:
+        n += 1
+    return n
+
+
+def _old_compute_stats(text: str) -> TextStats:
+    wlist = WORD_RE.findall(text)
+    if not wlist:
+        return TextStats()
+    syllables = [_old_count_syllables(w) for w in wlist]
+    chars = [sum(1 for c in w if c.isalnum()) for w in wlist]
+    return TextStats(
+        n_words=len(wlist),
+        n_sentences=max(_old_count_sentences(text), 1),
+        n_characters_in_words=sum(chars),
+        n_syllables=sum(syllables),
+        n_polysyllables=sum(1 for s in syllables if s >= 3),
+        n_long_words=sum(1 for c in chars if c > 6),
+        n_unique_words=len({w.lower() for w in wlist}),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_index(entries: frozenset) -> dict:
+    index = {}
+    for entry in entries:
+        parts = tuple(tokens_of(entry))
+        if parts:
+            index.setdefault(parts[0], []).append(parts)
+    return index
+
+
+def _per_lexicon_hits(tokens, entries) -> int:
+    """The counter with one first-token index per lexicon, scanned once per lexicon."""
+    index = _entry_index(entries)
+    total = 0
+    for i, tok in enumerate(tokens):
+        for parts in index.get(tok, ()):
+            if len(parts) == 1 or tuple(tokens[i : i + len(parts)]) == parts:
+                total += 1
+    return total
 
 
 def _per_entry_scan(tokens, entries) -> int:
@@ -307,6 +408,49 @@ def _per_entry_scan(tokens, entries) -> int:
     return total
 
 
+def _old_features(text: str, lexicons: Lexicons, count_hits=_per_lexicon_hits) -> dict:
+    """The affect, bias and style/event groups as separate passes, merged by name."""
+    tokens = tokens_of(text)
+    merged = dict(complexity_features(_old_compute_stats(text)))
+    neg = pos = neu = 0.0
+    for t in tokens:
+        v = lexicons.sentiment_valence.get(t)
+        if v is None:
+            continue
+        neg += max(-v, 0.0)
+        pos += max(v, 0.0)
+        neu += 1.0 - abs(v)
+    total = neg + pos + neu
+    if total == 0.0:
+        merged.update(vneg=0.0, vneu=1.0, vpos=0.0)
+    else:
+        merged.update(vneg=neg / total, vneu=neu / total, vpos=pos / total)
+    lists = {
+        "wneg": lexicons.weak_negative, "wpos": lexicons.weak_positive, "wneu": lexicons.weak_neutral,
+        "sneg": lexicons.strong_negative, "spos": lexicons.strong_positive, "sneu": lexicons.strong_neutral,
+        "bias": lexicons.bias_words, "assert": lexicons.assertives, "facts": lexicons.factives,
+        "hedges": lexicons.hedges, "implctv": lexicons.implicatives, "repVerb": lexicons.report_verbs,
+        "poWords": lexicons.positive_opinion, "noWords": lexicons.negative_opinion,
+        "location_mentions": lexicons.gazetteer,
+    }
+    merged.update({name: float(count_hits(tokens, entries)) for name, entries in lists.items()})
+    raw_words = WORD_RE.findall(text)
+    merged.update(
+        punct_count=float(sum(1 for c in text if c in PUNCT_CHARS)),
+        symbol_count=float(sum(1 for c in text if c in SYMBOL_CHARS)),
+        quote_count=float(sum(1 for c in text if c in QUOTE_CHARS)),
+        allcaps_count=float(sum(1 for w in raw_words if len(w) >= 2 and w.isalpha() and w.isupper())),
+        date_mentions=float(len(DATE_RE.findall(text))),
+    )
+    assert set(merged) == set(SCHEMA)
+    return merged
+
+
+def _same_bytes(vector: FeatureVector, expected: dict) -> bool:
+    """Equal as the table writes them: repr per value, so 0.0 and -0.0 differ."""
+    return [repr(v) for v in vector.values] == [repr(expected[name]) for name in SCHEMA]
+
+
 def _fixture_utterance_texts() -> list[str]:
     rules = SegmenterRules()
     texts = []
@@ -316,44 +460,81 @@ def _fixture_utterance_texts() -> list[str]:
     return texts
 
 
-def test_extract_features_matches_per_entry_scan_on_fixture_texts(lexicons, monkeypatch):
+def test_extract_features_matches_per_entry_scan_on_fixture_texts(lexicons):
     texts = _fixture_utterance_texts()
     assert len(texts) > 40
-    indexed = [extract_features(text, lexicons) for text in texts]
-    assert sum(v["location_mentions"] + v["hedges"] + v["repVerb"] for v in indexed) > 0
-    # the oracle: each part tokenizes on its own and scans entry by entry
-    monkeypatch.setattr(features_module, "count_lexicon_hits", _per_entry_scan)
-    for text, vector in zip(texts, indexed):
-        oracle = FeatureVector.from_parts(
-            complexity_features(compute_stats(text)),
-            affect_features(text, lexicons),
-            bias_features(text, lexicons),
-            style_event_features(text, lexicons),
-        )
-        assert vector == oracle, text
+    vectors = [extract_features(text, lexicons) for text in texts]
+    assert sum(v["location_mentions"] + v["hedges"] + v["repVerb"] for v in vectors) > 0
+    for text, vector in zip(texts, vectors):
+        assert _same_bytes(vector, _old_features(text, lexicons, _per_entry_scan)), text
+
+
+HOSTILE_PIECES = (
+    "Mr.", "Dr.", "mrs.", "St.", "e.g.", "U.S.", "J.", "No.", "etc.", "Inc.", "...", "?!", "!", "?", ".", "..?",
+    "don't", "rock'n'roll", "'", "''", "o'", "USA", "FBI's", "A", "I", "OK", "x", "2020", "1999.", "01/02/2020",
+    "March 5, 2021", "sept.", "May", "\u00e9t\u00e9", "Stra\u00dfe", "\u00c9COLE", "\u0663", "\u00b2",
+    "\u2167", "_", "__init__", "a_b", "\u0130stanbul", "\u212aelvin", "\u0131", "\u017f", "table", "cake",
+    "queue", "rhythm", "ye", "be", "the", "people", "committee", "congressional", "find out", "find", "out",
+    "so-called", "so called", "sort of", "perhaps", "claim", "Ohio", "texas", "excellent", "terrible", "great",
+    "\u201cquoted\u201d", "\u2018single\u2019", "`tick`", "$5", "100%", "a&b", "x@y", "#1", "^", "~", "*",
+    "+", "=", "<", ">", "|", "\\", "(", ")", "[", "]", "{", "}", ";", ":", ",", "-", "/",
+)
+HOSTILE_SEPARATORS = ("", " ", " ", "  ", ". ", "! ", "? ", "\n", ", ", "-", "_", "'", "\u00a0", "\u2014")
+
+
+def hostile_text(rng: random.Random) -> str:
+    out = []
+    for _ in range(rng.randrange(0, 16)):
+        out += (rng.choice(HOSTILE_PIECES), rng.choice(HOSTILE_SEPARATORS))
+    return "".join(out)
+
+
+def test_extract_features_matches_old_passes_on_hostile_texts(lexicons):
+    rng = random.Random(7)
+    for _ in range(10000):
+        text = hostile_text(rng)
+        assert _same_bytes(extract_features(text, lexicons), _old_features(text, lexicons)), text
+
+
+def test_sentence_and_syllable_counts_match_character_walk():
+    rng = random.Random(8)
+    for _ in range(20000):
+        text = hostile_text(rng)
+        assert count_sentences(text) == _old_count_sentences(text), text
+    letters = "aeiouybcdlkteAEY\u00e9\u00df'\u0130\u212a1_"
+    words = [p for p in HOSTILE_PIECES] + ["".join(rng.choice(letters) for _ in range(rng.randrange(0, 9)))
+                                            for _ in range(20000)]
+    for word in words:
+        assert count_syllables(word) == _old_count_syllables(word), word
+
+
+def test_alnum_class_is_exactly_isalnum():
+    every = "".join(map(chr, range(0x110000)))
+    matched = [m.start() for m in features_module._ALNUM_RE.finditer(every)]
+    assert matched == [i for i, c in enumerate(every) if c.isalnum()]
 
 
 def test_style_event_rule_forced(lexicons):
-    feats = style_event_features("On 01/02/2020 in Ohio!", lexicons)
+    feats = extract_features("On 01/02/2020 in Ohio!", lexicons)
     assert feats["date_mentions"] == 1.0
     assert feats["location_mentions"] == 1.0
     assert feats["punct_count"] >= 1.0
 
 
 def test_style_event_empty(lexicons):
-    feats = style_event_features("", lexicons)
-    assert all(v == 0.0 for v in feats.values())
+    feats = extract_features("", lexicons)
+    assert all(feats[name] == 0.0 for name in SCHEMA[24:])
 
 
 def test_allcaps_tokens(lexicons):
-    assert style_event_features("HELLO WORLD", lexicons)["allcaps_count"] == 2.0
-    assert style_event_features("hello world", lexicons)["allcaps_count"] == 0.0
+    assert extract_features("HELLO WORLD", lexicons)["allcaps_count"] == 2.0
+    assert extract_features("hello world", lexicons)["allcaps_count"] == 0.0
 
 
 def test_date_patterns(lexicons):
-    assert style_event_features("It happened in 1999.", lexicons)["date_mentions"] == 1.0
-    assert style_event_features("March 15, 2021 was the deadline", lexicons)["date_mentions"] == 1.0
-    assert style_event_features("room 2154 holds 300 people", lexicons)["date_mentions"] == 0.0
+    assert extract_features("It happened in 1999.", lexicons)["date_mentions"] == 1.0
+    assert extract_features("March 15, 2021 was the deadline", lexicons)["date_mentions"] == 1.0
+    assert extract_features("room 2154 holds 300 people", lexicons)["date_mentions"] == 0.0
 
 
 def test_extract_features_deterministic_and_composed(lexicons):
@@ -362,12 +543,9 @@ def test_extract_features_deterministic_and_composed(lexicons):
     v2 = extract_features(text, lexicons)
     assert v1 == v2
     assert len(v1.values) == len(SCHEMA)
-    stats = compute_stats(text)
-    for name, value in complexity_features(stats).items():
+    for name, value in complexity_features(stats_of(text)).items():
         assert v1[name] == value
-    for part in (affect_features, bias_features, style_event_features):
-        for name, value in part(text, lexicons).items():
-            assert v1[name] == value
+    assert _same_bytes(v1, _old_features(text, lexicons))
 
 
 def test_count_features_case_invariant(lexicons):

@@ -1,9 +1,12 @@
+import functools
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from gavel.corpus import Chamber, Party, Person, Role, Roster
+from gavel.corpus import Chamber, Party, Person, Role, Roster, load_roster
 from gavel.forest import (
     ForestHyper,
     _leaf_for,
@@ -67,6 +70,98 @@ def test_strip_names_idempotent():
 def test_strip_names_member_directory_and_boundaries():
     out = strip_speaker_names("Maloneyville is not a name; Jordan is.", roster_fixture(), ("Jordan",))
     assert out == f"Maloneyville is not a name; {NAME_PLACEHOLDER} is."
+
+
+@functools.lru_cache(maxsize=None)
+def _name_pattern_oracle(names) -> re.Pattern | None:
+    """Name removal as one case-insensitive regex per roster, as it was built before the token index."""
+    variants = party_models._name_variants(names)
+    if not variants:
+        return None
+    alternatives = (r"[^A-Za-z0-9']+".join(re.escape(t) for t in toks) for toks in variants)
+    return re.compile(
+        r"(?<![A-Za-z0-9'])(?<!⟨)(?:" + "|".join(alternatives) + r")(?![A-Za-z0-9'])(?!⟩)",
+        re.IGNORECASE,
+    )
+
+
+def oracle_strip(text, roster=None, directory=()):
+    names = () if roster is None else tuple(n for p in roster.people for n in (p.surname, p.display_name))
+    pattern = _name_pattern_oracle(names + tuple(directory))
+    return text if pattern is None else pattern.sub(NAME_PLACEHOLDER, text)
+
+
+def test_fold_characters_are_exactly_what_ignorecase_adds():
+    every = "".join(map(chr, range(0x110000)))
+    matched = [m.start() for m in re.finditer(r"[A-Za-z0-9']", every, re.IGNORECASE)]
+    assert {every[i] for i in matched if not every[i].isascii()} == {"\u0130", "\u0131", "\u017f", "\u212a"}
+    # folding keeps every position, and yields a token character exactly where IGNORECASE matched one
+    folded = every.translate(party_models._FOLD).lower()
+    assert len(folded) == len(every)
+    assert [m.start() for m in re.finditer(r"[a-z0-9']", folded)] == matched
+
+
+def hostile_roster():
+    people = [
+        ("Carolyn Maloney", "Maloney"), ("Alex Okafor", "Okafor"), ("Sean O'Brien", "O'Brien"),
+        ("Kirk Sikes", "Sikes"), ("Isaiah Kiss", "Kiss"), ("J. Smith", "Smith"), ("Ana María Ruiz", "Ruiz"),
+        ("Name Namely", "Name"), ("Mal Maloneyville", "Mal"), ("Ed", "Ed"), ("St. Ives", "Ives"),
+    ]
+    return Roster(
+        hearing_id="h-hostile",
+        people=tuple(Person(person_id=f"p{i}", display_name=d, surname=s, role=Role.WITNESS)
+                     for i, (d, s) in enumerate(people)),
+    )
+
+
+HOSTILE_DIRECTORY = ("Jordan", "Mark Meadows", "Le Roy", "Kiss Kiss", "O'", "Smith-Jones")
+
+HOSTILE_PIECES = (
+    "Maloney", "MALONEY", "maloney's", "Maloneyville", "Mal", "Carolyn", "carolyn maloney", "Carolyn-Maloney",
+    "Carolyn, Maloney", "Carolyn \u27e9 Maloney", "Okafor", "OKAFOR", "O'Brien", "o'brien's", "O'", "Brien",
+    "Kirk", "\u212airk", "Si\u017fes", "SI\u0130KES", "Sikes", "KISS", "Ki\u017f\u017f", "K\u0131ss",
+    "\u0130saiah", "Isaiah Kiss", "Kiss Kiss Kiss", "J.", "J", "Smith", "J. Smith", "Smith-Jones", "Ana",
+    "Mar\u00eda", "Mar\u00eda Ruiz", "Ruiz\u00e9", "\u00e9Ruiz", "Stra\u00dfe", "Name", "NAME", "Namely",
+    "\u27e8NAME\u27e9", "\u27e8", "\u27e9", "\u27e8Maloney", "Maloney\u27e9", "Ed", "ed_", "_Ed", "St. Ives",
+    "Ives", "Jordan", "jordan\u0663", "\u0663Jordan", "Mark", "Meadows", "Le Roy", "Le", "Roy", "'", "''",
+    "the", "committee", "1999", "x", "-", "--", ",", ".", "\u00b2",
+)
+HOSTILE_SEPARATORS = ("", " ", " ", "  ", ", ", "-", "'", "_", "\u00e9", "\u27e8", "\u27e9", ". ", "\n", "\u0663")
+
+
+def hostile_text(rng: random.Random) -> str:
+    out = []
+    for _ in range(rng.randrange(0, 12)):
+        out += (rng.choice(HOSTILE_PIECES), rng.choice(HOSTILE_SEPARATORS))
+    return "".join(out)
+
+
+def test_strip_names_matches_regex_oracle_on_hostile_texts():
+    rng = random.Random(2024)
+    roster = hostile_roster()
+    changed = 0
+    for _ in range(12000):
+        text = hostile_text(rng)
+        directory = HOSTILE_DIRECTORY if rng.random() < 0.5 else ()
+        expected = oracle_strip(text, roster, directory)
+        assert strip_speaker_names(text, roster, directory) == expected, text
+        changed += expected != text
+    assert changed > 5000  # replacement is exercised, not only the no-name path
+
+
+FIXTURE_HEARINGS = sorted((Path(__file__).parent.parent / "fixtures" / "hearings").iterdir())
+
+
+@pytest.mark.parametrize("hearing", FIXTURE_HEARINGS, ids=lambda h: h.name)
+def test_strip_names_matches_regex_oracle_on_fixture_transcripts(hearing):
+    roster = load_roster(hearing / "roster.json")
+    assert len(roster.people) >= 6
+    transcript = (hearing / "transcript.txt").read_text(encoding="utf-8")
+    expected = oracle_strip(transcript, roster)
+    assert expected.count(NAME_PLACEHOLDER) > 10
+    assert strip_speaker_names(transcript, roster) == expected
+    for line in transcript.splitlines():
+        assert strip_speaker_names(line, roster, HOSTILE_DIRECTORY) == oracle_strip(line, roster, HOSTILE_DIRECTORY)
 
 
 def test_majority_baseline_simple():
