@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -26,75 +27,62 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
-from .corpus import (
-    CorpusError,
-    HearingMeta,
-    Party,
-    QALabel,
-    Standing,
-    from_record,
-    load_corpus,
-    load_government_config,
-    load_roster,
-    load_rosters,
-    read_json,
-    read_lines,
-    store_corpus,
-    to_record,
-    write_lines,
-    write_tsv,
-)
-from .features import SCHEMA
-from .fetcher import FetchError, Fetcher
-from .forest import ForestHyper, save_forest
-from .harness import (
-    DEFAULT_GRID,
-    KINDS,
-    LAYOUTS,
-    ExperimentConfig,
-    SplitSpec,
-    build_datasets,
-    build_examples,
-    emit_tables,
-    fit_forest,
-    impute_with_medians,
-    read_examples,
-    read_predictions_file,
-    render_prompt,
-    run_experiment,
-    score_predictions,
-    write_examples,
-)
-from .kstest import compare_groups, emit_comparison_details, emit_heatmap_matrix
-from .lexicons import LexiconError, load_lexicons, verify_manifest
-from .party_models import Task, feature_importance
-from .qa import (
-    QAHyper,
-    Source,
-    classify_qa,
-    load_model,
-    load_pairs,
-    load_training_corpus,
-    pair_qa,
-    save_model,
-    save_pairs,
-    score_confusion,
-    train_qa,
-)
-from .segmenter import (
-    SegmentationFailed,
-    SegmenterRules,
-    read_verdict_file,
-    score_verdicts,
-    segment_hearing,
-    verify_sample,
-)
+from . import KINDS, LAYOUTS, GavelError, __version__
+
+# Every name the subcommands take from another gavel module, by the module that
+# defines it. Each command binds the names of the modules it runs with `_use`, so a
+# process imports only those; `--version` and the parser import none of them.
+_IMPORTS = {
+    "corpus": (
+        "HearingMeta", "Party", "QALabel", "Standing", "from_record", "load_corpus", "load_government_config",
+        "load_roster", "load_rosters", "read_json", "read_lines", "store_corpus", "to_record", "write_lines",
+        "write_tsv",
+    ),
+    "features": ("SCHEMA",),
+    "fetcher": ("Fetcher",),
+    "forest": ("ForestHyper", "save_forest"),
+    "harness": (
+        "DEFAULT_GRID", "ExperimentConfig", "SplitSpec", "build_datasets", "build_examples", "emit_tables",
+        "fit_forest", "impute_with_medians", "read_examples", "read_predictions_file", "render_prompt",
+        "run_experiment", "score_predictions", "write_examples",
+    ),
+    "kstest": ("compare_groups", "emit_comparison_details", "emit_heatmap_matrix"),
+    "lexicons": ("load_lexicons", "verify_manifest"),
+    "party_models": ("Task", "feature_importance"),
+    "qa": (
+        "QAHyper", "Source", "classify_qa", "load_model", "load_pairs", "load_training_corpus", "pair_qa",
+        "save_model", "save_pairs", "score_confusion", "train_qa",
+    ),
+    "segmenter": ("SegmenterRules", "read_verdict_file", "score_verdicts", "segment_hearing", "verify_sample"),
+}
+_HOME = {name: module for module, names in _IMPORTS.items() for name in names}
+
+
+def _use(*modules: str) -> None:
+    """Import `modules` and bind here the names this module takes from them.
+
+    A name already bound stays bound, so a wrapper or test double set on this
+    module before the command runs is what the command calls.
+    """
+    namespace = globals()
+    for module in modules:
+        home = importlib.import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            namespace.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """Bind a name of `_IMPORTS` on first access from outside, as `gavel.cli.load_corpus` (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(_HOME[name])
+    return globals()[name]
+
 
 DEFAULT_SEED = 108  # first session in the supported range; fixed, never wall-clock
 
 # Namespace entries that are parser wiring rather than settable values.
-_WIRING = ("subcommand", "mode", "fn", "command_parser", "config")
+_WIRING = ("subcommand", "mode", "fn", "command_parser", "config", "given")
 
 
 class UsageError(Exception):
@@ -102,8 +90,25 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Store)
+
     def error(self, message):  # argparse default exits 2; the contract is 1
         raise UsageError(message)
+
+
+class _Store(argparse._StoreAction):
+    """`store`, noting in `given` each option given, whatever its value.
+
+    argparse counts an option as present only when its value is not the default
+    object, so `--cv-folds 5` (5 is a cached int, the default's very object)
+    would pass for absent in a mode group; `_apply_config` reads `given` instead.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        namespace.given = (*namespace.given, self.dest)
 
 
 class _AppendFlags(argparse.Action):
@@ -188,7 +193,8 @@ def _config_value(parser: argparse.ArgumentParser, action: Optional[argparse.Act
 def _apply_config(args: argparse.Namespace, config: dict) -> None:
     """Make each config-file value the default of its option in the chosen subcommand.
 
-    A mutually exclusive group admits one member, whether set by flag or by config key.
+    A mutually exclusive group admits one member, given by flag or by config key,
+    whatever its value.
     """
     unknown = sorted(set(config) - set(_settings(args)))
     if unknown:
@@ -197,10 +203,11 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
     actions = {a.dest: a for a in parser._actions}
     values = {k: _config_value(parser, actions.get(k), k, v) for k, v in config.items()}
     for group in parser._mutually_exclusive_groups:
-        # a flag counts as set when its value is not the default object, as argparse decides
-        flags = [a.option_strings[0] for a in group._group_actions if getattr(args, a.dest) is not a.default]
-        keys = [f"config key {a.dest!r}" for a in group._group_actions
-                if values.get(a.dest, a.default) != a.default and getattr(args, a.dest) is a.default]
+        members = {a.dest: a.option_strings[0] for a in group._group_actions}
+        flags = [members[dest] for dest in dict.fromkeys(args.given) if dest in members]
+        keys = [f"config key {dest!r}" for dest in members if dest in config and dest not in args.given]
+        if len(flags) > 1:  # as argparse words it when the values differ from the defaults
+            raise UsageError(f"argument {flags[1]}: not allowed with argument {flags[0]}")
         if len(flags + keys) > 1:
             raise UsageError(f"{' and '.join(flags + keys)} cannot be used together")
     parser.set_defaults(**values)
@@ -254,6 +261,7 @@ def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_fetch(args) -> int:
+    _use("fetcher")
     _require(args, "endpoint", "cache_dir")
     _check_outputs(args, dirs=("cache_dir",))
     ids = [i for i in args.ids.split(",") if i]
@@ -271,6 +279,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    _use("segmenter")
     _require(args, "input", "output")
     _check_outputs(args, new_dirs=("output",))
     started = time.time()
@@ -314,6 +323,7 @@ def _parse_train_specs(specs: Sequence[str]) -> list[tuple[Path, Source]]:
 
 
 def cmd_classify_qa_train(args) -> int:
+    _use("qa")
     _require(args, "train", "model_out")
     _check_outputs(args, files=("model_out",))
     started = time.time()
@@ -333,7 +343,10 @@ def cmd_classify_qa_train(args) -> int:
 
 
 def cmd_classify_qa_apply(args) -> int:
+    _use("qa")
     _require(args, "model")
+    if not (args.corpus or args.eval):
+        raise UsageError("missing required option: --corpus (label a corpus) or --eval (score a labeled file)")
     model = load_model(args.model)
     started = time.time()
     if args.eval:
@@ -355,7 +368,6 @@ def cmd_classify_qa_apply(args) -> int:
             )
         )
         return 0
-    _require(args, "corpus")
     corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
     labeled = []
@@ -370,6 +382,7 @@ def cmd_classify_qa_apply(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    _use("qa")
     _require(args, "corpus", "output")
     _check_outputs(args, files=("output",))
     started = time.time()
@@ -393,6 +406,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_features(args) -> int:
+    _use("lexicons", "qa", "harness")
     _require(args, "corpus", "government", "output")
     _check_outputs(args, files=("output",))
     started = time.time()
@@ -424,6 +438,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_kstest(args) -> int:
+    _use("harness", "kstest")
     _require(args, "examples", "out_matrix")
     _check_outputs(args, files=("out_matrix", "out_details"))
     started = time.time()
@@ -465,6 +480,7 @@ def _grid_from_config(value) -> tuple[ForestHyper, ...]:
 
 
 def cmd_train(args) -> int:
+    _use("harness", "forest", "features", "party_models")
     _require(args, "examples", "model_out")
     _check_outputs(args, files=("model_out", "importance_out"))
     grid = _grid_from_config(args.grid)
@@ -496,6 +512,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _use("harness", "forest", "party_models")
     _require(args, "examples", "out_dir")
     _check_outputs(args, dirs=("out_dir",))
     started = time.time()
@@ -547,6 +564,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_prompts(args) -> int:
+    _use("qa", "harness")
     _require(args, "corpus", "output")
     if args.kind in ("Answer", "Both") and not args.pairs:
         raise UsageError(f"kind {args.kind} needs --pairs")
@@ -586,6 +604,7 @@ def cmd_prompts(args) -> int:
 
 
 def cmd_verify_sample(args) -> int:
+    _use("segmenter")
     started = time.time()
     if args.score:
         rows = read_verdict_file(args.score)
@@ -619,7 +638,7 @@ def cmd_verify_sample(args) -> int:
 # --- parser wiring -------------------------------------------------------------
 
 def _layouts(value: str) -> str:
-    """--layouts: a comma list of harness.LAYOUTS, checked before any input is read."""
+    """--layouts: a comma list of LAYOUTS, checked before any input is read."""
     for layout in (l for l in value.split(",") if l):
         if layout not in LAYOUTS:
             raise argparse.ArgumentTypeError(f"unknown layout {layout!r}; valid: {', '.join(LAYOUTS)}")
@@ -634,7 +653,7 @@ def build_parser() -> _Parser:
 
     def add(subparsers, name, fn, **kwargs):
         p = subparsers.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn, command_parser=p)
+        p.set_defaults(fn=fn, command_parser=p, given=())
         p.add_argument("--config", help="JSON config file; keys mirror the flags, flags override")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         return p
@@ -747,8 +766,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not getattr(args, "subcommand", None):
             parser.print_usage(sys.stderr)
             return 1
-        if args.config:
-            _apply_config(args, _load_config_file(args.config))
+        _use("corpus")  # manifests, config and list files are read and written with it
+        config = _load_config_file(args.config) if args.config else {}
+        _apply_config(args, config)
+        if config:
             args = parser.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
@@ -757,7 +778,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except BrokenPipeError:
         return 1
-    except (CorpusError, FetchError, LexiconError, SegmentationFailed, OSError, ValueError) as exc:
+    except (GavelError, OSError, ValueError) as exc:
         # OSError covers a missing file, a directory given as a file and the like; its message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 from typing import get_args, get_origin, get_type_hints
 
+from . import GavelError
+
 
 class Chamber(str, Enum):
     HOUSE = "House"
@@ -98,7 +100,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9._\-]+$")
 T = TypeVar("T")
 
 
-class CorpusError(Exception):
+class CorpusError(GavelError):
     """Base class for corpus-store failures."""
 
 

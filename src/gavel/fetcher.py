@@ -15,8 +15,10 @@ import urllib.error
 from pathlib import Path
 from typing import Callable, Optional
 
+from . import GavelError
 
-class FetchError(Exception):
+
+class FetchError(GavelError):
     pass
 
 

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import sum_floats
 from .corpus import write_lines
 
 FOREST_FORMAT_VERSION = 1
@@ -203,7 +204,7 @@ def train_forest(
         rng = random.Random(derive_seed(hyper.seed, t))  # read by grow
         boot = [rng.randrange(n_rows) for _ in range(n_rows)]
         trees.append(grow(boot, 0))
-    total = sum(importance)
+    total = sum_floats(importance)
     if total > 0:
         importance = [v / total for v in importance]
     return ForestModel(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import KINDS, LAYOUTS
 from .corpus import (
     GovernmentContext,
     HearingMeta,
@@ -54,8 +55,6 @@ from .party_models import (
 )
 
 DIMENSIONS = ("committee", "session", "hearing_type", "government", "presidency")
-
-KINDS = ("Question", "Answer", "Both")
 
 META_COLUMNS = (
     "example_id",
@@ -449,8 +448,6 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
 
 
 # --- table emission ----------------------------------------------------------
-
-LAYOUTS = ("split_grid", "committee", "hearing_type_government")
 
 _BASE_CLASS_MARK = {
     "Democrat": "D",

@@ -22,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from . import sum_floats
 from .corpus import Party, Standing, write_tsv
 from .features import SCHEMA, FeatureVector
 
@@ -132,8 +133,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
         n_a=na,
         n_b=nb,
         lam=lam,
-        mean_a=sum(a) / na,
-        mean_b=sum(b) / nb,
+        mean_a=sum_floats(a) / na,
+        mean_b=sum_floats(b) / nb,
         stars=stars,
         significant=stars is not Stars.NONE,
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from . import GavelError
 from .corpus import read_lines, write_lines
 
 DEFAULT_DIR = Path(__file__).parent / "data" / "lexicons"
@@ -39,7 +40,7 @@ LIST_FILES = (
 )
 
 
-class LexiconError(Exception):
+class LexiconError(GavelError):
     pass
 
 

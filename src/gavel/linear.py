@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from . import sum_floats
+
 SparseRow = dict[int, float]
 
 
@@ -55,7 +57,7 @@ def loss_and_gradient(
     grad_b /= n
     for i in range(len(grad_w)):
         grad_w[i] = grad_w[i] / n + l2 * weights[i]
-    loss += 0.5 * l2 * sum(w * w for w in weights)
+    loss += 0.5 * l2 * sum_floats(w * w for w in weights)
     return loss, grad_w, grad_b
 
 

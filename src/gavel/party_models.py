@@ -20,6 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from . import sum_floats
 from .corpus import Roster
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import predict_proba, train_binary_logistic
@@ -182,10 +183,10 @@ class Standardizer:
 def fit_standardizer(rows: Sequence[Sequence[float]]) -> Standardizer:
     n = len(rows)
     width = len(rows[0]) if rows else 0
-    means = [sum(r[j] for r in rows) / n for j in range(width)]
+    means = [sum_floats(r[j] for r in rows) / n for j in range(width)]
     scales = []
     for j in range(width):
-        var = sum((r[j] - means[j]) ** 2 for r in rows) / n
+        var = sum_floats((r[j] - means[j]) ** 2 for r in rows) / n
         scales.append(math.sqrt(var) if var > 0 else 1.0)  # constant columns pass through
     return Standardizer(tuple(means), tuple(scales))
 
@@ -202,7 +203,7 @@ class LinearModel:
         z = self.standardizer.apply(row)
         sparse = {j: v for j, v in enumerate(z) if v != 0.0}
         scores = [predict_proba(weights, bias, sparse) for weights, bias in self.per_class]
-        total = sum(scores)
+        total = sum_floats(scores)
         probs = [s / total for s in scores] if total > 0 else [1.0 / len(scores)] * len(scores)
         best_i = max(range(len(self.classes)), key=lambda i: (probs[i], -i))
         return self.classes[best_i], dict(zip(self.classes, probs))
@@ -307,7 +308,7 @@ def cross_validate_grid(
             cell_hyper = replace(hyper, seed=derive_seed(seed, cell_no * k + held_out))
             model = train_forest(xt, yt, classes, cell_hyper)
             fold_accs.append(forest_accuracy(model, xv, yv))
-        scores.append(GridCellScore(hyper, sum(fold_accs) / k, tuple(fold_accs)))
+        scores.append(GridCellScore(hyper, sum_floats(fold_accs) / k, tuple(fold_accs)))
 
     def depth_rank(h: ForestHyper) -> float:
         return float("inf") if h.max_depth is None else h.max_depth

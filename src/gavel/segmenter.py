@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import GavelError
 from .corpus import (
     HearingMeta,
     QALabel,
@@ -70,7 +71,7 @@ FEMALE_HONORIFICS = frozenset({"mrs", "ms", "miss", "chairwoman"})
 MALE_HONORIFICS = frozenset({"mr", "chairman"})
 
 
-class SegmentationFailed(Exception):
+class SegmentationFailed(GavelError):
     """No speaker marker matched anywhere in the body."""
 
 

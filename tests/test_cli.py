@@ -1,10 +1,16 @@
+import ast
+import builtins
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from gavel import GavelError, cli
 from gavel.cli import main
 from gavel.corpus import HearingMeta, QALabel, Utterance, from_record, load_roster, read_json, store_corpus
 from gavel.harness import META_COLUMNS
@@ -13,8 +19,14 @@ from test_party_models import oracle_strip
 # sha256 of the fixture pipeline's examples.tsv, as written before name removal
 # and feature extraction became token scans: the table must not change.
 GOLDEN_EXAMPLES_SHA256 = "b1f759a8a715d5752b6adb10452189be61749816ae616f7378d53c754d3b417d"
+# sha256 of the fixture pipeline's KS tables, whose group means add floats left to right
+GOLDEN_KS_SHA256 = {
+    "ks_matrix.tsv": "9a3babb74ddb355e4c3bdc44839dab10bc96f617bc62e3841c04432db0c50591",
+    "ks_details.tsv": "94b73c611965094c4761db8296f601df84bad37e3c3957e9b6a8c0e64a5ceacb",
+}
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(argv):
@@ -65,12 +77,10 @@ def test_bad_config_file(tmp_path, capsys):
     assert run(["segment", "--config", str(cfg)]) == 1
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Full fetch-free pipeline over the bundled fixture set."""
-    root = tmp_path_factory.mktemp("pipeline")
+def pipeline_steps(root: Path) -> list[list[str]]:
+    """The argv of each command of the full fetch-free pipeline over the bundled fixture set."""
     corpus = root / "corpus"
-    steps = [
+    return [
         ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(corpus)],
         [
             "classify-qa", "train",
@@ -109,7 +119,12 @@ def pipeline(tmp_path_factory):
             "--utterances-per-hearing", "4", "--output", str(root / "sample.tsv"),
         ],
     ]
-    for argv in steps:
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pipeline")
+    for argv in pipeline_steps(root):
         assert run(argv) == 0, f"step failed: {argv}"
     return root
 
@@ -150,8 +165,113 @@ def test_pipeline_manifest_hash_fields(pipeline):
     assert manifest["subcommand"] == "evaluate"
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_pipeline_examples_match_golden_bytes(pipeline):
-    assert hashlib.sha256((pipeline / "examples.tsv").read_bytes()).hexdigest() == GOLDEN_EXAMPLES_SHA256
+    assert _sha256(pipeline / "examples.tsv") == GOLDEN_EXAMPLES_SHA256
+
+
+def test_pipeline_ks_tables_match_golden_bytes(pipeline):
+    assert {name: _sha256(pipeline / name) for name in GOLDEN_KS_SHA256} == GOLDEN_KS_SHA256
+
+
+def test_pipeline_adds_no_float_with_builtin_sum(tmp_path, monkeypatch):
+    """Builtin `sum` rounds float sums differently from Python 3.12 on; no float may reach it."""
+    builtin_sum = builtins.sum
+    float_sums = []  # kept as well as raised: the experiment grid records a split's error and goes on
+
+    def int_sum(items, start=0):
+        items = list(items)
+        if any(isinstance(x, float) for x in items):
+            float_sums.append(items[:3])
+            raise TypeError(f"builtin sum over floats: {items[:3]}")
+        return builtin_sum(items, start)
+
+    grid = _config(tmp_path, {"grid": [{"n_estimators": 3, "max_depth": 2}, {"n_estimators": 3}]})
+    monkeypatch.setattr(builtins, "sum", int_sum)
+    steps = pipeline_steps(tmp_path) + [
+        ["train", "--examples", str(tmp_path / "examples.tsv"), "--min-rows", "4", "--cv-folds", "2",
+         "--model-out", str(tmp_path / "grid" / "forest.json"), "--config", grid],
+        ["evaluate", "--examples", str(tmp_path / "examples.tsv"), "--model", "logistic", "--min-rows", "10",
+         "--out-dir", str(tmp_path / "logistic")],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, f"step failed: {argv}"
+    monkeypatch.undo()
+    assert float_sums == []
+    assert _sha256(tmp_path / "examples.tsv") == GOLDEN_EXAMPLES_SHA256
+    assert {name: _sha256(tmp_path / name) for name in GOLDEN_KS_SHA256} == GOLDEN_KS_SHA256
+
+
+# Run one command in a fresh interpreter; print its exit code and the gavel modules it loaded.
+_LOADED = """
+import json, sys
+from gavel.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gavel."))]))
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of `python -c code *args` in a fresh interpreter that imports gavel from `src/`."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _modules_loaded_by(argv: list[str]) -> set[str]:
+    out = run_fresh(_LOADED, json.dumps(argv))
+    code, modules = json.loads(out.splitlines()[-1])
+    assert code == 0, argv
+    return {m.removeprefix("gavel.") for m in modules} - {"cli"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    assert _modules_loaded_by(["--version"]) == set()
+    segment = ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(tmp_path / "segmented")]
+    assert _modules_loaded_by(segment) == {"corpus", "segmenter"}
+    pair = ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")]
+    assert _modules_loaded_by(pair) == {"corpus", "qa", "linear"}
+    apply = ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)]
+    assert _modules_loaded_by(apply) == {"corpus", "qa", "linear"}
+
+
+def test_each_command_binds_the_modules_of_the_names_it_reads():
+    """A name a command takes from another gavel module is bound by the command's `_use` line,
+    or by `main` for `corpus`. Were it not, the command would fail with NameError in a fresh
+    process even when a command run earlier in the same process had bound the name."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name: str, seen: set[str]) -> set[str]:  # with the module's functions it calls
+        seen.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for callee in (names & functions.keys()) - seen:
+            names |= reads(callee, seen)
+        return names
+
+    commands = [name for name in functions if name.startswith("cmd_")]
+    assert len(commands) == 11
+    for name in commands:
+        calls = [c for c in ast.walk(functions[name]) if isinstance(c, ast.Call) and getattr(c.func, "id", "") == "_use"]
+        bound = {"corpus"} | {arg.value for call in calls for arg in call.args}
+        needed = {cli._HOME[n] for n in reads(name, set()) if n in cli._HOME}
+        assert needed <= bound, name
+
+
+def test_user_errors_exit_one_through_one_base_class():
+    from gavel.corpus import CorpusError
+    from gavel.features import FeatureError
+    from gavel.fetcher import FetchError
+    from gavel.lexicons import LexiconError
+    from gavel.segmenter import SegmentationFailed
+
+    assert all(issubclass(e, GavelError) for e in (CorpusError, FetchError, LexiconError, SegmentationFailed))
+    assert not issubclass(FeatureError, GavelError)  # an internal error: exit code 2
 
 
 def test_verify_sample_scoring_round_trip(pipeline, tmp_path, capsys):
@@ -417,6 +537,13 @@ def test_config_key_obeys_mode_group(tmp_path, capsys, argv, config, names):
     err = capsys.readouterr().err
     assert f"{names[0]} and {names[1]} cannot be used together" in err
     assert "absent" not in err  # refused before any input is read
+
+
+def test_apply_without_corpus_or_eval_exits_one_before_reading_the_model(capsys):
+    assert run(["classify-qa", "apply", "--model", "absent.json"]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: ") and "--corpus" in first and "--eval" in first
+    assert "absent" not in first
 
 
 def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, monkeypatch):
@@ -844,6 +971,17 @@ IGNORED_SETTINGS = {
         )
     },
 }
+
+
+# Each setting again at its default value: an option counts as given whatever its value.
+IGNORED_DEFAULTS = {"model": "forest", "layouts": "split_grid", "cv_folds": 5, "test_fraction": 0.2,
+                    "min_rows": 50, "kind": "Question", "hearings_per_session": 50, "utterances_per_hearing": 10}
+IGNORED_SETTINGS.update({
+    f"{case}-at-default": (argv, mode, [flag[0], str(IGNORED_DEFAULTS[key])], {key: IGNORED_DEFAULTS[key]})
+    for case, (argv, mode, flag, config) in IGNORED_SETTINGS.items()
+    for key in config
+    if key in IGNORED_DEFAULTS
+})
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
