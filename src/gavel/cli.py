@@ -34,21 +34,20 @@ from . import KINDS, LAYOUTS, GavelError, __version__
 # process imports only those; `--version` and the parser import none of them.
 _IMPORTS = {
     "corpus": (
-        "HearingMeta", "Party", "QALabel", "Standing", "from_record", "load_corpus", "load_government_config",
-        "load_roster", "load_rosters", "read_json", "read_lines", "store_corpus", "to_record", "write_lines",
-        "write_tsv",
+        "HearingMeta", "Party", "QALabel", "Standing", "Task", "from_record", "load_corpus",
+        "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines", "render_prompt",
+        "store_corpus", "to_record", "write_lines", "write_tsv",
     ),
-    "features": ("SCHEMA",),
+    "features": ("SCHEMA", "read_examples", "write_examples"),
     "fetcher": ("Fetcher",),
     "forest": ("ForestHyper", "save_forest"),
     "harness": (
         "DEFAULT_GRID", "ExperimentConfig", "SplitSpec", "build_datasets", "build_examples", "emit_tables",
-        "fit_forest", "impute_with_medians", "read_examples", "read_predictions_file", "render_prompt",
-        "run_experiment", "score_predictions", "write_examples",
+        "fit_forest", "impute_with_medians", "read_predictions_file", "run_experiment", "score_predictions",
     ),
     "kstest": ("compare_groups", "emit_comparison_details", "emit_heatmap_matrix"),
     "lexicons": ("load_lexicons", "verify_manifest"),
-    "party_models": ("Task", "feature_importance"),
+    "party_models": ("feature_importance",),
     "qa": (
         "QAHyper", "Source", "classify_qa", "load_model", "load_pairs", "load_training_corpus", "pair_qa",
         "save_model", "save_pairs", "score_confusion", "train_qa",
@@ -406,7 +405,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_features(args) -> int:
-    _use("lexicons", "qa", "harness")
+    _use("lexicons", "qa", "features", "harness")
     _require(args, "corpus", "government", "output")
     _check_outputs(args, files=("output",))
     started = time.time()
@@ -438,7 +437,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_kstest(args) -> int:
-    _use("harness", "kstest")
+    _use("features", "kstest")
     _require(args, "examples", "out_matrix")
     _check_outputs(args, files=("out_matrix", "out_details"))
     started = time.time()
@@ -512,7 +511,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _use("harness", "forest", "party_models")
+    _use("features", "harness", "forest")
     _require(args, "examples", "out_dir")
     _check_outputs(args, dirs=("out_dir",))
     started = time.time()
@@ -564,7 +563,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_prompts(args) -> int:
-    _use("qa", "harness")
+    _use("qa")
     _require(args, "corpus", "output")
     if args.kind in ("Answer", "Both") and not args.pairs:
         raise UsageError(f"kind {args.kind} needs --pairs")

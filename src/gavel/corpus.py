@@ -20,6 +20,9 @@ Every input file is read back through `read_json`, `read_records` (JSONL),
 `read_tsv` or `read_lines`. A file that does not decode, or holds a value of
 the wrong shape, raises `RecordError` with its path, and with the line number
 for the line-based formats.
+
+`render_prompt` turns a question, an answer or a pair into the fixed
+zero-shot prompt that `gavel prompts` writes for external models.
 """
 
 from __future__ import annotations
@@ -77,6 +80,13 @@ class QALabel(str, Enum):
     ANSWER = "Answer"
     OTHER = "Other"
     UNLABELED = "Unlabeled"
+
+
+class Task(str, Enum):
+    """What a party model predicts of a questioner: party or majority/minority standing."""
+
+    AFFILIATION = "Affiliation"
+    STANDING = "Standing"
 
 
 UNKNOWN_SPEAKER = "Unknown"
@@ -511,3 +521,41 @@ def load_rosters(corpus_root: Path | str) -> dict[str, Roster]:
             roster = load_roster(rpath)
             out[roster.hearing_id or hdir.name] = roster
     return out
+
+
+# --- zero-shot prompt rendering ----------------------------------------------
+
+PROMPT_TEMPLATE = (
+    "What follows is a {type_text} in a congressional hearing: {utterance_text} "
+    "The question was asked by a person who is a member of a congressional committee, "
+    "and whose party affiliation is either Democrat, Independent, or Republican. "
+    "Based on the {type_text_2} above, what is the party affiliation of the person "
+    "who asked the question? Answer with either D for Democrat, I for Independent, "
+    "or R for Republican. Do not explain."
+)
+
+PROMPT_SUBSTITUTIONS: dict[str, tuple[str, str]] = {
+    # kind -> (type_text, type_text_2)
+    "Question": ("question that has been asked", "question"),
+    "Answer": ("response to a question asked", "answer"),
+    "Both": ("question and its answer", "question and answer"),
+}
+
+
+def render_prompt(kind: str, question_text: Optional[str] = None, answer_text: Optional[str] = None) -> str:
+    if kind not in PROMPT_SUBSTITUTIONS:
+        raise ValueError(f"kind must be one of {sorted(PROMPT_SUBSTITUTIONS)}")
+    if kind in ("Question", "Both") and not question_text:
+        raise ValueError(f"kind {kind} requires question_text")
+    if kind in ("Answer", "Both") and not answer_text:
+        raise ValueError(f"kind {kind} requires answer_text")
+    type_text, type_text_2 = PROMPT_SUBSTITUTIONS[kind]
+    if kind == "Question":
+        utterance_text = f"Question: {question_text}"
+    elif kind == "Answer":
+        utterance_text = f"Answer: {answer_text}"
+    else:
+        utterance_text = f"Question: {question_text} Answer: {answer_text}"
+    return PROMPT_TEMPLATE.format(
+        type_text=type_text, utterance_text=utterance_text, type_text_2=type_text_2
+    )

@@ -23,6 +23,11 @@ covered token contributes max(-v,0) negative, max(v,0) positive and 1-|v|
 neutral mass, so vneg+vneu+vpos is exactly 1 (a text with no covered tokens
 is all neutral). The syllable counter is rule-based: vowel-group counting
 with a silent final 'e' rule that spares consonant+'le' endings.
+
+The example table holds one `ExampleRow` per question, answer or pair: its
+split dimensions, its questioner's party and standing, and its features.
+`write_examples` and `read_examples` are its file codec; they live here so
+that a command that only reads the table need not load the learners.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import attrgetter
+from pathlib import Path
 from typing import Optional, Sequence
 
+from .corpus import RecordError, Task, read_tsv, write_tsv
 from .lexicons import Lexicons
 
 SCHEMA: tuple[str, ...] = (
@@ -348,3 +355,79 @@ def format_value(v: Optional[float]) -> str:
 
 def parse_value(s: str) -> Optional[float]:
     return None if s == "" else float(s)
+
+
+# --- the example table --------------------------------------------------------
+
+META_COLUMNS = (
+    "example_id",
+    "kind",
+    "hearing_id",
+    "session",
+    "committee",
+    "chamber",
+    "hearing_type",
+    "government",
+    "presidency",
+    "party",
+    "standing",
+)
+
+
+@dataclass(frozen=True)
+class ExampleRow:
+    example_id: str
+    kind: str
+    hearing_id: str
+    session: int
+    committee: str
+    chamber: str
+    hearing_type: str
+    government: str
+    presidency: str
+    party: str
+    standing: str
+    features: FeatureVector
+
+    def dim_value(self, dim: str) -> str:
+        if dim == "session":
+            return str(self.session)
+        return getattr(self, dim)
+
+    def label(self, task: Task) -> str:
+        return self.party if task is Task.AFFILIATION else self.standing
+
+
+def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
+    write_tsv(
+        path,
+        META_COLUMNS + SCHEMA,
+        ([str(getattr(r, c)) for c in META_COLUMNS] + [format_value(v) for v in r.features.values] for r in rows),
+    )
+
+
+def read_examples(path: Path | str) -> list[ExampleRow]:
+    lines = read_tsv(path)
+    line_no, header = next(lines, (0, None))
+    if header is None:
+        raise RecordError("empty examples file", path=str(path))
+    expected = list(META_COLUMNS + SCHEMA)
+    if header != expected:
+        raise RecordError(
+            f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=line_no
+        )
+    rows = []
+    for line_no, cols in lines:
+        if len(cols) != len(expected):
+            raise RecordError(f"expected {len(expected)} columns, got {len(cols)}", path=str(path), line_no=line_no)
+        meta = dict(zip(META_COLUMNS, cols))
+        try:
+            meta["session"] = int(meta["session"])
+            values = [parse_value(v) for v in cols[len(META_COLUMNS) :]]
+        except ValueError as exc:
+            raise RecordError(f"bad value: {exc}", path=str(path), line_no=line_no)
+        bad = [name for name, v in zip(SCHEMA, values) if v is not None and not math.isfinite(v)]
+        if bad:
+            raise RecordError(f"non-finite value in column {bad[0]!r}", path=str(path), line_no=line_no)
+        rows.append(ExampleRow(features=FeatureVector(values), **meta))
+    return rows

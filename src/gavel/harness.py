@@ -10,14 +10,15 @@ presidency). Each split hands its learners plain rows and labels, is
 scored against its own majority-class baseline, and lands in stable,
 byte-reproducible tab-separated tables.
 
-Zero-shot prompt rendering is included so external models can be driven
-from the same examples; their label files feed back in through
-`read_predictions_file` and `score_predictions`.
+The example table's row type and file codec live in `features`, and the
+zero-shot prompt renderer in `corpus`, so `kstest` and `prompts` run
+without loading the learners. External models driven by those prompts
+feed their label files back in through `read_predictions_file` and
+`score_predictions`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -33,18 +34,25 @@ from .corpus import (
     RecordError,
     Role,
     Roster,
+    Task,
     Utterance,
     derive_standing,
     read_tsv,
+    render_prompt,  # not called here; perfbench/tracing.py wraps it under this module's name
     write_tsv,
 )
-from .features import SCHEMA, FeatureVector, extract_features, format_value, parse_value
+from .features import (
+    ExampleRow,
+    FeatureVector,
+    extract_features,
+    read_examples,  # not called here; perfbench/tracing.py wraps it under this module's name
+    write_examples,  # likewise
+)
 from .forest import ForestHyper, ForestModel, derive_seed, predict_forest, train_forest
 from .lexicons import Lexicons
 from .party_models import (
     EvalReport,
     TASK_LABEL_ORDER,
-    Task,
     column_medians,
     cross_validate_grid,
     feature_importance,  # not called here; perfbench/tracing.py wraps it under this module's name
@@ -55,45 +63,6 @@ from .party_models import (
 )
 
 DIMENSIONS = ("committee", "session", "hearing_type", "government", "presidency")
-
-META_COLUMNS = (
-    "example_id",
-    "kind",
-    "hearing_id",
-    "session",
-    "committee",
-    "chamber",
-    "hearing_type",
-    "government",
-    "presidency",
-    "party",
-    "standing",
-)
-
-
-@dataclass(frozen=True)
-class ExampleRow:
-    example_id: str
-    kind: str
-    hearing_id: str
-    session: int
-    committee: str
-    chamber: str
-    hearing_type: str
-    government: str
-    presidency: str
-    party: str
-    standing: str
-    features: FeatureVector
-
-    def dim_value(self, dim: str) -> str:
-        if dim == "session":
-            return str(self.session)
-        return getattr(self, dim)
-
-    def label(self, task: Task) -> str:
-        return self.party if task is Task.AFFILIATION else self.standing
-
 
 def build_examples(
     corpus: Sequence[tuple[HearingMeta, Sequence[Utterance]]],
@@ -200,41 +169,6 @@ def build_examples(
     return rows, warnings
 
 
-def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
-    write_tsv(
-        path,
-        META_COLUMNS + SCHEMA,
-        ([str(getattr(r, c)) for c in META_COLUMNS] + [format_value(v) for v in r.features.values] for r in rows),
-    )
-
-
-def read_examples(path: Path | str) -> list[ExampleRow]:
-    lines = read_tsv(path)
-    line_no, header = next(lines, (0, None))
-    if header is None:
-        raise RecordError("empty examples file", path=str(path))
-    expected = list(META_COLUMNS + SCHEMA)
-    if header != expected:
-        raise RecordError(
-            f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=line_no
-        )
-    rows = []
-    for line_no, cols in lines:
-        if len(cols) != len(expected):
-            raise RecordError(f"expected {len(expected)} columns, got {len(cols)}", path=str(path), line_no=line_no)
-        meta = dict(zip(META_COLUMNS, cols))
-        try:
-            meta["session"] = int(meta["session"])
-            values = [parse_value(v) for v in cols[len(META_COLUMNS) :]]
-        except ValueError as exc:
-            raise RecordError(f"bad value: {exc}", path=str(path), line_no=line_no)
-        bad = [name for name, v in zip(SCHEMA, values) if v is not None and not math.isfinite(v)]
-        if bad:
-            raise RecordError(f"non-finite value in column {bad[0]!r}", path=str(path), line_no=line_no)
-        rows.append(ExampleRow(features=FeatureVector(values), **meta))
-    return rows
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     dimensions: tuple[str, ...] = ()
@@ -339,6 +273,8 @@ def _stratified_holdout(
         n_test = max(1, round(fraction * len(idxs))) if len(idxs) > 1 else 0
         n_test = min(n_test, len(idxs) - 1)
         test.extend(idxs[:n_test])
+    if not test:
+        raise ValueError("no row to hold out: every class has a single row")
     test_set = set(test)
     train = [i for i in range(len(labels)) if i not in test_set]
     return train, sorted(test)
@@ -399,14 +335,19 @@ def run_experiment(
     datasets: Sequence[tuple[tuple[tuple[str, str], ...], Dataset]],
     config: ExperimentConfig = ExperimentConfig(),
 ) -> list[EvalReport]:
-    """Train and score each split; failures are recorded, the run continues."""
+    """Train and score each split.
+
+    A `ValueError`, the learners' signal that a split's data cannot be fitted
+    or scored, is recorded as that split's error and the run continues; any
+    other exception is a bug and propagates.
+    """
     if not datasets:
         raise ValueError("no datasets to run")
     reports: list[EvalReport] = []
     for split_no, (key, dataset) in enumerate(datasets):
         try:
             reports.append(_run_split(key, dataset, config, derive_seed(config.seed, split_no)))
-        except Exception as exc:  # recorded, never fatal to the grid
+        except ValueError as exc:
             reports.append(
                 EvalReport(
                     split_key=key,
@@ -570,44 +511,6 @@ def _emit_ht_gov(reports: Sequence[EvalReport], path) -> None:
                 ]
         rows.append(cols)
     write_tsv(path, header, rows)
-
-
-# --- zero-shot prompt rendering ----------------------------------------------
-
-PROMPT_TEMPLATE = (
-    "What follows is a {type_text} in a congressional hearing: {utterance_text} "
-    "The question was asked by a person who is a member of a congressional committee, "
-    "and whose party affiliation is either Democrat, Independent, or Republican. "
-    "Based on the {type_text_2} above, what is the party affiliation of the person "
-    "who asked the question? Answer with either D for Democrat, I for Independent, "
-    "or R for Republican. Do not explain."
-)
-
-PROMPT_SUBSTITUTIONS: dict[str, tuple[str, str]] = {
-    # kind -> (type_text, type_text_2)
-    "Question": ("question that has been asked", "question"),
-    "Answer": ("response to a question asked", "answer"),
-    "Both": ("question and its answer", "question and answer"),
-}
-
-
-def render_prompt(kind: str, question_text: Optional[str] = None, answer_text: Optional[str] = None) -> str:
-    if kind not in PROMPT_SUBSTITUTIONS:
-        raise ValueError(f"kind must be one of {sorted(PROMPT_SUBSTITUTIONS)}")
-    if kind in ("Question", "Both") and not question_text:
-        raise ValueError(f"kind {kind} requires question_text")
-    if kind in ("Answer", "Both") and not answer_text:
-        raise ValueError(f"kind {kind} requires answer_text")
-    type_text, type_text_2 = PROMPT_SUBSTITUTIONS[kind]
-    if kind == "Question":
-        utterance_text = f"Question: {question_text}"
-    elif kind == "Answer":
-        utterance_text = f"Answer: {answer_text}"
-    else:
-        utterance_text = f"Question: {question_text} Answer: {answer_text}"
-    return PROMPT_TEMPLATE.format(
-        type_text=type_text, utterance_text=utterance_text, type_text_2=type_text_2
-    )
 
 
 # --- external-prediction ingestion -------------------------------------------

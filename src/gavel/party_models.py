@@ -3,6 +3,8 @@
 Rows are dense feature vectors with optional nulls; callers impute nulls
 with train-split medians before training, and the linear model standardizes
 columns to train mean 0 / variance 1 (parameters stored for test-time reuse).
+The logistic model is one-vs-rest, except that a two-class task fits one
+model: the second class's is the first's negated, as sigma(-z) = 1 - sigma(z).
 Speaker-name removal happens on text before feature extraction so names
 cannot leak the label. Every randomized step derives its stream from the
 root seed, and all tie-breaks are by class/lexicographic order, so repeat
@@ -16,12 +18,11 @@ import math
 import random
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import sum_floats
-from .corpus import Roster
+from .corpus import Roster, Task
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import predict_proba, train_binary_logistic
 
@@ -32,11 +33,6 @@ _NAME_TOKEN_RE = re.compile(r"[A-Za-z0-9']+")
 # the letters they match; after this and lower(), text tokens are runs of [a-z0-9'].
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 _FOLDED_TOKEN_RE = re.compile(r"[a-z0-9']+")
-
-
-class Task(str, Enum):
-    AFFILIATION = "Affiliation"
-    STANDING = "Standing"
 
 
 TASK_LABEL_ORDER: dict[Task, tuple[str, ...]] = {
@@ -193,7 +189,12 @@ def fit_standardizer(rows: Sequence[Sequence[float]]) -> Standardizer:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """One-vs-rest logistic over standardized columns."""
+    """One-vs-rest logistic over standardized columns.
+
+    With two classes the second class's weights and bias are the first's
+    negated, so the normalized probabilities are the binary logistic
+    sigma(z) and 1 - sigma(z); a tie (z = 0) goes to the first class.
+    """
 
     classes: tuple[str, ...]
     per_class: tuple[tuple[tuple[float, ...], float], ...]  # (weights, bias) per class
@@ -219,17 +220,23 @@ def train_logistic(x: Sequence[Sequence[float]], y: Sequence[str], classes: Sequ
     std = fit_standardizer(x)
     z_rows = [std.apply(r) for r in x]
     sparse_rows = [{j: v for j, v in enumerate(r) if v != 0.0} for r in z_rows]
-    models = []
-    for c in classes:
+
+    def one_vs_rest(c: str) -> tuple[tuple[float, ...], float]:
         yc = [1 if lab == c else 0 for lab in y]
         if len(set(yc)) < 2:
             # class absent from training data: constant near-zero scorer
-            models.append(((0.0,) * width, -20.0))
-            continue
+            return (0.0,) * width, -20.0
         weights_bias, _ = train_binary_logistic(
             sparse_rows, yc, n_features=width, learning_rate=0.5, epochs=200, l2=1e-3
         )
-        models.append(weights_bias)
+        return weights_bias
+
+    if len(classes) == 2 and set(classes) == present:
+        # the second class's fit would only rebuild the first's mirrored: sigma(-z) = 1 - sigma(z)
+        weights, bias = one_vs_rest(classes[0])
+        models = [(weights, bias), (tuple(-w for w in weights), -bias)]
+    else:
+        models = [one_vs_rest(c) for c in classes]
     return LinearModel(classes=tuple(classes), per_class=tuple(models), standardizer=std)
 
 

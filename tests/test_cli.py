@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from gavel import GavelError, cli
+from gavel import KINDS, GavelError, cli
 from gavel.cli import main
 from gavel.corpus import HearingMeta, QALabel, Utterance, from_record, load_roster, read_json, store_corpus
-from gavel.harness import META_COLUMNS
-from test_party_models import oracle_strip
+from gavel.features import META_COLUMNS, read_examples
+from test_party_models import assert_mirror_labels_match_oracle, oracle_strip
 
 # sha256 of the fixture pipeline's examples.tsv, as written before name removal
 # and feature extraction became token scans: the table must not change.
@@ -23,6 +23,23 @@ GOLDEN_EXAMPLES_SHA256 = "b1f759a8a715d5752b6adb10452189be61749816ae616f7378d53c
 GOLDEN_KS_SHA256 = {
     "ks_matrix.tsv": "9a3babb74ddb355e4c3bdc44839dab10bc96f617bc62e3841c04432db0c50591",
     "ks_details.tsv": "94b73c611965094c4761db8296f601df84bad37e3c3957e9b6a8c0e64a5ceacb",
+}
+
+# sha256 of the fixture pipeline's evaluation tables, pinned before two-class logistic
+# models were fitted once and mirrored: (extra evaluate flags) -> {table: sha256}
+GOLDEN_EVAL_SHA256 = {
+    (): {
+        "split_grid.tsv": "0f29fab530ac36923c6666db067a33d41a31b17517937517500a3995afb9d23c",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--model", "logistic", "--task", "Standing"): {
+        "split_grid.tsv": "0734cd5b73f5df05df3e0bd09f46ed77c3b139c7343b483d91462b5afb56217c",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--model", "logistic", "--task", "Affiliation"): {
+        "split_grid.tsv": "0f29fab530ac36923c6666db067a33d41a31b17517937517500a3995afb9d23c",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
 }
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -177,10 +194,27 @@ def test_pipeline_ks_tables_match_golden_bytes(pipeline):
     assert {name: _sha256(pipeline / name) for name in GOLDEN_KS_SHA256} == GOLDEN_KS_SHA256
 
 
+@pytest.mark.parametrize("flags", list(GOLDEN_EVAL_SHA256), ids=lambda f: " ".join(f) or "default")
+def test_pipeline_evaluation_tables_match_golden_bytes(pipeline, tmp_path, flags):
+    out = pipeline / "eval"  # the pipeline's own evaluate runs with the default flags
+    if flags:
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--kind", "Question",
+                "--min-rows", "10", *flags, "--out-dir", str(out)]
+        assert run(argv) == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_EVAL_SHA256[flags]} == GOLDEN_EVAL_SHA256[flags]
+
+
+def test_two_class_logistic_labels_match_oracle_on_the_fixture_table(pipeline):
+    examples = read_examples(pipeline / "examples.tsv")
+    dimension_sets = [(), ("session",), ("committee",), ("hearing_type", "government")]
+    assert assert_mirror_labels_match_oracle(examples, dimension_sets, KINDS, min_rows=4) > 50
+
+
 def test_pipeline_adds_no_float_with_builtin_sum(tmp_path, monkeypatch):
     """Builtin `sum` rounds float sums differently from Python 3.12 on; no float may reach it."""
     builtin_sum = builtins.sum
-    float_sums = []  # kept as well as raised: the experiment grid records a split's error and goes on
+    float_sums = []  # kept as well as raised, so a failure names the sum
 
     def int_sum(items, start=0):
         items = list(items)
@@ -238,6 +272,11 @@ def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path):
     assert _modules_loaded_by(pair) == {"corpus", "qa", "linear"}
     apply = ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)]
     assert _modules_loaded_by(apply) == {"corpus", "qa", "linear"}
+    kstest = ["kstest", "--examples", str(pipeline / "examples.tsv"), "--out-matrix", str(tmp_path / "ks.tsv")]
+    assert _modules_loaded_by(kstest) == {"corpus", "features", "lexicons", "kstest"}
+    prompts = ["prompts", "--corpus", str(corpus), "--pairs", str(pipeline / "pairs.jsonl"), "--kind", "Both",
+               "--output", str(tmp_path / "prompts.jsonl")]
+    assert _modules_loaded_by(prompts) == {"corpus", "qa", "linear"}
 
 
 def test_each_command_binds_the_modules_of_the_names_it_reads():
@@ -395,6 +434,20 @@ def test_internal_error_exits_two(monkeypatch, tmp_path, capsys):
     assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(store)]) == 0
     assert run(["pair", "--corpus", str(store), "--output", str(tmp_path / "p.jsonl")]) == 2
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_a_learner_bug_exits_two_rather_than_filling_the_split_grid(pipeline, tmp_path, monkeypatch, capsys):
+    import gavel.harness
+
+    def bug(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(gavel.harness, "train_logistic", bug)
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--model", "logistic", "--min-rows", "10",
+            "--out-dir", str(tmp_path / "eval")]
+    assert run(argv) == 2
+    assert "TypeError: unsupported operand" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "split_grid.tsv").exists()
 
 
 def test_evaluate_rejects_qa_sessions_layout(pipeline, tmp_path, capsys):

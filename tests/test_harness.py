@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gavel import party_models
+from gavel import harness, party_models
 from gavel.corpus import (
     Chamber,
     GovernmentContext,
@@ -222,6 +222,27 @@ def test_run_experiment_records_a_grid_search_error(monkeypatch):
     grid = (ForestHyper(n_estimators=2, max_depth=2), ForestHyper(n_estimators=3, max_depth=2))
     (report,) = run_experiment(datasets, ExperimentConfig(grid=grid, seed=3))
     assert report.error == "ValueError: boom"
+
+
+@pytest.mark.parametrize("model", ["forest", "logistic"])
+def test_run_experiment_records_a_split_with_no_row_to_hold_out(tmp_path, model):
+    # one Democrat and one Republican: each class keeps its one row for training
+    datasets, _ = build_datasets(synthetic_examples(2), SplitSpec(min_rows=2))
+    (report,) = run_experiment(datasets, ExperimentConfig(model=model, seed=3))
+    assert report.error == "ValueError: no row to hold out: every class has a single row"
+    emit_tables([report], "split_grid", tmp_path / "split_grid.tsv")
+    row = (tmp_path / "split_grid.tsv").read_text().splitlines()[1].split("\t")
+    assert row[0] == "all" and row[-1] == report.error
+
+
+def test_run_experiment_lets_a_programming_error_through(monkeypatch):
+    def bug(*args, **kwargs):
+        raise AttributeError("'list' object has no attribute 'values'")
+
+    monkeypatch.setattr(harness, "train_logistic", bug)
+    datasets, _ = build_datasets(synthetic_examples(40), SplitSpec(min_rows=20))
+    with pytest.raises(AttributeError):
+        run_experiment(datasets, ExperimentConfig(model="logistic", seed=3))
 
 
 def test_run_experiment_constant_features_match_baseline():

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gavel.corpus import Chamber, Party, Person, Role, Roster, load_roster
+from gavel import KINDS
+from gavel.corpus import Chamber, Party, Person, Role, Roster, Utterance, load_roster
 from gavel.forest import (
     ForestHyper,
     _leaf_for,
@@ -17,9 +18,13 @@ from gavel.forest import (
     train_forest,
 )
 from gavel import party_models
-from gavel.harness import impute_with_medians
+from gavel.harness import SplitSpec, build_datasets, build_examples, impute_with_medians
+from gavel.lexicons import load_lexicons
+from gavel.linear import train_binary_logistic
 from gavel.party_models import (
     NAME_PLACEHOLDER,
+    LinearModel,
+    Task,
     cross_validate_grid,
     fit_standardizer,
     majority_baseline,
@@ -27,6 +32,8 @@ from gavel.party_models import (
     stratified_folds,
     train_logistic,
 )
+from gavel.qa import pair_qa
+from gavel.synth import government_context, synth_corpus
 
 
 def roster_fixture():
@@ -477,3 +484,117 @@ def test_standardizer_constant_column_passthrough():
     std = fit_standardizer([[1.0, 5.0], [3.0, 5.0]])
     assert std.scales[1] == 1.0
     assert std.apply([2.0, 5.0]) == [0.0, 0.0]
+
+
+# --- one fit per two-class task, against the two-fit one-vs-rest oracle --------
+
+def oracle_train_logistic(x, y, classes):
+    """One-vs-rest with one binary fit per class, as `train_logistic` did for every class count."""
+    width = len(x[0])
+    std = fit_standardizer(x)
+    sparse_rows = [{j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x]
+    models = []
+    for c in classes:
+        yc = [1 if lab == c else 0 for lab in y]
+        if len(set(yc)) < 2:
+            models.append(((0.0,) * width, -20.0))
+            continue
+        weights_bias, _ = train_binary_logistic(
+            sparse_rows, yc, n_features=width, learning_rate=0.5, epochs=200, l2=1e-3
+        )
+        models.append(weights_bias)
+    return LinearModel(classes=tuple(classes), per_class=tuple(models), standardizer=std)
+
+
+def assert_mirror_labels_match_oracle(examples, dimension_sets, kinds, min_rows) -> int:
+    """Fit every two-class split both ways; every row gets the same label. Returns the rows compared."""
+    compared = 0
+    for dims in dimension_sets:
+        for kind in kinds:
+            for task in Task:
+                datasets, _ = build_datasets(examples, SplitSpec(dims, kind, task, min_rows=min_rows))
+                for key, dataset in datasets:
+                    labels = dataset.labels
+                    classes = [c for c in dataset.label_order if c in set(labels)]
+                    if len(classes) != 2:
+                        continue
+                    x, _ = impute_with_medians([r.features.values for r in dataset.rows])
+                    model = train_logistic(x, labels, classes)
+                    oracle = oracle_train_logistic(x, labels, classes)
+                    got = [model.predict(row)[0] for row in x]
+                    assert got == [oracle.predict(row)[0] for row in x], (dims, kind, task, key)
+                    compared += len(x)
+    return compared
+
+
+def synth_examples(n_hearings: int, seed: int):
+    """Example rows of a synthetic corpus, with its true speakers, Q/A labels and pairs."""
+    corpus, rosters, pairs = [], {}, {}
+    hearings = synth_corpus(n_hearings, seed=seed)
+    for h in hearings:
+        hid = h.meta.hearing_id
+        utterances = [
+            Utterance(f"{hid}-u{i:05d}", hid, i, seg.speaker_id, seg.marker_raw, seg.text_raw, seg.qa_label)
+            for i, seg in enumerate(h.segments)
+        ]
+        corpus.append((h.meta, utterances))
+        rosters[hid] = h.roster
+        pairs[hid], _ = pair_qa(utterances, {p.person_id: p for p in h.roster.people})
+    gov = {s: government_context(s) for s in {h.meta.session for h in hearings}}
+    rows, warnings = build_examples(corpus, rosters, gov, load_lexicons(), pairs=pairs)
+    assert not warnings
+    return rows
+
+
+def test_two_class_logistic_labels_match_oracle_on_synthetic_splits():
+    examples = synth_examples(30, seed=2024)
+    dimension_sets = [(), ("session",), ("committee",), ("government",), ("hearing_type", "government")]
+    # Question rows only: every fit runs 200 epochs, and the other kinds share their splits
+    assert assert_mirror_labels_match_oracle(examples, dimension_sets, ["Question"], min_rows=10) > 900
+
+
+@pytest.fixture
+def binary_fits(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return train_binary_logistic(*args, **kwargs)
+
+    monkeypatch.setattr(party_models, "train_binary_logistic", counted)
+    return calls
+
+
+def test_two_class_logistic_fits_once_and_mirrors(binary_fits):
+    x, y = dense_rows()
+    model = train_logistic(x, y, ("A", "B"))
+    assert len(binary_fits) == 1
+    (weights, bias), (mirror_weights, mirror_bias) = model.per_class
+    assert mirror_weights == tuple(-w for w in weights) and mirror_bias == -bias
+    for row in x:
+        label, probs = model.predict(row)
+        assert probs["A"] + probs["B"] == pytest.approx(1.0, abs=1e-15)
+        assert label == ("A" if probs["A"] >= probs["B"] else "B")  # a tie goes to the first class
+
+
+def test_logistic_fits_each_class_of_three(binary_fits):
+    x, y = dense_rows(90)
+    y = [("A", "B", "C")[i % 3] for i in range(len(y))]
+    train_logistic(x, y, ("A", "B", "C"))
+    assert len(binary_fits) == 3
+
+
+@pytest.mark.parametrize(
+    "classes, relabel, fits",
+    [
+        (("A", "B", "C"), {}, 2),  # C absent: a constant scorer, no fit
+        (("A", "B"), {0: "C"}, 2),  # C present but not a class
+    ],
+)
+def test_logistic_keeps_one_vs_rest_when_classes_differ_from_labels(binary_fits, classes, relabel, fits):
+    x, y = dense_rows()
+    y = [relabel.get(i, lab) for i, lab in enumerate(y)]
+    model = train_logistic(x, y, classes)
+    assert len(binary_fits) == fits
+    assert model.per_class == oracle_train_logistic(x, y, classes).per_class
+
