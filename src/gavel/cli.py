@@ -530,8 +530,6 @@ def cmd_evaluate(args) -> int:
         return 0
     dims = tuple(d for d in args.split_dims.split(",") if d)
     spec = SplitSpec(dimensions=dims, utterance_kind=args.kind, task=task, min_rows=args.min_rows)
-    if spec.min_rows < 2 * args.cv_folds:
-        raise UsageError(f"min_rows={spec.min_rows} must be at least 2*cv_folds={2 * args.cv_folds}")
     exp = ExperimentConfig(
         model=args.model,
         grid=_grid_from_config(args.grid),
@@ -539,6 +537,9 @@ def cmd_evaluate(args) -> int:
         test_fraction=args.test_fraction,
         seed=args.seed,
     )
+    if exp.model == "forest" and len(exp.grid) > 1 and spec.min_rows < 2 * exp.cv_folds:
+        # only a grid search cross-validates
+        raise UsageError(f"min_rows={spec.min_rows} must be at least 2*cv_folds={2 * exp.cv_folds} for a grid search")
     datasets, skips = build_datasets(read_examples(args.examples), spec)
     for s in skips:
         _log(f"skipped split {dict(s.key)}: {s.reason} (n={s.n_rows})")

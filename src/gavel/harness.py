@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import KINDS, LAYOUTS
+from . import KINDS, LAYOUTS, map_ordered
 from .corpus import (
     GovernmentContext,
     HearingMeta,
@@ -339,29 +339,31 @@ def run_experiment(
 
     A `ValueError`, the learners' signal that a split's data cannot be fitted
     or scored, is recorded as that split's error and the run continues; any
-    other exception is a bug and propagates.
+    other exception is a bug and propagates. Each split draws its own seed,
+    so the splits run through `map_ordered`, each on its own CPU when there
+    are several; a lone split runs here and its grid search spreads instead.
     """
     if not datasets:
         raise ValueError("no datasets to run")
-    reports: list[EvalReport] = []
-    for split_no, (key, dataset) in enumerate(datasets):
+
+    def run_split(job: tuple[int, tuple[tuple[tuple[str, str], ...], Dataset]]) -> EvalReport:
+        split_no, (key, dataset) = job
         try:
-            reports.append(_run_split(key, dataset, config, derive_seed(config.seed, split_no)))
+            return _run_split(key, dataset, config, derive_seed(config.seed, split_no))
         except ValueError as exc:
-            reports.append(
-                EvalReport(
-                    split_key=key,
-                    task=dataset.task,
-                    accuracy=0.0,
-                    baseline_accuracy=0.0,
-                    baseline_class="",
-                    confusion=(),
-                    n_train=0,
-                    n_test=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            return EvalReport(
+                split_key=key,
+                task=dataset.task,
+                accuracy=0.0,
+                baseline_accuracy=0.0,
+                baseline_class="",
+                confusion=(),
+                n_train=0,
+                n_test=0,
+                error=f"{type(exc).__name__}: {exc}",
             )
-    return reports
+
+    return map_ordered(run_split, enumerate(datasets))
 
 
 def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> EvalReport:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from . import sum_floats
+from . import map_ordered, sum_floats
 from .corpus import Roster, Task
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import predict_proba, train_binary_logistic
@@ -299,22 +299,24 @@ def cross_validate_grid(
     if not grid:
         raise ValueError("empty hyperparameter grid")
     folds, warnings = stratified_folds(y, k, seed)
+
+    def fold_accuracy(job: tuple[int, int]) -> float:
+        cell_no, held_out = job
+        val_idx = folds[held_out]
+        train_idx = [i for f in range(k) if f != held_out for i in folds[f]]
+        yt = [y[i] for i in train_idx]
+        yv = [y[i] for i in val_idx]
+        if len(set(yt)) < 2 or not yv:
+            return 0.0  # degenerate fold; scored as useless
+        cell_hyper = replace(grid[cell_no], seed=derive_seed(seed, cell_no * k + held_out))
+        model = train_forest([x[i] for i in train_idx], yt, classes, cell_hyper)
+        return forest_accuracy(model, [x[i] for i in val_idx], yv)
+
+    # every (cell, fold) fit draws its own seed, so the fits run in any order or process
+    accs = map_ordered(fold_accuracy, [(cell_no, held_out) for cell_no in range(len(grid)) for held_out in range(k)])
     scores: list[GridCellScore] = []
     for cell_no, hyper in enumerate(grid):
-        fold_accs = []
-        for held_out in range(k):
-            val_idx = folds[held_out]
-            train_idx = [i for f in range(k) if f != held_out for i in folds[f]]
-            xt = [x[i] for i in train_idx]
-            yt = [y[i] for i in train_idx]
-            xv = [x[i] for i in val_idx]
-            yv = [y[i] for i in val_idx]
-            if len(set(yt)) < 2 or not yv:
-                fold_accs.append(0.0)  # degenerate fold; scored as useless
-                continue
-            cell_hyper = replace(hyper, seed=derive_seed(seed, cell_no * k + held_out))
-            model = train_forest(xt, yt, classes, cell_hyper)
-            fold_accs.append(forest_accuracy(model, xv, yv))
+        fold_accs = accs[cell_no * k : (cell_no + 1) * k]
         scores.append(GridCellScore(hyper, sum_floats(fold_accs) / k, tuple(fold_accs)))
 
     def depth_rank(h: ForestHyper) -> float:

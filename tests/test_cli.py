@@ -41,6 +41,29 @@ GOLDEN_EVAL_SHA256 = {
         "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
     },
 }
+# Pinned before grid folds and splits ran in forked workers: runs that fork with two
+# usable CPUs. "two-cell-grid" stands for a config file holding TWO_CELL_GRID.
+TWO_CELL_GRID = {"grid": [{"n_estimators": 3, "max_depth": 2}, {"n_estimators": 3}]}
+GOLDEN_PARALLEL_EVAL_SHA256 = {
+    ("--split-dims", "session", "--min-rows", "4", "--cv-folds", "2"): {
+        "split_grid.tsv": "0834901ab6236a7bfb91439e65dc860618cecf0038fe35a923bd93d6a322fdc3",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--model", "logistic", "--task", "Standing", "--split-dims", "session", "--min-rows", "4", "--cv-folds", "2"): {
+        "split_grid.tsv": "16325a6e001a315dec27433fd7486bc75aa08a918c146ee651e2ea2e25a27c51",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--config", "two-cell-grid"): {
+        "split_grid.tsv": "4c844578a36534baa14afa46ac4b6c92976228ba368a1824a52f0598fd55c5ee",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--config", "two-cell-grid", "--split-dims", "session", "--min-rows", "4", "--cv-folds", "2"): {
+        "split_grid.tsv": "aba8cc60fb6bb5d14980bad5d9552cd30afafdfa14acbc90d28e47a284d16089",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+}
+# sha256 of the forest `train --min-rows 4 --cv-folds 2` saves with TWO_CELL_GRID
+GOLDEN_GRID_FOREST_SHA256 = "2610f167fac659656e01474f1a39251c8fbc36752b7e48ba436967737339fe50"
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -203,6 +226,78 @@ def test_pipeline_evaluation_tables_match_golden_bytes(pipeline, tmp_path, flags
                 "--min-rows", "10", *flags, "--out-dir", str(out)]
         assert run(argv) == 0
     assert {name: _sha256(out / name) for name in GOLDEN_EVAL_SHA256[flags]} == GOLDEN_EVAL_SHA256[flags]
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch, tmp_path):
+    """Make `map_ordered` see this many usable CPUs, and log to `tmp_path/learner_pids`
+    the process id of each forest fit and each split run."""
+    import gavel.harness
+    import gavel.party_models
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    log = tmp_path / "learner_pids"
+    for module, name in ((gavel.party_models, "train_forest"), (gavel.harness, "_run_split")):
+        def logged(*args, _fn=getattr(module, name), **kwargs):
+            with open(log, "a") as f:  # a worker's write outlives the worker
+                f.write(f"{os.getpid()}\n")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+    return request.param
+
+
+def test_tables_and_grid_forest_have_the_same_bytes_on_one_cpu_and_two(pipeline, tmp_path, cpus):
+    grid = _config(tmp_path, TWO_CELL_GRID)
+    golden = {**GOLDEN_EVAL_SHA256, **GOLDEN_PARALLEL_EVAL_SHA256}
+    for n, (flags, tables) in enumerate(golden.items()):
+        out = tmp_path / f"eval{n}"
+        argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--kind", "Question", "--min-rows", "10",
+                *(grid if f == "two-cell-grid" else f for f in flags), "--out-dir", str(out)]
+        assert run(argv) == 0, flags
+        assert {name: _sha256(out / name) for name in tables} == tables, flags
+    forest = tmp_path / "grid" / "forest.json"
+    argv = ["train", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "4", "--cv-folds", "2",
+            "--model-out", str(forest), "--config", grid]
+    assert run(argv) == 0
+    assert _sha256(forest) == GOLDEN_GRID_FOREST_SHA256
+    learner_pids = {int(pid) for pid in (tmp_path / "learner_pids").read_text().split()}
+    if cpus == 1:
+        assert learner_pids == {os.getpid()}
+    else:
+        assert learner_pids - {os.getpid()}, "no fold or split ran in a worker"
+
+
+def test_a_learner_bug_in_a_forked_split_exits_two(pipeline, tmp_path, monkeypatch, capsys):
+    import gavel.harness
+
+    def bug(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(gavel.harness, "train_logistic", bug)
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--model", "logistic", "--split-dims",
+            "session", "--min-rows", "4", "--out-dir", str(tmp_path / "eval")]
+    assert run(argv) == 2
+    assert "TypeError: unsupported operand" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "split_grid.tsv").exists()
+
+
+@pytest.mark.parametrize("flags", [("--model", "logistic"), ()], ids=["logistic", "one-cell-forest"])
+def test_min_rows_below_twice_cv_folds_runs_when_nothing_cross_validates(pipeline, tmp_path, flags):
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "6", *flags, "--out-dir", str(out)]
+    assert run(argv) == 0
+    assert (out / "split_grid.tsv").read_text().splitlines()[1].startswith("all\t")
+    assert (out / "skipped_splits.tsv").is_file()
+
+
+def test_min_rows_below_twice_cv_folds_refuses_a_grid_search(pipeline, tmp_path, capsys):
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "6",
+            "--config", _config(tmp_path, TWO_CELL_GRID), "--out-dir", str(tmp_path / "eval")]
+    assert run(argv) == 1
+    assert "min_rows=6 must be at least 2*cv_folds=10" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_two_class_logistic_labels_match_oracle_on_the_fixture_table(pipeline):
