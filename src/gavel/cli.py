@@ -645,6 +645,18 @@ def _layouts(value: str) -> str:
     return value
 
 
+def _other_band(value: str) -> float:
+    """--other-band: a margin of probability around 0.5, so in [0, 0.5]; NaN or a
+    negative margin would label nothing Other, and one above 0.5 everything."""
+    try:
+        band = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not 0.0 <= band <= 0.5:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must be in [0, 0.5], got {value}")
+    return band
+
+
 def build_parser() -> _Parser:
     """The one declaration of every option: its default, type, choices and help."""
     parser = _Parser(prog="gavel", description="Hearing-transcript segmentation and Q&A analytics pipeline.")
@@ -701,7 +713,8 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--corpus", help="corpus store to label in place")
     mode.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
-    p.add_argument("--other-band", dest="other_band", type=float, help="probability margin labeled Other")
+    p.add_argument("--other-band", dest="other_band", type=_other_band,
+                   help="probability margin around 0.5, in [0, 0.5], labeled Other")
     exclude(p, "eval", "other_band")
 
     p = add(sub, "pair", cmd_pair, help="pair member questions with witness answers")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -35,7 +35,7 @@ from .corpus import (
     to_record,
     write_lines,
 )
-from .linear import predict_proba, train_binary_logistic
+from .linear import sigmoid, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
 BIGRAM_CAP = 50_000
@@ -50,10 +50,17 @@ INTERROGATIVE_LEADS = frozenset(
     ).split()
 )
 
+_UNIGRAM_PREFIX = "u:"
+_BIGRAM_PREFIX = "b:"
 QMARK_FEATURE = "__qmark__"
 INTERROGATIVE_FEATURE = "__interrogative__"
 LEN_BUCKET_PREFIX = "__len"
 _N_LEN_BUCKETS = 8
+_LEN_BUCKET_FEATURES = tuple(f"{LEN_BUCKET_PREFIX}{b}__" for b in range(_N_LEN_BUCKETS))
+_STRUCTURAL_FEATURES = frozenset((QMARK_FEATURE, INTERROGATIVE_FEATURE, *_LEN_BUCKET_FEATURES))
+
+# the only two labels a training or evaluation row may carry
+_TRAINING_LABELS = {"Question": QALabel.QUESTION, "Answer": QALabel.ANSWER}
 
 
 class Source(str, Enum):
@@ -107,10 +114,12 @@ def _parse_row(cols: list[str], fmt: Source, path: str, line_no: int) -> tuple[s
         if len(cols) != 2:
             raise RecordError("expected 2 tab-separated columns (text, label)", path=path, line_no=line_no)
         text, label_raw = cols
-        try:
-            return text, QALabel(label_raw)
-        except ValueError:
-            raise RecordError(f"unknown label {label_raw!r}", path=path, line_no=line_no, field_name="label")
+        label = _TRAINING_LABELS.get(label_raw)
+        if label is None:
+            raise RecordError(
+                f"label must be Question or Answer, got {label_raw!r}", path=path, line_no=line_no, field_name="label"
+            )
+        return text, label
     if fmt is Source.AMA:
         # thread_id, comment_level, text; level 1 comments are the questions,
         # the poster's level 2 replies are the answers
@@ -140,42 +149,75 @@ def _parse_row(cols: list[str], fmt: Source, path: str, line_no: int) -> tuple[s
     raise RecordError(f"unknown corpus format {fmt!r}", path=path, line_no=line_no)
 
 
+def _structural_features(text: str, tokens: Sequence[str]) -> list[str]:
+    """The structural cues of a text, by feature name: terminal question mark,
+    interrogative leading token, token-count bucket."""
+    names = [QMARK_FEATURE] if text.rstrip().endswith("?") else []
+    if tokens and tokens[0] in INTERROGATIVE_LEADS:
+        names.append(INTERROGATIVE_FEATURE)
+    names.append(_LEN_BUCKET_FEATURES[min(len(tokens) // 8, _N_LEN_BUCKETS - 1)])
+    return names
+
+
 def featurize_text(text: str) -> dict[str, float]:
-    """Sparse token-count features; deterministic in the input string."""
+    """Sparse token-count features; deterministic in the input string.
+
+    These names are the model's vocabulary. Scoring does not build them: it
+    reads the per-token tables `LexicalModel` derives from the vocabulary.
+    """
     tokens = TOKEN_RE.findall(text.lower())
     feats: dict[str, float] = {}
     for t in tokens:
-        feats["u:" + t] = feats.get("u:" + t, 0.0) + 1.0
-    for t1, t2 in zip(tokens, tokens[1:]):
-        key = f"b:{t1} {t2}"
+        key = _UNIGRAM_PREFIX + t
         feats[key] = feats.get(key, 0.0) + 1.0
-    if text.rstrip().endswith("?"):
-        feats[QMARK_FEATURE] = 1.0
-    if tokens and tokens[0] in INTERROGATIVE_LEADS:
-        feats[INTERROGATIVE_FEATURE] = 1.0
-    bucket = min(len(tokens) // 8, _N_LEN_BUCKETS - 1)
-    feats[f"{LEN_BUCKET_PREFIX}{bucket}__"] = 1.0
+    for t1, t2 in zip(tokens, tokens[1:]):
+        key = f"{_BIGRAM_PREFIX}{t1} {t2}"
+        feats[key] = feats.get(key, 0.0) + 1.0
+    for name in _structural_features(text, tokens):
+        feats[name] = 1.0
     return feats
 
 
 @dataclass(frozen=True)
 class LexicalModel:
+    """Vocabulary (feature name -> weight index), weights and bias of the classifier.
+
+    Building one derives the scoring tables from `vocabulary` and `weights`:
+    the weight of each vocabulary token, of each token pair, and of each
+    structural cue feature.
+    """
+
     vocabulary: Mapping[str, int]
     weights: tuple[float, ...]
     bias: float
     training_meta: dict  # seed, epochs, learning_rate, l2, n_examples; saved in this key order
+    _unigram_weights: dict[str, float] = field(init=False, repr=False, compare=False)
+    _bigram_weights: dict[tuple[str, str], float] = field(init=False, repr=False, compare=False)
+    _structural_weights: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.vocabulary):
+        n = len(self.weights)
+        if len(self.vocabulary) != n:
             raise ValueError("weight vector length must equal vocabulary size")
-
-    def vectorize(self, text: str) -> dict[int, float]:
-        row = {}
-        for name, value in featurize_text(text).items():
-            idx = self.vocabulary.get(name)
-            if idx is not None:
-                row[idx] = value
-        return row
+        indices = self.vocabulary.values()
+        # one weight per name: an index past the end would crash, and -1 would silently read the last weight
+        if any(type(i) is not int for i in indices) or set(indices) != set(range(n)):
+            raise ValueError(f"vocabulary indices must be the ints 0..{n - 1}, each once")
+        unigrams: dict[str, float] = {}
+        bigrams: dict[tuple[str, str], float] = {}
+        structural: dict[str, float] = {}
+        for name, i in self.vocabulary.items():
+            if name.startswith(_UNIGRAM_PREFIX):
+                unigrams[name[len(_UNIGRAM_PREFIX):]] = self.weights[i]
+            elif name.startswith(_BIGRAM_PREFIX):
+                t1, space, t2 = name[len(_BIGRAM_PREFIX):].partition(" ")
+                if space:
+                    bigrams[t1, t2] = self.weights[i]
+            elif name in _STRUCTURAL_FEATURES:
+                structural[name] = self.weights[i]
+        object.__setattr__(self, "_unigram_weights", unigrams)
+        object.__setattr__(self, "_bigram_weights", bigrams)
+        object.__setattr__(self, "_structural_weights", structural)
 
 
 @dataclass(frozen=True)
@@ -191,11 +233,11 @@ def build_vocabulary(featurized: Iterable[Mapping[str, float]], bigram_cap: int 
     for feats in featurized:
         for name, value in feats.items():
             counts[name] = counts.get(name, 0.0) + value
-    bigrams = [n for n in counts if n.startswith("b:")]
+    bigrams = [n for n in counts if n.startswith(_BIGRAM_PREFIX)]
     # most frequent first; lexicographic tie-break keeps the cut reproducible
     bigrams.sort(key=lambda n: (-counts[n], n))
     kept = set(bigrams[:bigram_cap])
-    names = sorted(n for n in counts if not n.startswith("b:") or n in kept)
+    names = sorted(n for n in counts if not n.startswith(_BIGRAM_PREFIX) or n in kept)
     return {name: i for i, name in enumerate(names)}
 
 
@@ -230,8 +272,25 @@ def classify_qa(
 
     With `other_band` set, predictions within that margin of 0.5 come back
     as Other (calibration is left to the caller).
+
+    The logit adds the weights of the text's features in the order and with
+    the counts of `featurize_text`, so it has the bits of the dot product
+    with the text's feature vector: unigrams, then bigrams, each in order of
+    first occurrence, then the structural cues.
     """
-    p_question = predict_proba(model.weights, model.bias, model.vectorize(text))
+    tokens = TOKEN_RE.findall(text.lower())
+    z = model.bias
+    for table, keys in ((model._unigram_weights, tokens), (model._bigram_weights, zip(tokens, tokens[1:]))):
+        hits = {}
+        for key in keys:
+            if key in table:
+                hits[key] = hits.get(key, 0) + 1
+        for key, count in hits.items():
+            z += table[key] * count
+    for name in _structural_features(text, tokens):
+        if name in model._structural_weights:
+            z += model._structural_weights[name]
+    p_question = sigmoid(z)
     if other_band is not None and abs(p_question - 0.5) < other_band:
         return QALabel.OTHER, max(p_question, 1.0 - p_question)
     if p_question >= 0.5:

@@ -694,6 +694,83 @@ def test_apply_without_corpus_or_eval_exits_one_before_reading_the_model(capsys)
     assert "absent" not in first
 
 
+# Pinned before Q/A scoring read per-token weight tables: the sha256 of each hearing's
+# utterances.jsonl after `classify-qa apply` on the fixture store, by --other-band
+GOLDEN_APPLY_SHA256 = {
+    None: {
+        "synth-108-0000": "ae1398a371d4f012fcde46c6ec44db52e82bbfc30d73bc560f9eaf47f6b69ff0",
+        "synth-109-0001": "964ef99c1d5920b9015c9dadfdc873693cffef381229da1e2c1ddeeb3744b0fd",
+        "synth-110-0002": "1516f8d7f97524af215bd3e30b0eae2d21266199a9b836a67f5b7a715826acfb",
+    },
+    "0.05": {
+        "synth-108-0000": "2a70136c81d587530e867fb1f4063ee1d2c30cea09d1c4f91bf56fc3021f95d1",
+        "synth-109-0001": "e48135971735b7f7ae5905b82a5726aef06f85b1cad844d3de095f376d4d95d5",
+        "synth-110-0002": "f8f12cc043b01106ab7d9e26b89d159c6198489385299411aa40b6d05e9bcbcd",
+    },
+}
+GOLDEN_EVAL_STDOUT = (
+    '{"n": 800, "questions_true": 233, "questions_false": 112, "answers_true": 309, "answers_false": 146, '
+    '"accuracy": 0.6775, "accuracy_2dp": "0.68"}\n'
+)
+
+
+@pytest.mark.parametrize("band", list(GOLDEN_APPLY_SHA256))
+def test_apply_writes_the_golden_store(pipeline, tmp_path, band):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    argv = ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)]
+    assert run(argv + (["--other-band", band] if band else [])) == 0
+    labeled = {p.parent.name: _sha256(p) for p in corpus.glob("*/utterances.jsonl")}
+    assert labeled == GOLDEN_APPLY_SHA256[band]
+
+
+def test_eval_prints_the_golden_counts(pipeline, capsys):
+    argv = ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"),
+            "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_EVAL_STDOUT
+
+
+@pytest.mark.parametrize("label", ["Other", "Unlabeled"])
+def test_eval_of_a_row_labeled_neither_question_nor_answer_names_its_line(pipeline, tmp_path, capsys, label):
+    hand = tmp_path / "hand.tsv"
+    hand.write_text(f"Why?\tQuestion\nFine.\t{label}\n")
+    argv = ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--eval", f"{hand}:HandLabeled"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{hand}:2 field 'label'" in err and repr(label) in err
+
+
+@pytest.mark.parametrize("index", [-1, "past-the-end"])
+def test_apply_refuses_a_model_whose_vocabulary_misindexes_its_weights(pipeline, tmp_path, capsys, index):
+    record = json.loads((pipeline / "qa_model.json").read_text())
+    vocab = record["vocabulary"]
+    vocab[min(vocab, key=vocab.get)] = len(vocab) if index == "past-the-end" else index
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(record))
+    argv = ["classify-qa", "apply", "--model", str(model),
+            "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and "vocabulary indices" in err
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("band", ["NaN", "-0.2", "0.6", "Infinity", "-0.0001"])
+def test_other_band_outside_zero_to_half_exits_one_before_reading_input(tmp_path, capsys, band, given):
+    argv = ["classify-qa", "apply", "--model", str(tmp_path / "absent.json"), "--corpus", str(tmp_path / "absent")]
+    if given == "flag":
+        argv.append(f"--other-band={band}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"other_band": {band}}}')  # NaN and Infinity as Python's json reads them
+        argv += ["--config", str(config)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    assert ("--other-band" if given == "flag" else "'other_band'") in err and "[0, 0.5]" in err
+    assert "absent" not in err
+
+
 def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus)

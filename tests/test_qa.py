@@ -1,13 +1,18 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from gavel.corpus import Party, Person, QALabel, RecordError, Role
-from gavel.linear import loss_and_gradient, train_binary_logistic
+from gavel.linear import loss_and_gradient, predict_proba, train_binary_logistic
 from gavel.qa import (
+    INTERROGATIVE_FEATURE,
+    QMARK_FEATURE,
     ConfusionCounts,
     LabeledText,
+    LexicalModel,
     QAHyper,
     Source,
     build_vocabulary,
@@ -56,6 +61,15 @@ def test_load_rejects_bad_label(tmp_path):
     with pytest.raises(RecordError) as err:
         load_training_corpus(path, Source.HAND_LABELED)
     assert err.value.field_name == "label"
+
+
+@pytest.mark.parametrize("label", ["Other", "Unlabeled", "question"])
+def test_load_rejects_a_label_that_is_not_question_or_answer(tmp_path, label):
+    path = tmp_path / "hand.tsv"
+    path.write_text(f"Why?\tQuestion\nFine.\t{label}\n")
+    with pytest.raises(RecordError) as err:
+        load_training_corpus(path, Source.HAND_LABELED)
+    assert (err.value.path, err.value.line_no, err.value.field_name) == (str(path), 2, "label")
 
 
 def test_load_deduplicates_and_reports(tmp_path):
@@ -281,6 +295,120 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.weights == model.weights
     assert loaded.vocabulary == dict(model.vocabulary)
     assert classify_qa(loaded, "is this?") == classify_qa(model, "is this?")
+
+
+def _saved_model_with_vocabulary(tmp_path, edit):
+    model, _ = train_qa(toy_corpus(), QAHyper(epochs=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    record = json.loads(path.read_text())
+    edit(record["vocabulary"])
+    path.write_text(json.dumps(record))
+    return path
+
+
+def _first_name(vocab):
+    return min(vocab, key=vocab.get)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda v: v.__setitem__(_first_name(v), len(v)), id="index-past-the-end"),
+        pytest.param(lambda v: v.__setitem__(_first_name(v), -1), id="index-minus-one"),
+        pytest.param(lambda v: v.__setitem__(_first_name(v), 1), id="duplicate-index"),
+        pytest.param(lambda v: v.__setitem__(_first_name(v), False), id="bool-index"),
+        pytest.param(lambda v: v.__setitem__(_first_name(v), 0.0), id="float-index"),
+    ],
+)
+def test_load_model_refuses_vocabulary_indices_other_than_zero_to_n_minus_one(tmp_path, edit):
+    path = _saved_model_with_vocabulary(tmp_path, edit)
+    with pytest.raises(RecordError) as err:
+        load_model(path)
+    assert err.value.path == str(path)
+    assert "vocabulary indices" in str(err.value)
+
+
+# --- the scorer against the feature-vector oracle -----------------------------
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def oracle_p_question(model, text):
+    """P(Question) as the dot product of the weights with the text's feature vector."""
+    row = {}
+    for name, value in featurize_text(text).items():
+        idx = model.vocabulary.get(name)
+        if idx is not None:
+            row[idx] = value
+    return predict_proba(model.weights, model.bias, row)
+
+
+def assert_scores_like_oracle(model, texts, other_band=None):
+    for text in texts:
+        p = oracle_p_question(model, text)
+        if other_band is not None and abs(p - 0.5) < other_band:
+            expected = (QALabel.OTHER, max(p, 1.0 - p))
+        elif p >= 0.5:
+            expected = (QALabel.QUESTION, p)
+        else:
+            expected = (QALabel.ANSWER, 1.0 - p)
+        label, confidence = classify_qa(model, text, other_band=other_band)
+        assert (label, confidence.hex()) == (expected[0], expected[1].hex()), text
+
+
+@pytest.fixture(scope="module")
+def fixture_model():
+    rows = load_training_corpus(FIXTURES / "qa" / "ama_train.tsv", Source.AMA)[0]
+    rows += load_training_corpus(FIXTURES / "qa" / "ukparl_train.tsv", Source.UKPARL)[0]
+    return train_qa(rows, QAHyper(epochs=30))[0]
+
+
+ADVERSARIAL_TEXTS = [
+    "",
+    " \t\n ",
+    "?",
+    "is it over?  ",
+    "Isn't it? Don't they? 'quoted' o'clock '",
+    "\u0130stanbul \u017fo the \u212aelvin sign: WHAT is K?",
+    "the the the the the",
+    "the plan the plan the plan the plan",
+    " ".join(f"the committee will hear item {i}" for i in range(14)),  # 84 tokens: the top length bucket
+    "zzxq qqvw xyzzy plugh",
+]
+
+
+def test_scorer_matches_the_oracle_on_labeled_rows(fixture_model, tmp_path):
+    hand = tmp_path / "hand.tsv"
+    synth_hand_labeled_file(hand, 150, 170, seed=21)
+    for path in (FIXTURES / "qa" / "hand_labeled_test.tsv", hand):
+        rows, _ = load_training_corpus(path, Source.HAND_LABELED)
+        assert_scores_like_oracle(fixture_model, [r.text for r in rows])
+
+
+def test_scorer_matches_the_oracle_on_adversarial_texts(fixture_model):
+    assert max(len(text.split()) for text in ADVERSARIAL_TEXTS) > 64
+    assert_scores_like_oracle(fixture_model, ADVERSARIAL_TEXTS)
+    assert_scores_like_oracle(fixture_model, ADVERSARIAL_TEXTS, other_band=0.4)
+
+
+@pytest.mark.parametrize(
+    "missing",
+    [(QMARK_FEATURE,), (INTERROGATIVE_FEATURE,), ("__len0__", "__len7__"), ("__len1__",), ()],
+    ids=["no-qmark", "no-interrogative", "no-len0-len7", "no-len1", "all-cues"],
+)
+def test_scorer_matches_the_oracle_on_hand_built_models(missing):
+    texts = ADVERSARIAL_TEXTS + [r.text for r in toy_corpus(10)] + ["Why is the plan late?", "Who?", "it is."]
+    names = sorted(n for n in build_vocabulary(featurize_text(t) for t in texts) if n not in missing)
+    rng = random.Random(len(names))
+    model = LexicalModel(
+        vocabulary={name: i for i, name in enumerate(names)},
+        weights=tuple(rng.uniform(-2.0, 2.0) for _ in names),
+        bias=0.3,
+        training_meta={},
+    )
+    for band in (None, 0.0, 0.2, 0.5):
+        assert_scores_like_oracle(model, texts, other_band=band)
 
 
 # --- confusion arithmetic ---------------------------------------------------
