@@ -392,8 +392,7 @@ def cmd_pair(args) -> int:
     n_pairs = n_unpaired = n_orphans = 0
     for meta, utterances in corpus:
         roster = rosters.get(meta.hearing_id)
-        people = {p.person_id: p for p in roster.people} if roster else {}
-        pairs, report = pair_qa(utterances, people)
+        pairs, report = pair_qa(utterances, roster.people_by_id if roster else {})
         pairs_by_hearing[meta.hearing_id] = pairs
         n_pairs += len(pairs)
         n_unpaired += len(report.unpaired_questions)
@@ -504,7 +503,7 @@ def cmd_train(args) -> int:
     if args.importance_out:
         imp = feature_importance(model, schema=SCHEMA)
         ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
-        write_tsv(args.importance_out, ["feature", "importance"], ([k, repr(v)] for k, v in ranked))
+        write_tsv(args.importance_out, ["feature", "importance"], ranked)
     _log(f"trained forest on {len(x)} rows, classes {present}")
     write_manifest(Path(args.model_out).parent, "train", args, [Path(args.examples)], started)
     return 0
@@ -551,7 +550,7 @@ def cmd_evaluate(args) -> int:
     write_tsv(
         out_dir / "skipped_splits.tsv",
         ["split", "n_rows", "reason"],
-        (["|".join(f"{d}={v}" for d, v in s.key), str(s.n_rows), s.reason] for s in skips),
+        (("|".join(f"{d}={v}" for d, v in s.key), s.n_rows, s.reason) for s in skips),
     )
     for rep in reports:
         flag = "*" if rep.beats_baseline else " "

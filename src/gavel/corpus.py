@@ -11,7 +11,9 @@ All types are immutable after construction and safe to share across threads.
 Every gavel artifact, the store included, reaches disk through `write_lines`
 or `write_tsv`. They overwrite the target in place: a run that dies while
 writing leaves a truncated file, and `store_corpus` leaves alone any hearing
-directory it is not given.
+directory it is not given. `write_tsv` takes rows of values, not text, and
+turns each value into a cell by one rule (docs/formats.md, "Tables"), so no
+other module formats a cell.
 
 A stored JSON record is `to_record` of its dataclass and is read back by
 `from_record`, one rule for every type (docs/formats.md, "JSON records").
@@ -194,34 +196,39 @@ class Person:
 
 @dataclass(frozen=True)
 class Roster:
-    """People present at one hearing, indexed by normalized surname.
+    """People present at one hearing, indexed by person_id and by normalized surname.
 
-    `name_index` maps each surname that identifies exactly one person to that
-    person_id; surnames shared by several people go to `ambiguous` and need a
-    context cue to resolve (see segmenter.resolve_speaker).
+    Each person_id names one person: `people_by_id` maps it to that person, and
+    a repeated id raises InvariantError. `name_index` maps each surname that
+    identifies exactly one person to that person_id; surnames shared by several
+    people go to `ambiguous` and need a context cue to resolve (see
+    segmenter.resolve_speaker).
     """
 
     hearing_id: str = ""
     people: tuple[Person, ...] = ()
+    people_by_id: Mapping[str, Person] = field(init=False, repr=False)
     name_index: Mapping[str, str] = field(init=False)
     ambiguous: Mapping[str, tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
+        by_id: dict[str, Person] = {}
         by_surname: dict[str, list[str]] = {}
         for p in self.people:
+            if p.person_id in by_id:
+                raise InvariantError(f"person_id {p.person_id!r} is listed twice")
+            by_id[p.person_id] = p
             key = normalize_surname(p.surname)
             if key:
                 by_surname.setdefault(key, []).append(p.person_id)
         unique = {k: v[0] for k, v in by_surname.items() if len(v) == 1}
         dupes = {k: tuple(v) for k, v in by_surname.items() if len(v) > 1}
+        object.__setattr__(self, "people_by_id", by_id)
         object.__setattr__(self, "name_index", unique)
         object.__setattr__(self, "ambiguous", dupes)
 
     def person(self, person_id: str) -> Person:
-        for p in self.people:
-            if p.person_id == person_id:
-                return p
-        raise KeyError(person_id)
+        return self.people_by_id[person_id]
 
 
 @dataclass(frozen=True)
@@ -386,9 +393,30 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def write_tsv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Tab-separated table: the header line, then one line per row of cells."""
-    write_lines(path, map("\t".join, chain([header], rows)))
+def _cell(value: Any) -> str:
+    """The one rule for a table cell (docs/formats.md, "Tables").
+
+    Text as is; an int or float by `repr`, so a float keeps every bit; None as
+    empty; a bool as true/false; an enum by its value. Numbers and text, most
+    of the example table, are tested first.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return repr(value)
+    if kind is str:
+        return value
+    if value is None:
+        return ""
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return _cell(value.value)
+    raise TypeError(f"no table cell for a {kind.__name__}: {value!r}")
+
+
+def write_tsv(path: Path | str, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Tab-separated table: the header line, then one line per row of values, each made a cell by `_cell`."""
+    write_lines(path, chain(["\t".join(header)], ("\t".join(map(_cell, row)) for row in rows)))
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array"}

@@ -349,10 +349,6 @@ def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
     )
 
 
-def format_value(v: Optional[float]) -> str:
-    return "" if v is None else repr(v)
-
-
 def parse_value(s: str) -> Optional[float]:
     return None if s == "" else float(s)
 
@@ -399,11 +395,8 @@ class ExampleRow:
 
 
 def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
-    write_tsv(
-        path,
-        META_COLUMNS + SCHEMA,
-        ([str(getattr(r, c)) for c in META_COLUMNS] + [format_value(v) for v in r.features.values] for r in rows),
-    )
+    meta = attrgetter(*META_COLUMNS)
+    write_tsv(path, META_COLUMNS + SCHEMA, (meta(r) + r.features.values for r in rows))
 
 
 def read_examples(path: Path | str) -> list[ExampleRow]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -90,9 +91,15 @@ def build_examples(
         if ctx is None:
             warnings.append(f"{meta.hearing_id}: no government context for session {meta.session}, skipped")
             continue
-        government = "Unified" if ctx.unified else "Divided"
-        presidency = ctx.president_party.value
-        people = {p.person_id: p for p in roster.people}
+        hearing = dict(
+            hearing_id=meta.hearing_id,
+            session=meta.session,
+            committee=meta.committee,
+            chamber=meta.chamber.value,
+            hearing_type=meta.hearing_type.value,
+            government="Unified" if ctx.unified else "Divided",
+            presidency=ctx.president_party.value,
+        )
         by_id = {u.utterance_id: u for u in utterances}
 
         def featurize(text: str) -> FeatureVector:
@@ -100,8 +107,9 @@ def build_examples(
                 text = strip_speaker_names(text, roster, directory)
             return extract_features(text, lexicons)
 
-        def labels_for(member_id: str) -> Optional[tuple[str, str]]:
-            person = people.get(member_id)
+        def columns_for(member_id: str) -> Optional[dict]:
+            """The metadata columns of the examples `member_id` asks; None unless they are a member with a standing."""
+            person = roster.people_by_id.get(member_id)
             if person is None or person.role is not Role.MEMBER:
                 return None
             try:
@@ -109,60 +117,34 @@ def build_examples(
             except Exception as exc:
                 warnings.append(f"{meta.hearing_id}/{member_id}: standing unresolved ({exc})")
                 return None
-            return person.party.value, standing.value
+            return {**hearing, "party": person.party.value, "standing": standing.value}
 
         for u in utterances:
             if u.qa_label is not QALabel.QUESTION:
                 continue
-            labels = labels_for(u.speaker)
-            if labels is None:
+            columns = columns_for(u.speaker)
+            if columns is None:
                 continue
-            rows.append(
-                ExampleRow(
-                    example_id=u.utterance_id,
-                    kind="Question",
-                    hearing_id=meta.hearing_id,
-                    session=meta.session,
-                    committee=meta.committee,
-                    chamber=meta.chamber.value,
-                    hearing_type=meta.hearing_type.value,
-                    government=government,
-                    presidency=presidency,
-                    party=labels[0],
-                    standing=labels[1],
-                    features=featurize(u.text),
-                )
-            )
+            rows.append(ExampleRow(example_id=u.utterance_id, kind="Question", features=featurize(u.text), **columns))
         hearing_pairs = (pairs or {}).get(meta.hearing_id, ())
         for pair in hearing_pairs:
-            labels = labels_for(pair.questioner)
-            if labels is None:
+            columns = columns_for(pair.questioner)
+            if columns is None:
                 continue
             question = by_id.get(pair.question_utterance_id)
             answer = by_id.get(pair.answer_utterance_id)
             if question is None or answer is None:
                 warnings.append(f"{meta.hearing_id}/{pair.pair_id}: pair references unknown utterances")
                 continue
-            common = dict(
-                hearing_id=meta.hearing_id,
-                session=meta.session,
-                committee=meta.committee,
-                chamber=meta.chamber.value,
-                hearing_type=meta.hearing_type.value,
-                government=government,
-                presidency=presidency,
-                party=labels[0],
-                standing=labels[1],
-            )
             rows.append(
-                ExampleRow(example_id=answer.utterance_id, kind="Answer", features=featurize(answer.text), **common)
+                ExampleRow(example_id=answer.utterance_id, kind="Answer", features=featurize(answer.text), **columns)
             )
             rows.append(
                 ExampleRow(
                     example_id=pair.pair_id,
                     kind="Both",
                     features=featurize(question.text + "\n" + answer.text),
-                    **common,
+                    **columns,
                 )
             )
     rows.sort(key=lambda r: (r.kind, r.example_id))
@@ -404,115 +386,62 @@ _BASE_CLASS_MARK = {
 }
 
 
-def _fmt2(x: float) -> str:
-    return f"{x:.2f}"
+_SCORE_COLUMNS = ("accuracy", "accuracy_2dp", "baseline", "baseline_2dp", "baseline_class")
 
 
-def _confusion_cell(report: EvalReport) -> str:
-    return ";".join(f"{t}>{p}:{n}" for t, p, n in report.confusion)
+def _scores(r: EvalReport) -> tuple:
+    """The `_SCORE_COLUMNS` cells of one report."""
+    return (
+        r.accuracy,
+        f"{r.accuracy:.2f}",
+        r.baseline_accuracy,
+        f"{r.baseline_accuracy:.2f}",
+        _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
+    )
+
+
+_PRESIDENCY_BLOCKS = (("All", "all"), ("Democrat", "democrat_president"), ("Republican", "republican_president"))
 
 
 def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) -> None:
     """Write one layout file; full-precision numbers plus 2-decimal display."""
     if layout == "split_grid":
-        _emit_split_grid(reports, path)
+        header = ("split", "task", "n_train", "n_test", *_SCORE_COLUMNS, "beats_baseline", "degenerate", "confusion",
+                  "error")
+        rows = (
+            (r.split_label, r.task, r.n_train, r.n_test, *_scores(r), r.beats_baseline, r.degenerate,
+             ";".join(f"{t}>{p}:{n}" for t, p, n in r.confusion), r.error)
+            for r in sorted(reports, key=lambda r: r.split_label)
+        )
     elif layout == "committee":
-        _emit_committee(reports, path)
+        header = ("committee", *_SCORE_COLUMNS, "beats_baseline")
+        keyed = [(dict(r.split_key), r) for r in reports if r.error is None]
+        kept = sorted(((key["committee"], r) for key, r in keyed if "committee" in key), key=itemgetter(0))
+        rows = ((committee, *_scores(r), r.beats_baseline) for committee, r in kept)
     elif layout == "hearing_type_government":
-        _emit_ht_gov(reports, path)
+        header, rows = _ht_gov_table(reports)
     else:
         raise ValueError(f"unknown layout {layout!r}; valid: {LAYOUTS}")
-
-
-def _emit_split_grid(reports: Sequence[EvalReport], path) -> None:
-    header = [
-        "split",
-        "task",
-        "n_train",
-        "n_test",
-        "accuracy",
-        "accuracy_2dp",
-        "baseline",
-        "baseline_2dp",
-        "baseline_class",
-        "beats_baseline",
-        "degenerate",
-        "confusion",
-        "error",
-    ]
-    rows = (
-        [
-            r.split_label,
-            r.task.value,
-            str(r.n_train),
-            str(r.n_test),
-            repr(r.accuracy),
-            _fmt2(r.accuracy),
-            repr(r.baseline_accuracy),
-            _fmt2(r.baseline_accuracy),
-            _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
-            "true" if r.beats_baseline else "false",
-            "true" if r.degenerate else "false",
-            _confusion_cell(r),
-            r.error or "",
-        ]
-        for r in sorted(reports, key=lambda r: r.split_label)
-    )
     write_tsv(path, header, rows)
 
 
-def _key_dict(report: EvalReport) -> dict[str, str]:
-    return dict(report.split_key)
-
-
-def _emit_committee(reports: Sequence[EvalReport], path) -> None:
-    header = ["committee", "accuracy", "accuracy_2dp", "baseline", "baseline_2dp", "baseline_class", "beats_baseline"]
-    kept = [r for r in reports if "committee" in _key_dict(r) and r.error is None]
-    rows = (
-        [
-            _key_dict(r)["committee"],
-            repr(r.accuracy),
-            _fmt2(r.accuracy),
-            repr(r.baseline_accuracy),
-            _fmt2(r.baseline_accuracy),
-            _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
-            "true" if r.beats_baseline else "false",
-        ]
-        for r in sorted(kept, key=lambda r: _key_dict(r)["committee"])
-    )
-    write_tsv(path, header, rows)
-
-
-def _emit_ht_gov(reports: Sequence[EvalReport], path) -> None:
-    """Hearing-type x government rows; All/Democrat/Republican presidency columns."""
+def _ht_gov_table(reports: Sequence[EvalReport]) -> tuple[list[str], list[list]]:
+    """Hearing-type x government rows; All/Democrat/Republican presidency column blocks."""
     cells: dict[tuple[str, str, str], EvalReport] = {}
     for r in reports:
-        kd = _key_dict(r)
-        if "hearing_type" not in kd or "government" not in kd or r.error is not None:
-            continue
-        presidency = kd.get("presidency", "All")
-        cells[(kd["hearing_type"], kd["government"], presidency)] = r
-    header = ["hearing_type", "government"]
-    for block in ("all", "democrat_president", "republican_president"):
-        header += [f"{block}_accuracy", f"{block}_accuracy_2dp", f"{block}_baseline", f"{block}_baseline_2dp", f"{block}_baseline_class", f"{block}_degenerate"]
+        kd = dict(r.split_key)
+        if "hearing_type" in kd and "government" in kd and r.error is None:
+            cells[(kd["hearing_type"], kd["government"], kd.get("presidency", "All"))] = r
+    header = ["hearing_type", "government",
+              *(f"{block}_{column}" for _, block in _PRESIDENCY_BLOCKS for column in (*_SCORE_COLUMNS, "degenerate"))]
     rows = []
     for ht, gov in sorted({(ht, gov) for ht, gov, _ in cells}):
-        cols = [ht, gov]
-        for presidency in ("All", "Democrat", "Republican"):
+        row = [ht, gov]
+        for presidency, _ in _PRESIDENCY_BLOCKS:
             r = cells.get((ht, gov, presidency))
-            if r is None:
-                cols += [""] * 6
-            else:
-                cols += [
-                    repr(r.accuracy),
-                    _fmt2(r.accuracy),
-                    repr(r.baseline_accuracy),
-                    _fmt2(r.baseline_accuracy),
-                    _BASE_CLASS_MARK.get(r.baseline_class, r.baseline_class),
-                    "true" if r.degenerate else "false",
-                ]
-        rows.append(cols)
-    write_tsv(path, header, rows)
+            row += [None] * (len(_SCORE_COLUMNS) + 1) if r is None else [*_scores(r), r.degenerate]
+        rows.append(row)
+    return header, rows
 
 
 # --- external-prediction ingestion -------------------------------------------

@@ -218,26 +218,17 @@ def emit_heatmap_matrix(comparisons: Sequence[GroupComparison], path: Path | str
     """
     by_key = {(c.feature_name, c.left_group, c.right_group): c for c in comparisons}
     feature_order = [n for n in SCHEMA if any(k[0] == n for k in by_key)]
-    header = ["feature"]
-    for left, right in GROUP_PAIRS:
-        header.extend(f"{left}|{right}:{f}" for f in _CELL_FIELDS)
+    header = ["feature", *(f"{left}|{right}:{f}" for left, right in GROUP_PAIRS for f in _CELL_FIELDS)]
     rows = []
     for name in feature_order:
         cells = [name]
         for left, right in GROUP_PAIRS:
             c = by_key.get((name, left, right))
             if c is None:
-                cells.extend([""] * len(_CELL_FIELDS))
+                cells += [None] * len(_CELL_FIELDS)
             else:
-                cells.extend(
-                    [
-                        repr(c.direction),
-                        c.result.stars.glyph,
-                        repr(c.result.statistic_d),
-                        repr(c.result.p_value),
-                        "true" if not c.result.significant else "false",
-                    ]
-                )
+                r = c.result
+                cells += [c.direction, r.stars.glyph, r.statistic_d, r.p_value, not r.significant]
         rows.append(cells)
     write_tsv(path, header, rows)
 
@@ -248,43 +239,12 @@ def emit_comparison_details(
     path: Path | str,
 ) -> None:
     """Long-format dump carrying both means, for either hue convention."""
-    header = [
-        "feature",
-        "left",
-        "right",
-        "n_a",
-        "n_b",
-        "mean_a",
-        "mean_b",
-        "direction",
-        "D",
-        "p",
-        "lambda",
-        "stars",
-        "significant",
-        "skip_reason",
-    ]
+    header = ("feature", "left", "right", "n_a", "n_b", "mean_a", "mean_b", "direction", "D", "p", "lambda", "stars",
+              "significant", "skip_reason")
     rows = []
     for c in comparisons:
         r = c.result
-        rows.append(
-            [
-                c.feature_name,
-                c.left_group,
-                c.right_group,
-                str(r.n_a),
-                str(r.n_b),
-                repr(r.mean_a),
-                repr(r.mean_b),
-                repr(c.direction),
-                repr(r.statistic_d),
-                repr(r.p_value),
-                repr(r.lam),
-                r.stars.value,
-                "true" if r.significant else "false",
-                "",
-            ]
-        )
-    for s in skips:
-        rows.append([s.feature_name, s.left_group, s.right_group, "", "", "", "", "", "", "", "", "", "", s.reason])
+        rows.append((c.feature_name, c.left_group, c.right_group, r.n_a, r.n_b, r.mean_a, r.mean_b, c.direction,
+                     r.statistic_d, r.p_value, r.lam, r.stars, r.significant, None))
+    rows += [(s.feature_name, s.left_group, s.right_group, *[None] * 10, s.reason) for s in skips]
     write_tsv(path, header, rows)

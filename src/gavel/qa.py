@@ -15,6 +15,7 @@ hand-labeled rows.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -430,9 +431,14 @@ def _model_from_record(record: dict) -> LexicalModel:
     if version != MODEL_FORMAT_VERSION:
         raise RecordError(f"unsupported model format_version {version!r}")
     meta = record["training_meta"]
+    weights, bias = tuple(record["weights"]), record["bias"]
+    # JSON admits NaN, and a weight of any other type would fail only at the first scored text
+    for name, values in (("weights", weights), ("bias", (bias,))):
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+            raise RecordError("not a finite number", field_name=name)
     return LexicalModel(
         vocabulary=record["vocabulary"],
-        weights=tuple(record["weights"]),
-        bias=record["bias"],
+        weights=weights,
+        bias=bias,
         training_meta={key: meta[key] for key in ("seed", "epochs", "learning_rate", "l2", "n_examples")},
     )

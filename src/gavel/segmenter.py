@@ -465,7 +465,7 @@ class SampleManifest:
 
     def write(self, path: Path | str) -> None:
         header = ["utterance_id", "hearing_id", "session", "verdict"]
-        write_tsv(path, header, ([u, h, str(s), ""] for u, h, s in self.rows))
+        write_tsv(path, header, ((*row, "") for row in self.rows))
 
 
 def verify_sample(

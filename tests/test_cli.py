@@ -40,6 +40,27 @@ GOLDEN_EVAL_SHA256 = {
         "split_grid.tsv": "0f29fab530ac36923c6666db067a33d41a31b17517937517500a3995afb9d23c",
         "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
     },
+    # pinned before every table cell was formatted by corpus.write_tsv: the per-split layouts,
+    # and a skipped_splits.tsv with a row
+    ("--split-dims", "committee,hearing_type,government", "--min-rows", "4",
+     "--layouts", "split_grid,committee,hearing_type_government"): {
+        "split_grid.tsv": "e32eab04ab9324446f80d4ec99d12b517929d032058d445328334b84c4b30a4c",
+        "committee.tsv": "6cb5fa04478923c89cbbfba8bb2a1060e97cf1b6980b5e7f5c10cfa27172ed19",
+        "hearing_type_government.tsv": "71961baac4c8b4007e4d7757ad9dcf49b8573b4b0dbc4244b68caa5972c1a455",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--split-dims", "hearing_type,government,presidency", "--min-rows", "5",
+     "--layouts", "split_grid,hearing_type_government"): {
+        "split_grid.tsv": "f865b05e13540ccf368a776c885a0abec255a4d7a9c8e0e44bfd790b593c09cb",
+        "hearing_type_government.tsv": "805364a91e539320b237e03436ad5262a8f56fc1bde4bf05e0b28fe1e6d4da7f",
+        "skipped_splits.tsv": "06cf5c0466d12c1e039530ae7fc55a17a6f4a3b1fa4957d1329defb72e2d3e0f",
+    },
+}
+# sha256 of the fixture pipeline's `train --importance-out` and `verify-sample` tables,
+# pinned before every table cell was formatted by corpus.write_tsv
+GOLDEN_PIPELINE_TABLES_SHA256 = {
+    "importances.tsv": "467a26ca2778edd9282a115e85d64a3f2078f16e698ee0e18a4814f14dd00195",
+    "sample.tsv": "f86f66f699c4da8d6a4010097b140e1e564e9a9f596b8217115687298df85a64",
 }
 # Pinned before grid folds and splits ran in forked workers: runs that fork with two
 # usable CPUs. "two-cell-grid" stands for a config file holding TWO_CELL_GRID.
@@ -215,6 +236,11 @@ def test_pipeline_examples_match_golden_bytes(pipeline):
 
 def test_pipeline_ks_tables_match_golden_bytes(pipeline):
     assert {name: _sha256(pipeline / name) for name in GOLDEN_KS_SHA256} == GOLDEN_KS_SHA256
+
+
+def test_pipeline_importance_and_sample_tables_match_golden_bytes(pipeline):
+    tables = GOLDEN_PIPELINE_TABLES_SHA256
+    assert {name: _sha256(pipeline / name) for name in tables} == tables
 
 
 @pytest.mark.parametrize("flags", list(GOLDEN_EVAL_SHA256), ids=lambda f: " ".join(f) or "default")
@@ -946,6 +972,35 @@ def _model_without_n_examples(pipeline, tmp_path):
     return argv, f"{model} field 'n_examples'"
 
 
+def _model_nan_weight(pipeline, tmp_path):
+    model = tmp_path / "model.json"
+    record = json.loads((pipeline / "qa_model.json").read_text())
+    record["weights"][0] = float("nan")  # json writes NaN, and reads it back
+    model.write_text(json.dumps(record))
+    argv = ["classify-qa", "apply", "--model", str(model),
+            "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]
+    return argv, f"{model} field 'weights'"
+
+
+def _repeat_first_person_id(roster):
+    """Give the roster's last person, a witness, the id of its first, a member."""
+    _rewrite_json(roster, lambda record: record["people"][-1].update(person_id=record["people"][0]["person_id"]))
+
+
+def _segment_repeated_person_id(pipeline, tmp_path):
+    raw, hdir = _raw_hearings(tmp_path)
+    _repeat_first_person_id(hdir / "roster.json")
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "roster.json"
+
+
+def _pair_repeated_person_id(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    roster = next(corpus.glob("*/roster.json"))
+    _repeat_first_person_id(roster)
+    return ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")], roster
+
+
 def _kstest_bad_session(pipeline, tmp_path):
     examples = tmp_path / "examples.tsv"
     lines = (pipeline / "examples.tsv").read_text().splitlines()
@@ -982,6 +1037,9 @@ MALFORMED_INPUTS = {
     "government-not-array": _features_government_object,
     "model-without-training-meta": _model_without_training_meta,
     "model-training-meta-without-n-examples": _model_without_n_examples,
+    "model-nan-weight": _model_nan_weight,
+    "roster-repeated-person-id": _segment_repeated_person_id,
+    "stored-roster-repeated-person-id": _pair_repeated_person_id,
     "examples-bad-session": _kstest_bad_session,
     "utterances-sequence-gap": _pair_sequence_gap,
 }

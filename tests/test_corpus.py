@@ -188,8 +188,16 @@ def test_roster_indexes_unique_and_ambiguous():
     roster = Roster(hearing_id="h-1", people=people)
     assert roster.name_index == {"green": "c"}
     assert roster.ambiguous == {"brown": ("a", "b")}
+    assert roster.people_by_id == {p.person_id: p for p in people}
     for pid in ("a", "b", "c"):
         assert roster.person(pid).person_id == pid
+
+
+def test_roster_refuses_a_repeated_person_id():
+    member = Person(person_id="x", display_name="Sam Smith", surname="Smith", role=Role.MEMBER, party=Party.DEMOCRAT)
+    witness = Person(person_id="x", display_name="Jo Jones", surname="Jones", role=Role.WITNESS)
+    with pytest.raises(InvariantError, match="person_id 'x'"):
+        Roster(hearing_id="h-1", people=(member, witness))
 
 
 def test_roster_round_trip(tmp_path):
@@ -200,6 +208,7 @@ def test_roster_round_trip(tmp_path):
     )
     roster = Roster(hearing_id="h-1", people=people)
     path = tmp_path / "roster.json"
+    assert list(to_record(roster)) == ["hearing_id", "people"]  # the derived indexes are not stored
     path.write_text(json.dumps(to_record(roster)))
     assert load_roster(path) == roster
 
@@ -377,6 +386,17 @@ def test_writers_create_parent_and_end_every_line(tmp_path):
     assert target.read_bytes() == b'{"k": 1}\n'
 
 
+def test_write_tsv_makes_each_value_a_cell_by_one_rule(tmp_path):
+    target = tmp_path / "t.tsv"
+    rows = [["a b", 0.1 + 0.2, 108, None, True, Standing.MAJORITY], ["", 1e-300, 0, None, False, Party.NONE]]
+    write_tsv(target, ["text", "float", "int", "none", "bool", "enum"], rows)
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == ["a b\t0.30000000000000004\t108\t\ttrue\tMajority", "\t1e-300\t0\t\tfalse\tNone"]
+    assert [float(line.split("\t")[1]) for line in lines[1:]] == [0.1 + 0.2, 1e-300]
+    with pytest.raises(TypeError):
+        write_tsv(target, ["pair"], [[(1, 2)]])
+
+
 def _file_writes(source: str) -> list[tuple[int, str]]:
     """(line, call) for each write_text/write_bytes call and each open() not in a read mode."""
     found = []
@@ -402,6 +422,28 @@ def test_file_writes_go_through_corpus_writers():
         for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
         if path.name not in ("corpus.py", "fetcher.py")
         for line, call in _file_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def _cell_formatting(source: str) -> list[tuple[int, str]]:
+    """(line, expression) for each repr() call and each conditional choosing between "true" and "false"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "repr":
+            found.append((node.lineno, "repr"))
+        elif isinstance(node, ast.IfExp):
+            if {getattr(node.body, "value", None), getattr(node.orelse, "value", None)} == {"true", "false"}:
+                found.append((node.lineno, "true/false"))
+    return found
+
+
+def test_table_cells_are_formatted_only_by_write_tsv():
+    offenders = [
+        f"{path.name}:{line} {expr}"
+        for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
+        if path.name != "corpus.py"
+        for line, expr in _cell_formatting(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
 

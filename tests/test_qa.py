@@ -297,12 +297,13 @@ def test_model_file_round_trip(tmp_path):
     assert classify_qa(loaded, "is this?") == classify_qa(model, "is this?")
 
 
-def _saved_model_with_vocabulary(tmp_path, edit):
+def _saved_model(tmp_path, edit):
+    """A saved toy model whose stored record `edit` has changed in place."""
     model, _ = train_qa(toy_corpus(), QAHyper(epochs=2))
     path = tmp_path / "model.json"
     save_model(model, path)
     record = json.loads(path.read_text())
-    edit(record["vocabulary"])
+    edit(record)
     path.write_text(json.dumps(record))
     return path
 
@@ -322,11 +323,30 @@ def _first_name(vocab):
     ],
 )
 def test_load_model_refuses_vocabulary_indices_other_than_zero_to_n_minus_one(tmp_path, edit):
-    path = _saved_model_with_vocabulary(tmp_path, edit)
+    path = _saved_model(tmp_path, lambda record: edit(record["vocabulary"]))
     with pytest.raises(RecordError) as err:
         load_model(path)
     assert err.value.path == str(path)
     assert "vocabulary indices" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("weights", "0.5"), ("bias", "0.5"), ("weights", True), ("weights", float("nan")), ("bias", float("inf"))],
+    ids=["string-weight", "string-bias", "true-weight", "nan-weight", "infinite-bias"],
+)
+def test_load_model_refuses_a_weight_or_bias_that_is_not_a_finite_number(tmp_path, name, value):
+    def edit(record):
+        if name == "bias":
+            record["bias"] = value
+        else:
+            record["weights"][0] = value
+
+    path = _saved_model(tmp_path, edit)
+    with pytest.raises(RecordError) as err:
+        load_model(path)
+    assert (err.value.path, err.value.field_name) == (str(path), name)
+    assert "not a finite number" in str(err.value)
 
 
 # --- the scorer against the feature-vector oracle -----------------------------
