@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 
 KINDS = ("Question", "Answer", "Both")
 
-LAYOUTS = ("split_grid", "committee", "hearing_type_government")
+# evaluation table layout -> the split dimensions its rows are keyed by
+LAYOUTS = {"split_grid": (), "committee": ("committee",), "hearing_type_government": ("hearing_type", "government")}
 
 
 class GavelError(Exception):

@@ -287,7 +287,7 @@ def cmd_segment(args) -> int:
     for hdir in _raw_hearing_dirs(Path(args.input)):
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
         meta = read_json(hdir / "meta.json", dict, partial(from_record, HearingMeta))
-        roster = load_roster(hdir / "roster.json")
+        roster = load_roster(hdir / "roster.json", meta.hearing_id)
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)
@@ -329,10 +329,10 @@ def cmd_classify_qa_train(args) -> int:
     corpus = []
     inputs = []
     for path, fmt in _parse_train_specs(args.train):
-        rows, report = load_training_corpus(path, fmt)
+        rows, duplicates = load_training_corpus(path, fmt)
         corpus.extend(rows)
         inputs.append(path)
-        _log(f"{path}: kept {report.n_kept} rows ({report.duplicates_removed} duplicates removed)")
+        _log(f"{path}: kept {len(rows)} rows ({duplicates} duplicates removed)")
     hyper = QAHyper(learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2, seed=args.seed)
     model, trace = train_qa(corpus, hyper)
     save_model(model, args.model_out)
@@ -528,6 +528,11 @@ def cmd_evaluate(args) -> int:
         write_manifest(out_dir, "evaluate", args, [Path(args.examples), Path(args.predictions)], started)
         return 0
     dims = tuple(d for d in args.split_dims.split(",") if d)
+    layouts = [l for l in args.layouts.split(",") if l]
+    for layout in layouts:
+        missing = [d for d in LAYOUTS[layout] if d not in dims]
+        if missing:
+            raise UsageError(f"--layouts {layout} needs split dimension(s) {', '.join(missing)} in --split-dims")
     spec = SplitSpec(dimensions=dims, utterance_kind=args.kind, task=task, min_rows=args.min_rows)
     exp = ExperimentConfig(
         model=args.model,
@@ -545,7 +550,7 @@ def cmd_evaluate(args) -> int:
     if not datasets:
         raise UsageError("every split was skipped; lower --min-rows or change --split-dims")
     reports = run_experiment(datasets, exp)
-    for layout in (l for l in args.layouts.split(",") if l):
+    for layout in layouts:
         emit_tables(reports, layout, out_dir / f"{layout}.tsv")
     write_tsv(
         out_dir / "skipped_splits.tsv",

@@ -536,18 +536,23 @@ def load_utterances(path: Path | str) -> list[Utterance]:
     return sorted(read_records(path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
 
 
-def load_roster(path: Path | str) -> Roster:
-    return read_json(path, dict, partial(from_record, Roster))
+def load_roster(path: Path | str, hearing_id: str) -> Roster:
+    """The roster at `path`, which must name `hearing_id` or no hearing."""
+    roster = read_json(path, dict, partial(from_record, Roster))
+    if roster.hearing_id and roster.hearing_id != hearing_id:
+        raise RecordError(f"roster of hearing {roster.hearing_id!r} filed under {hearing_id!r}",
+                          path=str(path), field_name="hearing_id")
+    return roster
 
 
 def load_rosters(corpus_root: Path | str) -> dict[str, Roster]:
+    """Each stored roster by the hearing directory it sits in; one naming another hearing is an error."""
     root = Path(corpus_root)
     out = {}
     for hdir in sorted(p for p in root.iterdir() if p.is_dir()):
         rpath = hdir / "roster.json"
         if rpath.is_file():
-            roster = load_roster(rpath)
-            out[roster.hearing_id or hdir.name] = roster
+            out[hdir.name] = load_roster(rpath, hdir.name)
     return out
 
 

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .corpus import RecordError, Task, read_tsv, write_tsv
-from .lexicons import Lexicons
+from .lexicons import LIST_FILES, Lexicons
 
 SCHEMA: tuple[str, ...] = (
     "ttr",
@@ -263,23 +263,7 @@ def complexity_features(stats: TextStats) -> dict[str, Optional[float]]:
 
 
 # The fifteen word lists, in schema order: wneg .. noWords, then location_mentions.
-_lexicon_lists = attrgetter(
-    "weak_negative",
-    "weak_positive",
-    "weak_neutral",
-    "strong_negative",
-    "strong_positive",
-    "strong_neutral",
-    "bias_words",
-    "assertives",
-    "factives",
-    "hedges",
-    "implicatives",
-    "report_verbs",
-    "positive_opinion",
-    "negative_opinion",
-    "gazetteer",
-)
+_lexicon_lists = attrgetter(*LIST_FILES)
 
 
 @lru_cache(maxsize=8)

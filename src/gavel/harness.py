@@ -421,7 +421,7 @@ def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) ->
     elif layout == "hearing_type_government":
         header, rows = _ht_gov_table(reports)
     else:
-        raise ValueError(f"unknown layout {layout!r}; valid: {LAYOUTS}")
+        raise ValueError(f"unknown layout {layout!r}; valid: {', '.join(LAYOUTS)}")
     write_tsv(path, header, rows)
 
 

@@ -12,32 +12,14 @@ loader at another directory.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 from . import GavelError
-from .corpus import read_lines, write_lines
+from .corpus import read_lines
 
 DEFAULT_DIR = Path(__file__).parent / "data" / "lexicons"
-
-LIST_FILES = (
-    "weak_positive",
-    "weak_negative",
-    "weak_neutral",
-    "strong_positive",
-    "strong_negative",
-    "strong_neutral",
-    "bias_words",
-    "assertives",
-    "factives",
-    "hedges",
-    "implicatives",
-    "report_verbs",
-    "positive_opinion",
-    "negative_opinion",
-    "gazetteer",
-)
 
 
 class LexiconError(GavelError):
@@ -46,11 +28,13 @@ class LexiconError(GavelError):
 
 @dataclass(frozen=True)
 class Lexicons:
-    weak_positive: frozenset[str]
+    """The fifteen word lists in schema order (wneg .. noWords, then location_mentions), then the valences."""
+
     weak_negative: frozenset[str]
+    weak_positive: frozenset[str]
     weak_neutral: frozenset[str]
-    strong_positive: frozenset[str]
     strong_negative: frozenset[str]
+    strong_positive: frozenset[str]
     strong_neutral: frozenset[str]
     bias_words: frozenset[str]
     assertives: frozenset[str]
@@ -62,6 +46,10 @@ class Lexicons:
     negative_opinion: frozenset[str]
     gazetteer: frozenset[str]
     sentiment_valence: Mapping[str, float]
+
+
+# the word lists, each read from `<name>.txt`
+LIST_FILES = tuple(f.name for f in fields(Lexicons) if f.name != "sentiment_valence")
 
 
 def _read_list(path: Path) -> frozenset[str]:
@@ -123,12 +111,3 @@ def verify_manifest(directory: Path | str | None = None) -> list[str]:
         if actual != digest:
             problems.append(f"{name}: checksum mismatch")
     return problems
-
-
-def write_manifest(directory: Path | str) -> None:
-    d = Path(directory)
-    lines = []
-    for f in sorted(d.glob("*.txt")):
-        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {f.name}")
-    write_lines(d / "MANIFEST", lines)

@@ -82,22 +82,12 @@ class LabeledText:
             raise ValueError("training labels are Question or Answer")
 
 
-@dataclass(frozen=True)
-class LoadReport:
-    path: str
-    n_rows: int
-    n_kept: int
-    duplicates_removed: int
-
-
-def load_training_corpus(path: Path | str, fmt: Source) -> tuple[list[LabeledText], LoadReport]:
-    """Read one training file; duplicates (normalized text) are dropped and counted."""
+def load_training_corpus(path: Path | str, fmt: Source) -> tuple[list[LabeledText], int]:
+    """Read one training file: (rows kept, duplicates of normalized text dropped)."""
     rows: list[LabeledText] = []
     seen: set[str] = set()
     duplicates = 0
-    n_rows = 0
     for line_no, cols in read_tsv(path):
-        n_rows += 1
         text, label = _parse_row(cols, fmt, str(path), line_no)
         if not text.strip():
             raise RecordError("empty text", path=str(path), line_no=line_no, field_name="text")
@@ -107,7 +97,7 @@ def load_training_corpus(path: Path | str, fmt: Source) -> tuple[list[LabeledTex
             continue
         seen.add(key)
         rows.append(LabeledText(text=text, label=label))
-    return rows, LoadReport(path=str(path), n_rows=n_rows, n_kept=len(rows), duplicates_removed=duplicates)
+    return rows, duplicates
 
 
 def _parse_row(cols: list[str], fmt: Source, path: str, line_no: int) -> tuple[str, QALabel]:
@@ -229,7 +219,7 @@ class QAHyper:
     seed: int = 0
 
 
-def build_vocabulary(featurized: Iterable[Mapping[str, float]], bigram_cap: int = BIGRAM_CAP) -> dict[str, int]:
+def build_vocabulary(featurized: Iterable[Mapping[str, float]]) -> dict[str, int]:
     counts: dict[str, float] = {}
     for feats in featurized:
         for name, value in feats.items():
@@ -237,7 +227,7 @@ def build_vocabulary(featurized: Iterable[Mapping[str, float]], bigram_cap: int 
     bigrams = [n for n in counts if n.startswith(_BIGRAM_PREFIX)]
     # most frequent first; lexicographic tie-break keeps the cut reproducible
     bigrams.sort(key=lambda n: (-counts[n], n))
-    kept = set(bigrams[:bigram_cap])
+    kept = set(bigrams[:BIGRAM_CAP])
     names = sorted(n for n in counts if not n.startswith(_BIGRAM_PREFIX) or n in kept)
     return {name: i for i, name in enumerate(names)}
 
@@ -354,7 +344,6 @@ def score_confusion(predictions: Sequence[QALabel], truths: Sequence[QALabel]) -
 class PairingReport:
     unpaired_questions: tuple[str, ...]
     orphan_answers: tuple[str, ...]
-    skipped: tuple[str, ...]  # utterances with no pairing role (Other/Unknown/etc)
 
 
 def pair_qa(
@@ -370,7 +359,6 @@ def pair_qa(
     pairs: list[QAPair] = []
     unpaired: list[str] = []
     orphans: list[str] = []
-    skipped: list[str] = []
     pending: Optional[Utterance] = None
     for utt in sorted(utterances, key=lambda u: u.sequence_no):
         person = people.get(utt.speaker)
@@ -393,11 +381,9 @@ def pair_qa(
                     )
                 )
                 pending = None
-        else:
-            skipped.append(utt.utterance_id)
     if pending is not None:
         unpaired.append(pending.utterance_id)
-    return pairs, PairingReport(tuple(unpaired), tuple(orphans), tuple(skipped))
+    return pairs, PairingReport(tuple(unpaired), tuple(orphans))
 
 
 def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | str) -> None:

@@ -6,11 +6,12 @@ proceedings in which each utterance opens with a speaker marker such as
 committee and era (honorifics, capitalization, "of <State>" suffixes), so
 markers are matched by an ordered, editable list of line-anchored regexes.
 
-Segmentation is span-exact: every character of the trimmed body lands in
-the preamble, a marker, an utterance text or a recorded stage direction,
-and `reconstruct` reassembles the body byte-for-byte. Bracketed stage
-directions ("[Laughter.]") are transcriber annotations, not speech, and are
-stripped from utterance text into the result with their offsets.
+Segmentation is span-exact: each segment keeps its marker and the exact
+body span up to the next marker, so every character of the trimmed body
+lands in the preamble, a marker or a segment's raw span, and `reconstruct`
+reassembles the body byte-for-byte. Bracketed stage directions
+("[Laughter.]") are transcriber annotations, not speech: a segment's `text`
+leaves them out, and each one is reported only as a warning with its line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -78,10 +79,9 @@ class SegmentationFailed(GavelError):
 def default_marker_patterns(honorifics: Sequence[str] = DEFAULT_HONORIFICS) -> tuple[str, ...]:
     """Line-anchored marker regexes built over the honorific list.
 
-    Each pattern must expose a `name` group, which fills `Segment.name_text`,
-    and may expose `honorific`. The whole match is the marker span: leading
-    indentation, the marker itself, its terminating period and one space.
-    Speaker resolution normalizes the whole marker, not the `name` group.
+    The whole match is the marker span: leading indentation, the marker
+    itself, its terminating period and one space. Speaker resolution
+    normalizes the whole marker; named groups only document the parts.
     """
     hon = "|".join(re.escape(h) for h in honorifics)
     # [ \t] only: a marker never spans a line break
@@ -95,33 +95,29 @@ def default_marker_patterns(honorifics: Sequence[str] = DEFAULT_HONORIFICS) -> t
     )
 
 
-_RULE_KEYS = ("start_patterns", "end_patterns", "marker_patterns", "honorifics")
-
-
 @dataclass(frozen=True)
 class SegmenterRules:
     start_patterns: tuple[str, ...] = DEFAULT_START_PATTERNS
     end_patterns: tuple[str, ...] = DEFAULT_END_PATTERNS
     marker_patterns: tuple[str, ...] = ()
     honorifics: tuple[str, ...] = DEFAULT_HONORIFICS
+    # each pattern list above, compiled once under its field name
+    compiled: dict[str, list[re.Pattern]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.marker_patterns:
             object.__setattr__(self, "marker_patterns", default_marker_patterns(self.honorifics))
-        for group_name, patterns in (
-            ("start_patterns", self.start_patterns),
-            ("end_patterns", self.end_patterns),
-            ("marker_patterns", self.marker_patterns),
-        ):
+        object.__setattr__(self, "compiled", {})
+        for key in ("start_patterns", "end_patterns", "marker_patterns"):
+            patterns = getattr(self, key)
             if not patterns:
-                raise ValueError(f"{group_name} must be non-empty")
+                raise ValueError(f"{key} must be non-empty")
+            self.compiled[key] = []
             for p in patterns:
                 try:
-                    compiled = re.compile(p, re.MULTILINE)
+                    self.compiled[key].append(re.compile(p, re.MULTILINE))
                 except re.error as exc:
-                    raise ValueError(f"{group_name} pattern does not compile: {p!r} ({exc})")
-                if group_name == "marker_patterns" and "name" not in compiled.groupindex:
-                    raise ValueError(f"marker pattern lacks a 'name' group: {p}")
+                    raise ValueError(f"{key} pattern does not compile: {p!r} ({exc})")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "SegmenterRules":
@@ -130,9 +126,10 @@ class SegmenterRules:
 
     @classmethod
     def _from_record(cls, rec: dict) -> "SegmenterRules":
-        unknown = sorted(set(rec) - set(_RULE_KEYS))
+        keys = [f.name for f in fields(cls) if f.init]
+        unknown = sorted(set(rec) - set(keys))
         if unknown:
-            raise RecordError(f"unknown rules key(s): {', '.join(unknown)}; valid: {', '.join(_RULE_KEYS)}")
+            raise RecordError(f"unknown rules key(s): {', '.join(unknown)}; valid: {', '.join(keys)}")
         for key, value in rec.items():
             if not isinstance(value, list):
                 raise RecordError(f"expected a list, got {type(value).__name__}", field_name=key)
@@ -173,8 +170,8 @@ def trim_proceedings(raw: str, rules: SegmenterRules) -> TrimResult:
         raise ValueError("empty transcript")
     warnings: list[tuple[int, str]] = []
     starts = []
-    for p in rules.start_patterns:
-        m = re.compile(p, re.MULTILINE).search(raw)
+    for pattern in rules.compiled["start_patterns"]:
+        m = pattern.search(raw)
         if m:
             starts.append(m.start())
     if starts:
@@ -183,8 +180,8 @@ def trim_proceedings(raw: str, rules: SegmenterRules) -> TrimResult:
         begin = 0
         warnings.append((1, "no start anchor matched; keeping the head"))
     ends = []
-    for p in rules.end_patterns:
-        for m in re.compile(p, re.MULTILINE).finditer(raw, begin):
+    for pattern in rules.compiled["end_patterns"]:
+        for m in pattern.finditer(raw, begin):
             ends.append(m.start())
     if ends:
         end = _line_end(raw, max(ends))
@@ -202,23 +199,13 @@ def trim_proceedings(raw: str, rules: SegmenterRules) -> TrimResult:
 @dataclass(frozen=True)
 class Segment:
     marker_raw: str  # exact characters consumed by the marker match
-    name_text: str  # the captured name, e.g. "Smith"
-    honorific: str  # matched honorific or ""
     start: int  # offset of the marker in the body
-    text: str  # utterance text with stage directions removed
-    directions: tuple[tuple[int, str], ...]  # (offset in clean text, removed span)
+    text_raw: str  # the exact body span from the marker's end to the next marker
 
     @property
-    def text_raw(self) -> str:
-        """The exact body span following the marker (directions reinserted)."""
-        parts = []
-        cursor = 0
-        for offset, span in self.directions:
-            parts.append(self.text[cursor:offset])
-            parts.append(span)
-            cursor = offset
-        parts.append(self.text[cursor:])
-        return "".join(parts)
+    def text(self) -> str:
+        """The utterance text: the raw span without its stage directions."""
+        return STAGE_DIRECTION_RE.sub("", self.text_raw)
 
 
 @dataclass(frozen=True)
@@ -226,21 +213,6 @@ class SegmentationResult:
     preamble: str  # body text before the first marker
     segments: tuple[Segment, ...]
     warnings: tuple[tuple[int, str], ...]
-
-
-def _strip_directions(raw_span: str) -> tuple[str, tuple[tuple[int, str], ...]]:
-    parts = []
-    directions = []
-    cursor = 0
-    clean_len = 0
-    for m in STAGE_DIRECTION_RE.finditer(raw_span):
-        keep = raw_span[cursor : m.start()]
-        parts.append(keep)
-        clean_len += len(keep)
-        directions.append((clean_len, m.group(0)))
-        cursor = m.end()
-    parts.append(raw_span[cursor:])
-    return "".join(parts), tuple(directions)
 
 
 def _overlaps_taken(taken: list[tuple[int, int]], s: int, e: int) -> bool:
@@ -262,43 +234,31 @@ def _overlaps_taken(taken: list[tuple[int, int]], s: int, e: int) -> bool:
 
 
 def segment_utterances(body: str, rules: SegmenterRules) -> SegmentationResult:
-    """Split the body at speaker markers; zero markers is a hard failure."""
-    matches: list[tuple[int, int, str, str]] = []  # (start, end, name, honorific)
+    """Split the body at speaker markers; zero markers is a hard failure.
+
+    Each segment is a marker and the raw span up to the next one. Stage
+    directions stay in that span; each is reported as a warning at its line.
+    """
     taken: list[tuple[int, int]] = []  # marker spans kept so far, sorted
-    for p in rules.marker_patterns:
-        for m in re.compile(p, re.MULTILINE).finditer(body):
+    for pattern in rules.compiled["marker_patterns"]:
+        for m in pattern.finditer(body):
             span = m.span()
             if _overlaps_taken(taken, *span):
                 continue  # an earlier (higher-priority) pattern owns this span
             insort(taken, span)
-            matches.append((m.start(), m.end(), m.group("name"), m.groupdict().get("honorific") or ""))
-    if not matches:
+    if not taken:
         raise SegmentationFailed("no speaker marker matched; the hearing needs manual rules")
-    matches.sort()
     line_no = _line_numbers(body)
     warnings: list[tuple[int, str]] = []
     segments: list[Segment] = []
-    preamble = body[: matches[0][0]]
+    preamble = body[: taken[0][0]]
     if preamble.strip():
         warnings.append((1, f"{len(preamble)} chars of pre-marker content kept as preamble"))
-    for i, (start, end, name, honorific) in enumerate(matches):
-        next_start = matches[i + 1][0] if i + 1 < len(matches) else len(body)
-        raw_span = body[end:next_start]
-        text, directions = _strip_directions(raw_span)
-        removed = 0
-        for offset, span in directions:
-            warnings.append((line_no(end + offset + removed), f"stripped stage direction {span!r}"))
-            removed += len(span)
-        segments.append(
-            Segment(
-                marker_raw=body[start:end],
-                name_text=name,
-                honorific=honorific,
-                start=start,
-                text=text,
-                directions=directions,
-            )
-        )
+    for i, (start, end) in enumerate(taken):
+        next_start = taken[i + 1][0] if i + 1 < len(taken) else len(body)
+        for m in STAGE_DIRECTION_RE.finditer(body, end, next_start):
+            warnings.append((line_no(m.start()), f"stripped stage direction {m.group()!r}"))
+        segments.append(Segment(marker_raw=body[start:end], start=start, text_raw=body[end:next_start]))
     return SegmentationResult(preamble=preamble, segments=tuple(segments), warnings=tuple(warnings))
 
 

@@ -511,6 +511,104 @@ def test_segment_with_custom_rules_file(tmp_path):
     assert (out / "segmentation_report.json").is_file()
 
 
+def _raw_tree(tmp_path, hearing_id, *edits):
+    """A raw tree holding one fixture hearing whose transcript went through each (old, new, count) edit."""
+    raw = tmp_path / "raw"
+    shutil.copytree(FIXTURES / "hearings" / hearing_id, raw / hearing_id)
+    transcript = raw / hearing_id / "transcript.txt"
+    text = transcript.read_text(encoding="utf-8")
+    for old, new, count in edits:
+        assert text.count(old) >= count, old
+        text = text.replace(old, new, count)
+    transcript.write_text(text, encoding="utf-8")
+    return raw
+
+
+def _stage_direction_tree(tmp_path):
+    # several directions in one utterance, one split over lines, one inside the preamble
+    return _raw_tree(
+        tmp_path, "synth-108-0000",
+        ("presiding.\n", "presiding.\n    [Gavel sounds.]\n", 1),
+        ("    [Laughter.]\n", "    [Laughter.] [Applause.]\n    [Crosstalk.]\n", 1),
+        ("    [Pause.]\n    Dr. Hansen.", "    [Pause. Off\n    microphone.]\n    Dr. Hansen.", 1),
+        ("That is a fair point. Roughly", "That is a fair point. [Nods.] Roughly", 1),
+    )
+
+
+def _anchorless_tree(tmp_path):
+    # no start or end pattern of the default rules matches anywhere
+    return _raw_tree(
+        tmp_path, "synth-109-0001",
+        ("The committee met, pursuant to notice,", "The committee gathered on notice,", 1),
+        ("adjourned", "recessed", 2),
+        ("[Whereupon,", "[Then,", 1),
+    )
+
+
+def _overlapping_rules(tmp_path):
+    from gavel.corpus import to_record
+    from test_segmenter_hostile import OVERLAPPING_RULES
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(to_record(OVERLAPPING_RULES)))
+    return ["--rules", str(rules)]
+
+
+# Pinned before segments kept only their raw span and the segmenter compiled its rules
+# once: the sha256 of every file `segment` writes but manifest.json, by raw tree.
+SEGMENT_TREES = {
+    "fixtures": lambda tmp_path: (FIXTURES / "hearings", []),
+    "stage-directions": lambda tmp_path: (_stage_direction_tree(tmp_path), []),
+    "no-anchors": lambda tmp_path: (_anchorless_tree(tmp_path), []),
+    "overlapping-rules": lambda tmp_path: (_stage_direction_tree(tmp_path), _overlapping_rules(tmp_path)),
+}
+GOLDEN_SEGMENT_SHA256 = {
+    "fixtures": {
+        "segmentation_report.json": "8cba98db075e8ca5f2a5887593f1360451d716f161aadf22af6af67c10dd33f4",
+        "synth-108-0000/meta.json": "1e5ee6bf75d7535a03aff8a98392522ea8f04e542562ddb71d012e54c6a4c3eb",
+        "synth-108-0000/roster.json": "1d96d0a3cbbf1091e705ce44db1e2f42ad162274d54907a7abcf52baea59ca6d",
+        "synth-108-0000/utterances.jsonl": "dd049329aa6aaec357a0b6660a09d0bebc800d695a55ccaafc062c3b527d6b32",
+        "synth-109-0001/meta.json": "b868e742c67fd6acfade461e681028d1bff53ed3f31739442b7b8a960abc32e0",
+        "synth-109-0001/roster.json": "f05eba24895a5e6066f1ba2dc2c6c6a584257bdc327234f5d7148548cc027d13",
+        "synth-109-0001/utterances.jsonl": "f65f2c216455e7d2486ad1765c1047e9cb7b3874df7806f6b392b4dfcc464ae8",
+        "synth-110-0002/meta.json": "ea718c949495a110ae1384421f0882c7e8cd11fb31f75f06055a9acd5752e34c",
+        "synth-110-0002/roster.json": "d7be0581b116c937fdc089e4a7477f4a7587d4ff122daf948a70a6affa62f852",
+        "synth-110-0002/utterances.jsonl": "bac6dacdac6f1a8769dca74ea7c9edb6d94772ca19777ecb7b26d699398e9c56",
+    },
+    "no-anchors": {
+        "segmentation_report.json": "5c7c703e89a64060e3c3c76896b0bae66bf407a1f389e52e9d5c9b0f0bec35fe",
+        "synth-109-0001/meta.json": "b868e742c67fd6acfade461e681028d1bff53ed3f31739442b7b8a960abc32e0",
+        "synth-109-0001/roster.json": "f05eba24895a5e6066f1ba2dc2c6c6a584257bdc327234f5d7148548cc027d13",
+        "synth-109-0001/utterances.jsonl": "ea31e14fc8a1cf3c7dffc878721b7da8cbc6e40a3348a729ab95a4b3458c65d9",
+    },
+    "overlapping-rules": {
+        "segmentation_report.json": "34df36c1d850d3fa45c2dfbdef2e55a7b6fb1cbae8abda4bda9afdd93c49f22a",
+        "synth-108-0000/meta.json": "1e5ee6bf75d7535a03aff8a98392522ea8f04e542562ddb71d012e54c6a4c3eb",
+        "synth-108-0000/roster.json": "1d96d0a3cbbf1091e705ce44db1e2f42ad162274d54907a7abcf52baea59ca6d",
+        "synth-108-0000/utterances.jsonl": "27a26c7857d90d10be9707f372e35deb6cc3c89e511bf3efe92ac7f5a1f88fda",
+    },
+    "stage-directions": {
+        "segmentation_report.json": "8cf268ea9e69be9791eeef9f7933b71ceda84d03e1c5478e50790750ccca539e",
+        "synth-108-0000/meta.json": "1e5ee6bf75d7535a03aff8a98392522ea8f04e542562ddb71d012e54c6a4c3eb",
+        "synth-108-0000/roster.json": "1d96d0a3cbbf1091e705ce44db1e2f42ad162274d54907a7abcf52baea59ca6d",
+        "synth-108-0000/utterances.jsonl": "b9420726a861188740a45b49b2c04a9da162b1584b7796e608f67b5d7e38c0bd",
+    },
+}
+
+
+def _segment_outputs(tmp_path, case):
+    raw, flags = SEGMENT_TREES[case](tmp_path)
+    out = tmp_path / "store"
+    assert run(["segment", "--input", str(raw), "--output", str(out), *flags]) == 0
+    return {p.relative_to(out).as_posix(): _sha256(p)
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_TREES))
+def test_segment_writes_the_golden_store(tmp_path, case):
+    assert _segment_outputs(tmp_path, case) == GOLDEN_SEGMENT_SHA256[case]
+
+
 def test_segment_rejects_malformed_rules_file(tmp_path, capsys):
     rules_path = tmp_path / "rules.json"
     rules_path.write_text(json.dumps({"marker_patterns": ["(no name group"]}))
@@ -660,6 +758,18 @@ def test_evaluate_checks_layouts_before_reading_input(pipeline, tmp_path, capsys
     assert run(argv) == 1
     assert "unknown layout 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "split_grid.tsv").exists()
+
+
+@pytest.mark.parametrize("layout, missing", [
+    ("committee", "committee"),
+    ("hearing_type_government", "hearing_type, government"),
+])
+def test_evaluate_refuses_a_layout_its_split_dims_cannot_fill(tmp_path, capsys, layout, missing):
+    argv = ["evaluate", "--examples", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path / "eval"),
+            "--split-dims", "session", "--layouts", f"split_grid,{layout}"]
+    assert run(argv) == 1
+    assert f"--layouts {layout} needs split dimension(s) {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_classify_qa_train_rejects_apply_flags(tmp_path, capsys):
@@ -993,6 +1103,21 @@ def _segment_repeated_person_id(pipeline, tmp_path):
     return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "roster.json"
 
 
+def _segment_roster_of_another_hearing(pipeline, tmp_path):
+    raw, _ = _raw_hearings(tmp_path)
+    roster = raw / "synth-110-0002" / "roster.json"
+    _rewrite_json(roster, lambda record: record.update(hearing_id="synth-108-0000"))
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], f"{roster} field 'hearing_id'"
+
+
+def _pair_roster_of_another_hearing(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    roster = corpus / "synth-110-0002" / "roster.json"
+    _rewrite_json(roster, lambda record: record.update(hearing_id="synth-108-0000"))
+    return ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")], f"{roster} field 'hearing_id'"
+
+
 def _pair_repeated_person_id(pipeline, tmp_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus)
@@ -1040,6 +1165,8 @@ MALFORMED_INPUTS = {
     "model-nan-weight": _model_nan_weight,
     "roster-repeated-person-id": _segment_repeated_person_id,
     "stored-roster-repeated-person-id": _pair_repeated_person_id,
+    "roster-of-another-hearing": _segment_roster_of_another_hearing,
+    "stored-roster-of-another-hearing": _pair_roster_of_another_hearing,
     "examples-bad-session": _kstest_bad_session,
     "utterances-sequence-gap": _pair_sequence_gap,
 }
@@ -1050,6 +1177,8 @@ def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys
     argv, where = MALFORMED_INPUTS[case](pipeline, tmp_path)
     assert run(argv) == 1
     assert str(where) in capsys.readouterr().err
+    if argv[0] == "segment":
+        assert not (tmp_path / "s").exists()  # nothing written
 
 
 NON_FINITE_READERS = {
@@ -1175,7 +1304,7 @@ def _named_hearing_store(tmp_path) -> Path:
     """One fixture hearing whose member questions name roster members in hostile ways."""
     hearing = FIXTURES / "hearings" / "synth-108-0000"
     meta = read_json(hearing / "meta.json", dict, lambda rec: from_record(HearingMeta, rec))
-    roster = load_roster(hearing / "roster.json")
+    roster = load_roster(hearing / "roster.json", hearing.name)
     members = [p.person_id for p in roster.people if p.role.value == "Member"]
     texts = [
         "Thank you, MR. GOMEZ. Dr. McCLAIN said the same thing in 2019, did he not?",

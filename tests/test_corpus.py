@@ -210,7 +210,7 @@ def test_roster_round_trip(tmp_path):
     path = tmp_path / "roster.json"
     assert list(to_record(roster)) == ["hearing_id", "people"]  # the derived indexes are not stored
     path.write_text(json.dumps(to_record(roster)))
-    assert load_roster(path) == roster
+    assert load_roster(path, "h-1") == roster
 
 
 def test_meta_round_trip_keeps_date(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -575,14 +576,11 @@ def test_feature_vector_requires_full_schema():
 
 
 def test_lexicon_manifest_checksums(tmp_path):
-    from gavel.lexicons import DEFAULT_DIR, verify_manifest, write_manifest
+    from gavel.lexicons import DEFAULT_DIR, verify_manifest
 
     assert verify_manifest() == []  # bundled lists match their MANIFEST
     work = tmp_path / "lex"
-    work.mkdir()
-    for f in DEFAULT_DIR.glob("*.txt"):
-        (work / f.name).write_bytes(f.read_bytes())
-    write_manifest(work)
+    shutil.copytree(DEFAULT_DIR, work)
     assert verify_manifest(work) == []
     (work / "hedges.txt").write_text("tampered\n")
     problems = verify_manifest(work)

@@ -161,7 +161,7 @@ FIXTURE_HEARINGS = sorted((Path(__file__).parent.parent / "fixtures" / "hearings
 
 @pytest.mark.parametrize("hearing", FIXTURE_HEARINGS, ids=lambda h: h.name)
 def test_strip_names_matches_regex_oracle_on_fixture_transcripts(hearing):
-    roster = load_roster(hearing / "roster.json")
+    roster = load_roster(hearing / "roster.json", hearing.name)
     assert len(roster.people) >= 6
     transcript = (hearing / "transcript.txt").read_text(encoding="utf-8")
     expected = oracle_strip(transcript, roster)

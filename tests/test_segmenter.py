@@ -1,10 +1,25 @@
 import json
 import random
+import re
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from gavel.corpus import Chamber, Party, Person, Role, Roster, to_record
+from gavel.corpus import (
+    Chamber,
+    HearingMeta,
+    Party,
+    Person,
+    Role,
+    Roster,
+    from_record,
+    load_roster,
+    read_json,
+    to_record,
+)
 from gavel.segmenter import (
+    STAGE_DIRECTION_RE,
     SegmentationFailed,
     SegmenterRules,
     reconstruct,
@@ -55,7 +70,7 @@ def test_trim_rejects_empty():
 def test_segment_two_markers():
     body = "Mr. Smith. Hello.\n Ms. Jones. Hi."
     result = segment_utterances(body, RULES)
-    assert [s.name_text for s in result.segments] == ["Smith", "Jones"]
+    assert [s.marker_raw for s in result.segments] == ["Mr. Smith. ", " Ms. Jones. "]
     assert [s.text for s in result.segments] == ["Hello.\n", "Hi."]
     assert reconstruct(result) == body
 
@@ -78,7 +93,7 @@ def test_stage_directions_stripped_and_logged():
     result = segment_utterances(body, RULES)
     (seg,) = result.segments
     assert "[Laughter.]" not in seg.text
-    assert seg.directions and seg.directions[0][1] == "[Laughter.]"
+    assert STAGE_DIRECTION_RE.findall(seg.text_raw) == ["[Laughter.]"]
     assert any("Laughter" in msg for _, msg in result.warnings)
     assert reconstruct(result) == body
 
@@ -86,8 +101,23 @@ def test_stage_directions_stripped_and_logged():
 def test_rules_validation():
     with pytest.raises(ValueError):
         SegmenterRules(start_patterns=())
-    with pytest.raises(ValueError):
-        SegmenterRules(marker_patterns=("^no name group here",))
+    with pytest.raises(ValueError, match="does not compile"):
+        SegmenterRules(marker_patterns=("^(unclosed",))
+    # named groups are ignored: a marker pattern needs none
+    assert segment_utterances("Smith. Hi.", SegmenterRules(marker_patterns=("^[A-Z][a-z]+\\. ",))).segments
+
+
+def test_rules_compile_once_not_per_hearing(monkeypatch):
+    rules = SegmenterRules()
+    calls = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a, **kw: calls.append(a) or compile_(*a, **kw))
+    for hdir in sorted((Path(__file__).parent.parent / "fixtures" / "hearings").iterdir()):
+        meta = read_json(hdir / "meta.json", dict, partial(from_record, HearingMeta))
+        utterances, _ = segment_hearing((hdir / "transcript.txt").read_text(encoding="utf-8"), rules,
+                                        load_roster(hdir / "roster.json", hdir.name), meta)
+        assert utterances
+    assert calls == []
 
 
 def test_rules_file_round_trip(tmp_path):
@@ -187,7 +217,7 @@ def test_segmentation_insensitive_to_trailing_whitespace():
     trimmed_ws = "\n".join(line.rstrip() for line in h.raw_text.splitlines()) + "\n"
     r1 = segment_utterances(trim_proceedings(h.raw_text, RULES).body, RULES)
     r2 = segment_utterances(trim_proceedings(trimmed_ws, RULES).body, RULES)
-    assert [s.name_text for s in r1.segments] == [s.name_text for s in r2.segments]
+    assert [s.marker_raw.strip() for s in r1.segments] == [s.marker_raw.strip() for s in r2.segments]
     assert [s.text.strip() for s in r1.segments] == [s.text.strip() for s in r2.segments]
 
 

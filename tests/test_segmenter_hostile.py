@@ -79,8 +79,9 @@ def test_hostile_trim_boundaries():
 def test_hostile_segmentation_markers():
     body = trim_proceedings(HOSTILE, RULES).body
     result = segment_utterances(body, RULES)
-    names = [s.name_text for s in result.segments]
-    assert names == ["QUORUM", "Byte", "IBRAHIM", "Vector", "Ibrahim", "The CHAIRMAN"]
+    markers = [s.marker_raw.strip() for s in result.segments]
+    assert markers == ["Chairwoman QUORUM.", "Mr. Byte of Ohio.", "Dr. IBRAHIM.", "Senator Vector.", "Dr Ibrahim.",
+                       "The CHAIRMAN."]
     # the anchor line and the all-caps statement header stay in the preamble
     assert "STATEMENT OF DR. IBRAHIM" in result.preamble
     assert reconstruct(result) == body
@@ -103,11 +104,11 @@ def test_hostile_multiline_direction_and_sequence():
     body = trim_proceedings(HOSTILE, RULES).body
     result = segment_utterances(body, RULES)
     quorum = result.segments[0]
-    stripped = [d for _, d in quorum.directions]
+    stripped = STAGE_DIRECTION_RE.findall(quorum.text_raw)
     assert "[The statement of Chairwoman Quorum follows:]" in stripped
     assert "[Laughter.]" in stripped
     ibrahim = result.segments[2]
-    assert "[Pause.]" in [d for _, d in ibrahim.directions]
+    assert "[Pause.]" in STAGE_DIRECTION_RE.findall(ibrahim.text_raw)
     assert "[Pause.]" not in ibrahim.text
 
 
@@ -148,15 +149,13 @@ OVERLAP_PIECES = ("Mr. Ann Lee", "Ann Lee", "Bob.", "Dr. Jo Day", "ABC", "x", "x
 
 def _markers_by_full_scan(body, rules):
     """Kept marker spans as an `any(...)` scan over every earlier span decides them."""
-    taken, kept = [], []
+    taken = []
     for p in rules.marker_patterns:
         for m in re.compile(p, re.MULTILINE).finditer(body):
             span = (m.start(), m.end())
-            if any(s < span[1] and span[0] < e for s, e in taken):
-                continue
-            taken.append(span)
-            kept.append((m.start(), m.end(), m.group("name"), m.groupdict().get("honorific") or ""))
-    return sorted(kept)
+            if not any(s < span[1] and span[0] < e for s, e in taken):
+                taken.append(span)
+    return sorted(taken)
 
 
 def test_overlap_resolution_matches_full_scan():
@@ -164,7 +163,7 @@ def test_overlap_resolution_matches_full_scan():
     for _ in range(300):
         body = "".join(rng.choice(OVERLAP_PIECES) for _ in range(rng.randrange(1, 40)))
         result = segment_utterances(body, OVERLAPPING_RULES)
-        got = [(seg.start, seg.start + len(seg.marker_raw), seg.name_text, seg.honorific) for seg in result.segments]
+        got = [(seg.start, seg.start + len(seg.marker_raw)) for seg in result.segments]
         assert got == _markers_by_full_scan(body, OVERLAPPING_RULES), body
         assert reconstruct(result) == body
 
@@ -173,7 +172,7 @@ def test_overlap_resolution_matches_full_scan_on_hostile_body():
     body = trim_proceedings(HOSTILE, RULES).body
     for rules in (RULES, OVERLAPPING_RULES):
         result = segment_utterances(body, rules)
-        got = [(seg.start, seg.start + len(seg.marker_raw), seg.name_text, seg.honorific) for seg in result.segments]
+        got = [(seg.start, seg.start + len(seg.marker_raw)) for seg in result.segments]
         assert got == _markers_by_full_scan(body, rules)
 
 
