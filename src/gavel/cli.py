@@ -34,7 +34,7 @@ from . import KINDS, LAYOUTS, GavelError, __version__
 # process imports only those; `--version` and the parser import none of them.
 _IMPORTS = {
     "corpus": (
-        "HearingMeta", "Party", "QALabel", "Standing", "Task", "from_record", "load_corpus",
+        "HearingMeta", "Party", "QALabel", "RecordError", "Standing", "Task", "from_record", "load_corpus",
         "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines", "render_prompt",
         "store_corpus", "to_record", "write_lines", "write_tsv",
     ),
@@ -283,11 +283,20 @@ def cmd_segment(args) -> int:
     _check_outputs(args, new_dirs=("output",))
     started = time.time()
     rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
-    results = []
+    # every hearing's meta and roster are checked before any hearing is segmented
+    hearings = []
+    meta_paths: dict[str, Path] = {}
     for hdir in _raw_hearing_dirs(Path(args.input)):
+        meta_path = hdir / "meta.json"
+        meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
+        if meta.hearing_id in meta_paths:
+            raise RecordError(f"hearing_id {meta.hearing_id!r} is also the id in {meta_paths[meta.hearing_id]}",
+                              path=str(meta_path), field_name="hearing_id")
+        meta_paths[meta.hearing_id] = meta_path
+        hearings.append((hdir, meta, load_roster(hdir / "roster.json", meta.hearing_id)))
+    results = []
+    for hdir, meta, roster in hearings:
         raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
-        meta = read_json(hdir / "meta.json", dict, partial(from_record, HearingMeta))
-        roster = load_roster(hdir / "roster.json", meta.hearing_id)
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import map_ordered, sum_floats
 from .corpus import Roster, Task
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
-from .linear import predict_proba, train_binary_logistic
+from .linear import PackedRows, predict_proba, train_binary_logistic
 
 NAME_PLACEHOLDER = "⟨NAME⟩"  # ⟨NAME⟩
 
@@ -218,17 +218,14 @@ def train_logistic(x: Sequence[Sequence[float]], y: Sequence[str], classes: Sequ
         raise ValueError("training set contains a single class")
     width = len(x[0])
     std = fit_standardizer(x)
-    z_rows = [std.apply(r) for r in x]
-    sparse_rows = [{j: v for j, v in enumerate(r) if v != 0.0} for r in z_rows]
+    matrix = PackedRows(({j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x), width)
 
     def one_vs_rest(c: str) -> tuple[tuple[float, ...], float]:
         yc = [1 if lab == c else 0 for lab in y]
         if len(set(yc)) < 2:
             # class absent from training data: constant near-zero scorer
             return (0.0,) * width, -20.0
-        weights_bias, _ = train_binary_logistic(
-            sparse_rows, yc, n_features=width, learning_rate=0.5, epochs=200, l2=1e-3
-        )
+        weights_bias, _ = train_binary_logistic(matrix, yc, learning_rate=0.5, epochs=200, l2=1e-3)
         return weights_bias
 
     if len(classes) == 2 and set(classes) == present:

@@ -36,7 +36,7 @@ from .corpus import (
     to_record,
     write_lines,
 )
-from .linear import sigmoid, train_binary_logistic
+from .linear import PackedRows, sigmoid, train_binary_logistic
 
 MODEL_FORMAT_VERSION = 1
 BIGRAM_CAP = 50_000
@@ -197,13 +197,15 @@ class LexicalModel:
         unigrams: dict[str, float] = {}
         bigrams: dict[tuple[str, str], float] = {}
         structural: dict[str, float] = {}
+        tokens: dict[str, str] = {}  # one str per token, shared by the unigram keys and the pairs
         for name, i in self.vocabulary.items():
             if name.startswith(_UNIGRAM_PREFIX):
-                unigrams[name[len(_UNIGRAM_PREFIX):]] = self.weights[i]
+                token = name[len(_UNIGRAM_PREFIX):]
+                unigrams[tokens.setdefault(token, token)] = self.weights[i]
             elif name.startswith(_BIGRAM_PREFIX):
                 t1, space, t2 = name[len(_BIGRAM_PREFIX):].partition(" ")
                 if space:
-                    bigrams[t1, t2] = self.weights[i]
+                    bigrams[tokens.setdefault(t1, t1), tokens.setdefault(t2, t2)] = self.weights[i]
             elif name in _STRUCTURAL_FEATURES:
                 structural[name] = self.weights[i]
         object.__setattr__(self, "_unigram_weights", unigrams)
@@ -239,19 +241,20 @@ def train_qa(corpus: Sequence[LabeledText], hyper: QAHyper = QAHyper()) -> tuple
         raise ValueError("training corpus must contain both Question and Answer rows")
     featurized = [featurize_text(r.text) for r in corpus]
     vocab = build_vocabulary(featurized)
-    rows = [
-        {vocab[name]: value for name, value in feats.items() if name in vocab} for feats in featurized
-    ]
+    matrix = PackedRows(
+        ({vocab[name]: value for name, value in feats.items() if name in vocab} for feats in featurized), len(vocab)
+    )
+    del featurized  # training and the scoring tables need only the packed rows
     y = [1 if r.label is QALabel.QUESTION else 0 for r in corpus]
     (weights, bias), trace = train_binary_logistic(
-        rows, y, n_features=len(vocab), learning_rate=hyper.learning_rate, epochs=hyper.epochs, l2=hyper.l2
+        matrix, y, learning_rate=hyper.learning_rate, epochs=hyper.epochs, l2=hyper.l2
     )
     meta = {
         "seed": hyper.seed,
         "epochs": hyper.epochs,
         "learning_rate": hyper.learning_rate,
         "l2": hyper.l2,
-        "n_examples": len(rows),
+        "n_examples": len(y),
     }
     return LexicalModel(vocabulary=vocab, weights=weights, bias=bias, training_meta=meta), trace
 

@@ -24,7 +24,7 @@ from gavel.harness import (
     run_experiment,
 )
 from gavel.kstest import ks_statistic, ks_two_sample
-from gavel.linear import loss_and_gradient
+from gavel.linear import PackedRows, loss_and_gradient
 from gavel.qa import (
     ConfusionCounts,
     QAHyper,
@@ -179,7 +179,7 @@ def test_acceptance_5_qa_classifier_floor():
     sample = train_rows[:200]
     featurized = [featurize_text(r.text) for r in sample]
     vocab = build_vocabulary(featurized)
-    rows = [{vocab[k]: v for k, v in f.items() if k in vocab} for f in featurized]
+    rows = PackedRows(({vocab[k]: v for k, v in f.items() if k in vocab} for f in featurized), len(vocab))
     y = [1 if r.label is QALabel.QUESTION else 0 for r in sample]
     weights = [rng.uniform(-0.5, 0.5) for _ in range(len(vocab))]
     _, grad_w, _ = loss_and_gradient(weights, 0.05, rows, y, 1e-3)

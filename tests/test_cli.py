@@ -85,6 +85,12 @@ GOLDEN_PARALLEL_EVAL_SHA256 = {
 }
 # sha256 of the forest `train --min-rows 4 --cv-folds 2` saves with TWO_CELL_GRID
 GOLDEN_GRID_FOREST_SHA256 = "2610f167fac659656e01474f1a39251c8fbc36752b7e48ba436967737339fe50"
+# sha256 of the Q/A model `classify-qa train` writes from the fixture AMA and UKParl files,
+# pinned before the logistic fits ran over packed rows: (extra flags) -> sha256
+GOLDEN_QA_MODEL_SHA256 = {
+    ("--epochs", "30"): "c9254a003429c77df31c95dad7cdc8909d45e5b4aa1aca51d43f902a352cd37a",  # the pipeline's
+    (): "eb46bfaf544c9a8d31747cc6ca32511dcac558265c4118a813088bf0ee40ac11",
+}
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -228,6 +234,17 @@ def test_pipeline_manifest_hash_fields(pipeline):
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_QA_MODEL_SHA256), ids=lambda f: " ".join(f) or "default")
+def test_qa_model_matches_golden_bytes(pipeline, tmp_path, flags):
+    model = pipeline / "qa_model.json"
+    if flags != ("--epochs", "30"):
+        model = tmp_path / "qa_model.json"
+        argv = ["classify-qa", "train", "--train", f"{FIXTURES / 'qa' / 'ama_train.tsv'}:AMA",
+                "--train", f"{FIXTURES / 'qa' / 'ukparl_train.tsv'}:UKParl", "--model-out", str(model), *flags]
+        assert run(argv) == 0
+    assert _sha256(model) == GOLDEN_QA_MODEL_SHA256[flags]
 
 
 def test_pipeline_examples_match_golden_bytes(pipeline):
@@ -1110,6 +1127,13 @@ def _segment_roster_of_another_hearing(pipeline, tmp_path):
     return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], f"{roster} field 'hearing_id'"
 
 
+def _segment_duplicate_hearing_id(pipeline, tmp_path):
+    raw, _ = _raw_hearings(tmp_path)
+    meta = raw / "synth-110-0002" / "meta.json"
+    _rewrite_json(meta, lambda record: record.update(hearing_id="synth-108-0000"))
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], f"{meta} field 'hearing_id'"
+
+
 def _pair_roster_of_another_hearing(pipeline, tmp_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus)
@@ -1166,6 +1190,7 @@ MALFORMED_INPUTS = {
     "roster-repeated-person-id": _segment_repeated_person_id,
     "stored-roster-repeated-person-id": _pair_repeated_person_id,
     "roster-of-another-hearing": _segment_roster_of_another_hearing,
+    "meta-duplicate-hearing-id": _segment_duplicate_hearing_id,
     "stored-roster-of-another-hearing": _pair_roster_of_another_hearing,
     "examples-bad-session": _kstest_bad_session,
     "utterances-sequence-gap": _pair_sequence_gap,
@@ -1179,6 +1204,24 @@ def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys
     assert str(where) in capsys.readouterr().err
     if argv[0] == "segment":
         assert not (tmp_path / "s").exists()  # nothing written
+
+
+def test_segment_checks_every_roster_before_it_segments_a_hearing(tmp_path, capsys, monkeypatch):
+    from gavel import synth
+
+    raw = tmp_path / "raw"
+    synth.write_raw_tree(synth.synth_corpus(6, seed=11), raw)
+    first, *_, last = sorted(p for p in raw.iterdir() if p.is_dir())
+    roster = last / "roster.json"
+    _rewrite_json(roster, lambda record: record.update(hearing_id=first.name))
+
+    def segment_hearing(*args):
+        raise AssertionError("a hearing was segmented before every roster was checked")
+
+    monkeypatch.setattr(cli, "segment_hearing", segment_hearing)
+    assert run(["segment", "--input", str(raw), "--output", str(tmp_path / "s")]) == 1
+    assert f"{roster} field 'hearing_id'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 NON_FINITE_READERS = {

@@ -20,7 +20,7 @@ from gavel.forest import (
 from gavel import party_models
 from gavel.harness import SplitSpec, build_datasets, build_examples, impute_with_medians
 from gavel.lexicons import load_lexicons
-from gavel.linear import train_binary_logistic
+from gavel.linear import PackedRows, train_binary_logistic
 from gavel.party_models import (
     NAME_PLACEHOLDER,
     LinearModel,
@@ -492,16 +492,14 @@ def oracle_train_logistic(x, y, classes):
     """One-vs-rest with one binary fit per class, as `train_logistic` did for every class count."""
     width = len(x[0])
     std = fit_standardizer(x)
-    sparse_rows = [{j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x]
+    matrix = PackedRows([{j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x], width)
     models = []
     for c in classes:
         yc = [1 if lab == c else 0 for lab in y]
         if len(set(yc)) < 2:
             models.append(((0.0,) * width, -20.0))
             continue
-        weights_bias, _ = train_binary_logistic(
-            sparse_rows, yc, n_features=width, learning_rate=0.5, epochs=200, l2=1e-3
-        )
+        weights_bias, _ = train_binary_logistic(matrix, yc, learning_rate=0.5, epochs=200, l2=1e-3)
         models.append(weights_bias)
     return LinearModel(classes=tuple(classes), per_class=tuple(models), standardizer=std)
 

@@ -7,7 +7,7 @@ import pytest
 
 from gavel.corpus import Party, Person, QALabel, RecordError, Role
 from gavel import qa
-from gavel.linear import loss_and_gradient, predict_proba, train_binary_logistic
+from gavel.linear import PackedRows, loss_and_gradient, predict_proba, train_binary_logistic
 from gavel.qa import (
     INTERROGATIVE_FEATURE,
     QMARK_FEATURE,
@@ -181,7 +181,7 @@ def test_train_rejects_single_class():
 
 def test_logistic_rejects_a_non_finite_row():
     with pytest.raises(ValueError, match="not finite"):
-        train_binary_logistic([{0: math.inf}, {0: 1.0}], [1, 0], n_features=1)
+        train_binary_logistic(PackedRows([{0: math.inf}, {0: 1.0}], 1), [1, 0])
 
 
 def test_gradient_matches_central_finite_differences():
@@ -189,7 +189,7 @@ def test_gradient_matches_central_finite_differences():
     corpus = toy_corpus(12)
     featurized = [featurize_text(r.text) for r in corpus]
     vocab = build_vocabulary(featurized)
-    rows = [{vocab[k]: v for k, v in f.items() if k in vocab} for f in featurized]
+    rows = PackedRows(({vocab[k]: v for k, v in f.items() if k in vocab} for f in featurized), len(vocab))
     y = [1 if r.label is QALabel.QUESTION else 0 for r in corpus]
     weights = [rng.uniform(-0.5, 0.5) for _ in range(len(vocab))]
     bias = 0.1
