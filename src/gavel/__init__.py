@@ -3,11 +3,12 @@
 This module holds what a process may need before it loads any other gavel
 module: the version, the choices the argument parser offers, and the base
 class of the errors `gavel.cli` reports with exit code 1. It also holds the
-one rule by which gavel adds floats, and the one way it spreads independent
-work over the CPUs.
+one rule by which gavel adds floats, the one way it cuts columns down to some
+of their rows, and the one way it spreads independent work over the CPUs.
 """
 
 import os
+from operator import itemgetter
 
 __version__ = "0.1.0"
 
@@ -31,6 +32,13 @@ def sum_floats(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def take(columns, rows) -> list[tuple]:
+    """Each of `columns` cut to `rows`: a tuple of its cells at those row indices, in their order."""
+    # itemgetter of a single index gives the cell itself, not a tuple
+    cells = itemgetter(*rows) if len(rows) > 1 else lambda column: tuple(column[i] for i in rows)
+    return [cells(column) for column in columns]
 
 
 # (fn, items) of the map that forked workers are running. Set before the fork, so a

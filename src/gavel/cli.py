@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import KINDS, LAYOUTS, GavelError, __version__
+from . import KINDS, LAYOUTS, GavelError, __version__, take
 
 # Every name the subcommands take from another gavel module, by the module that
 # defines it. Each command binds the names of the modules it runs with `_use`, so a
@@ -43,11 +43,11 @@ _IMPORTS = {
     "forest": ("ForestHyper", "save_forest"),
     "harness": (
         "DEFAULT_GRID", "ExperimentConfig", "SplitSpec", "build_datasets", "build_examples", "emit_tables",
-        "fit_forest", "impute_with_medians", "read_predictions_file", "run_experiment", "score_predictions",
+        "empty_blocks", "fit_forest", "read_predictions_file", "run_experiment", "score_predictions",
     ),
     "kstest": ("compare_groups", "emit_comparison_details", "emit_heatmap_matrix"),
     "lexicons": ("load_lexicons", "verify_manifest"),
-    "party_models": ("feature_importance",),
+    "party_models": ("feature_importance", "impute"),
     "qa": (
         "QAHyper", "Source", "classify_qa", "load_model", "load_pairs", "load_training_corpus", "pair_qa",
         "save_model", "save_pairs", "score_confusion", "train_qa",
@@ -306,10 +306,12 @@ def cmd_segment(args) -> int:
         out,
         rosters={meta.hearing_id: roster for meta, _, roster, _ in results},
     )
-    for meta, _, _, report in results:
+    for meta, utterances, _, report in results:
+        empty = sum(1 for u in utterances if not u.raw_marker)
         _log(
             f"{meta.hearing_id}: {report.n_utterances} utterances, "
             f"{report.n_unresolved_speakers} unresolved, {len(report.warnings)} warnings"
+            + (f", {empty} with an empty marker" if empty else "")
         )
     reports = {meta.hearing_id: to_record(rep) for meta, _, _, rep in results}
     write_lines(out / "segmentation_report.json", [json.dumps(reports, indent=1, sort_keys=True)])
@@ -449,20 +451,13 @@ def cmd_kstest(args) -> int:
     _require(args, "examples", "out_matrix")
     _check_outputs(args, files=("out_matrix", "out_details"))
     started = time.time()
-    rows = read_examples(args.examples)
-    selected = []
-    for row in rows:
-        if row.kind != args.kind:
-            continue
-        try:
-            party = Party(row.party)
-            standing = Standing(row.standing)
-        except ValueError:
-            continue
-        selected.append((party, standing, row.features))
-    if not selected:
+    table = read_examples(args.examples)
+    parties, standings = {p.value for p in Party}, {s.value for s in Standing}
+    rows = [i for i, (kind, party, standing) in enumerate(zip(table.kind, table.party, table.standing))
+            if kind == args.kind and party in parties and standing in standings]
+    if not rows:
         raise UsageError(f"no rows of kind {args.kind!r} in {args.examples}")
-    comparisons, skips = compare_groups(selected)
+    comparisons, skips = compare_groups(*take([table.party, table.standing], rows), take(table.features, rows))
     emit_heatmap_matrix(comparisons, args.out_matrix)
     if args.out_details:
         emit_comparison_details(comparisons, skips, args.out_details)
@@ -492,9 +487,9 @@ def cmd_train(args) -> int:
     _check_outputs(args, files=("model_out", "importance_out"))
     grid = _grid_from_config(args.grid)
     started = time.time()
-    rows = read_examples(args.examples)
+    table = read_examples(args.examples)
     spec = SplitSpec(dimensions=(), utterance_kind=args.kind, task=Task(args.task), min_rows=args.min_rows)
-    datasets, skips = build_datasets(rows, spec)
+    datasets, skips = build_datasets(table, spec)
     if not datasets:
         raise UsageError(f"not enough rows to train: {[s.reason for s in skips]}")
     _, dataset = datasets[0]
@@ -502,7 +497,7 @@ def cmd_train(args) -> int:
     present = sorted(set(labels), key=dataset.label_order.index)
     if len(present) < 2:
         raise UsageError("training data holds a single class")
-    x, _ = impute_with_medians([row.features.values for row in dataset.rows])
+    x, _ = impute(take(dataset.table.features, dataset.rows))
     model, warnings = fit_forest(x, labels, present, grid, args.cv_folds, args.seed)
     for w in warnings:
         _log(f"warning: {w}")
@@ -513,7 +508,7 @@ def cmd_train(args) -> int:
         imp = feature_importance(model, schema=SCHEMA)
         ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
         write_tsv(args.importance_out, ["feature", "importance"], ranked)
-    _log(f"trained forest on {len(x)} rows, classes {present}")
+    _log(f"trained forest on {len(labels)} rows, classes {present}")
     write_manifest(Path(args.model_out).parent, "train", args, [Path(args.examples)], started)
     return 0
 
@@ -561,6 +556,9 @@ def cmd_evaluate(args) -> int:
     reports = run_experiment(datasets, exp)
     for layout in layouts:
         emit_tables(reports, layout, out_dir / f"{layout}.tsv")
+    if "hearing_type_government" in layouts:
+        for block, reason in empty_blocks(reports, skips, spec):
+            _log(f"hearing_type_government.tsv: the {block} block is empty: {reason}")
     write_tsv(
         out_dir / "skipped_splits.tsv",
         ["split", "n_rows", "reason"],

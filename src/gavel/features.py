@@ -24,22 +24,25 @@ neutral mass, so vneg+vneu+vpos is exactly 1 (a text with no covered tokens
 is all neutral). The syllable counter is rule-based: vowel-group counting
 with a silent final 'e' rule that spares consonant+'le' endings.
 
-The example table holds one `ExampleRow` per question, answer or pair: its
-split dimensions, its questioner's party and standing, and its features.
-`write_examples` and `read_examples` are its file codec; they live here so
-that a command that only reads the table need not load the learners.
+The example table has one row per question, answer or pair: its split
+dimensions, its questioner's party and standing, and its features.
+`write_examples` writes row tuples; `read_examples` reads the columns of an
+`ExampleTable`, which the KS tests, splits and learners take. The codec lives
+here so that a command that only reads the table need not load the learners.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from sys import intern
+from typing import Iterable, Optional, Sequence
 
 from .corpus import RecordError, Task, read_tsv, write_tsv
 from .lexicons import LIST_FILES, Lexicons
@@ -76,8 +79,6 @@ SCHEMA: tuple[str, ...] = (
     "date_mentions",
     "location_mentions",
 )
-
-_SCHEMA_POS = {name: i for i, name in enumerate(SCHEMA)}
 
 # Words: alphanumeric runs, apostrophes join ("don't" is one word).
 WORD_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
@@ -149,15 +150,6 @@ class FeatureVector:
         if len(values) != len(SCHEMA):
             raise FeatureError(f"expected {len(SCHEMA)} values, got {len(values)}")
         self.values = tuple(values)
-
-    def __getitem__(self, name: str) -> Optional[float]:
-        return self.values[_SCHEMA_POS[name]]
-
-    def __eq__(self, other):
-        return isinstance(other, FeatureVector) and self.values == other.values
-
-    def __repr__(self):
-        return f"FeatureVector({dict(zip(SCHEMA, self.values))!r})"
 
 
 def tokens_of(text: str) -> list[str]:
@@ -333,10 +325,6 @@ def extract_features(text: str, lexicons: Lexicons) -> FeatureVector:
     )
 
 
-def parse_value(s: str) -> Optional[float]:
-    return None if s == "" else float(s)
-
-
 # --- the example table --------------------------------------------------------
 
 META_COLUMNS = (
@@ -352,59 +340,97 @@ META_COLUMNS = (
     "party",
     "standing",
 )
+COLUMNS = META_COLUMNS + SCHEMA
+_SESSION = META_COLUMNS.index("session")
+
+_BLOCK_LINES = 256  # lines turned into columns at once: bounds the cells held while reading
 
 
 @dataclass(frozen=True)
-class ExampleRow:
-    example_id: str
-    kind: str
-    hearing_id: str
-    session: int
-    committee: str
-    chamber: str
-    hearing_type: str
-    government: str
-    presidency: str
-    party: str
-    standing: str
-    features: FeatureVector
+class ExampleTable:
+    """The example table in memory: one column per field of the file.
 
-    def dim_value(self, dim: str) -> str:
-        if dim == "session":
-            return str(self.session)
-        return getattr(self, dim)
+    Each metadata column is a list of str, equal cells sharing one interned
+    str, and `session` holds its integer's canonical text. `features[j]` is
+    SCHEMA[j]'s column, an `array('d')` with NaN for an empty (null) cell:
+    the file admits no non-finite value, so NaN means null and nothing else.
+    """
 
-    def label(self, task: Task) -> str:
+    example_id: list[str]
+    kind: list[str]
+    hearing_id: list[str]
+    session: list[str]
+    committee: list[str]
+    chamber: list[str]
+    hearing_type: list[str]
+    government: list[str]
+    presidency: list[str]
+    party: list[str]
+    standing: list[str]
+    features: tuple[array, ...]
+
+    def labels(self, task: Task) -> list[str]:
+        """The column `task` predicts: party or standing."""
         return self.party if task is Task.AFFILIATION else self.standing
 
 
-def write_examples(rows: Sequence[ExampleRow], path: Path | str) -> None:
-    meta = attrgetter(*META_COLUMNS)
-    write_tsv(path, META_COLUMNS + SCHEMA, (meta(r) + r.features.values for r in rows))
+def write_examples(rows: Iterable[Sequence], path: Path | str) -> None:
+    """Write rows given as tuples in `COLUMNS` order, a null feature as None."""
+    write_tsv(path, COLUMNS, rows)
 
 
-def read_examples(path: Path | str) -> list[ExampleRow]:
+def read_examples(path: Path | str) -> ExampleTable:
+    """Read an examples file into columns, a block of lines at a time.
+
+    A row of the wrong width, a session that is not an integer, or a feature
+    neither empty nor a finite float is a `RecordError` naming line and column.
+    """
     lines = read_tsv(path)
     line_no, header = next(lines, (0, None))
     if header is None:
         raise RecordError("empty examples file", path=str(path))
-    expected = list(META_COLUMNS + SCHEMA)
-    if header != expected:
+    if header != list(COLUMNS):
         raise RecordError(
             f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=line_no
         )
-    rows = []
-    for line_no, cols in lines:
-        if len(cols) != len(expected):
-            raise RecordError(f"expected {len(expected)} columns, got {len(cols)}", path=str(path), line_no=line_no)
-        meta = dict(zip(META_COLUMNS, cols))
+    columns = [[] for _ in META_COLUMNS] + [array("d") for _ in SCHEMA]
+    while block := list(islice(lines, _BLOCK_LINES)):
+        _add_block(path, block, columns)
+    return ExampleTable(*columns[: len(META_COLUMNS)], features=tuple(columns[len(META_COLUMNS) :]))
+
+
+def _add_block(path, block: Sequence[tuple[int, list[str]]], columns: list) -> None:
+    """Append a block of (line_no, cells) rows to the columns.
+
+    A block with a faulty line is added again a line at a time, so that the
+    error names the first such line and, in it, the first faulty column.
+    """
+    for i, (line_no, cells) in enumerate(block):
+        if len(cells) != len(COLUMNS):
+            _add_block(path, block[:i], columns)  # a fault on an earlier line is reported first
+            raise RecordError(f"expected {len(COLUMNS)} columns, got {len(cells)}", path=str(path),
+                              line_no=line_no, field_name=COLUMNS[min(len(cells), len(COLUMNS) - 1)])
+    for j, cells in enumerate(zip(*(cells for _, cells in block))):
         try:
-            meta["session"] = int(meta["session"])
-            values = [parse_value(v) for v in cols[len(META_COLUMNS) :]]
-        except ValueError as exc:
-            raise RecordError(f"bad value: {exc}", path=str(path), line_no=line_no)
-        bad = [name for name, v in zip(SCHEMA, values) if v is not None and not math.isfinite(v)]
-        if bad:
-            raise RecordError(f"non-finite value in column {bad[0]!r}", path=str(path), line_no=line_no)
-        rows.append(ExampleRow(features=FeatureVector(values), **meta))
-    return rows
+            if j >= len(META_COLUMNS):
+                columns[j].extend(_floats(cells))
+            elif j == _SESSION:
+                columns[j].extend(map(intern, map(str, map(int, cells))))  # the integer's canonical text
+            else:
+                columns[j].extend(cells if j == 0 else map(intern, cells))  # example ids are distinct
+        except ValueError:
+            if len(block) > 1:
+                for line in block:
+                    _add_block(path, [line], columns)
+            what = "not an integer" if j == _SESSION else "non-finite or not a number"
+            raise RecordError(f"{cells[0]!r} is {what}", path=str(path), line_no=block[0][0],
+                              field_name=COLUMNS[j]) from None
+
+
+def _floats(cells: Sequence[str]) -> array:
+    """Feature cells as doubles, an empty cell as NaN; ValueError for any other cell that is not a finite float."""
+    values = array("d", [float(c) if c else math.nan for c in cells])
+    if not all(map(math.isfinite, compress(values, cells))):
+        raise ValueError("non-finite value")
+    return values
+

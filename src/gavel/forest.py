@@ -7,9 +7,10 @@ weighted child Gini, with ties going to the first candidate in (feature,
 threshold) order so training is deterministic. Per-tree seeds derive from
 the root seed through a splitmix-style mixer.
 
-Each column's distinct values are ranked once per `train_forest` call, so a
-node tallies its rows per (value, class) and scans only the distinct values
-it holds, never re-sorting rows. Feature values must be finite.
+Training takes feature columns; each column's distinct values are ranked
+once per `train_forest` call, so a node tallies its rows per (value, class)
+and scans only the distinct values it holds, never re-sorting rows. Feature
+values must be finite. Prediction takes one row at a time.
 
 Leaves store class-count distributions. Forest prediction averages the
 normalized leaf distributions and takes the argmax, breaking ties by class
@@ -148,26 +149,26 @@ def _best_split(
 
 
 def train_forest(
-    x: Sequence[Sequence[float]],
+    columns: Sequence[Sequence[float]],
     y: Sequence[str],
     classes: Sequence[str],
     hyper: ForestHyper = ForestHyper(),
 ) -> ForestModel:
-    if not x:
+    """Grow a forest on feature `columns` (one sequence of row values per feature) and row labels `y`."""
+    if not y:
         raise ValueError("empty training set")
-    if len(x) != len(y):
-        raise ValueError("rows and labels differ in length")
+    if any(len(column) != len(y) for column in columns):
+        raise ValueError("columns and labels differ in length")
     present = set(y)
     if len(present) < 2:
         raise ValueError("training set contains a single class")
     unknown = present - set(classes)
     if unknown:
         raise ValueError(f"labels outside the class list: {sorted(unknown)}")
-    n_features = len(x[0])
+    n_features = len(columns)
     n_classes = len(classes)
     class_index = {c: i for i, c in enumerate(classes)}
     y_idx = [class_index[label] for label in y]
-    columns = [list(col) for col in zip(*x)]
     values, codes = _split_tables(columns, y_idx, n_classes)
     k = hyper.resolved_max_features(n_features)
     importance = [0.0] * n_features
@@ -198,7 +199,7 @@ def train_forest(
         node.right = grow(right_idx, depth + 1)
         return node
 
-    n_rows = len(x)
+    n_rows = len(y)
     trees = []
     for t in range(hyper.n_estimators):
         rng = random.Random(derive_seed(hyper.seed, t))  # read by grow

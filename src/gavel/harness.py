@@ -6,11 +6,12 @@ the Both row the concatenated pair; every row is labeled with the
 questioner's party and standing. `build_datasets` then partitions them
 into one `Dataset` per split along any subset of five dimensions
 (committee, session, hearing type, unified/divided government,
-presidency). Each split hands its learners plain rows and labels, is
-scored against its own majority-class baseline, and lands in stable,
-byte-reproducible tab-separated tables.
+presidency): the example table's columns plus the split's row indices.
+Each split hands its learners imputed feature columns and labels for
+training and rows for prediction, is scored against its own majority-class
+baseline, and lands in stable, byte-reproducible tab-separated tables.
 
-The example table's row type and file codec live in `features`, and the
+The example table's column form and file codec live in `features`, and the
 zero-shot prompt renderer in `corpus`, so `kstest` and `prompts` run
 without loading the learners. External models driven by those prompts
 feed their label files back in through `read_predictions_file` and
@@ -26,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import KINDS, LAYOUTS, map_ordered
+from . import KINDS, LAYOUTS, map_ordered, take
 from .corpus import (
     GovernmentContext,
     HearingMeta,
@@ -43,8 +44,7 @@ from .corpus import (
     write_tsv,
 )
 from .features import (
-    ExampleRow,
-    FeatureVector,
+    ExampleTable,
     extract_features,
     read_examples,  # not called here; perfbench/tracing.py wraps it under this module's name
     write_examples,  # likewise
@@ -54,7 +54,6 @@ from .lexicons import Lexicons
 from .party_models import (
     EvalReport,
     TASK_LABEL_ORDER,
-    column_medians,
     cross_validate_grid,
     feature_importance,  # not called here; perfbench/tracing.py wraps it under this module's name
     impute,
@@ -73,13 +72,13 @@ def build_examples(
     pairs: Mapping[str, Sequence[QAPair]] | None = None,
     member_directory: Iterable[str] = (),
     strip_names: bool = True,
-) -> tuple[list[ExampleRow], list[str]]:
-    """Featurized, labeled example rows; returns (rows, warnings).
+) -> tuple[list[tuple], list[str]]:
+    """Featurized, labeled example rows as tuples in `features.COLUMNS` order; returns (rows, warnings).
 
     Names are removed from text before feature extraction unless
     `strip_names` is off, so speaker identity cannot leak into features.
     """
-    rows: list[ExampleRow] = []
+    rows: list[tuple] = []
     warnings: list[str] = []
     directory = tuple(member_directory)
     for meta, utterances in corpus:
@@ -91,24 +90,17 @@ def build_examples(
         if ctx is None:
             warnings.append(f"{meta.hearing_id}: no government context for session {meta.session}, skipped")
             continue
-        hearing = dict(
-            hearing_id=meta.hearing_id,
-            session=meta.session,
-            committee=meta.committee,
-            chamber=meta.chamber.value,
-            hearing_type=meta.hearing_type.value,
-            government="Unified" if ctx.unified else "Divided",
-            presidency=ctx.president_party.value,
-        )
+        hearing = (meta.hearing_id, meta.session, meta.committee, meta.chamber.value, meta.hearing_type.value,
+                   "Unified" if ctx.unified else "Divided", ctx.president_party.value)
         by_id = {u.utterance_id: u for u in utterances}
 
-        def featurize(text: str) -> FeatureVector:
+        def featurize(text: str) -> tuple[Optional[float], ...]:
             if strip_names:
                 text = strip_speaker_names(text, roster, directory)
-            return extract_features(text, lexicons)
+            return extract_features(text, lexicons).values
 
-        def columns_for(member_id: str) -> Optional[dict]:
-            """The metadata columns of the examples `member_id` asks; None unless they are a member with a standing."""
+        def columns_for(member_id: str) -> Optional[tuple]:
+            """The cells after `kind` of the examples `member_id` asks; None unless a member with a standing."""
             person = roster.people_by_id.get(member_id)
             if person is None or person.role is not Role.MEMBER:
                 return None
@@ -117,7 +109,7 @@ def build_examples(
             except Exception as exc:
                 warnings.append(f"{meta.hearing_id}/{member_id}: standing unresolved ({exc})")
                 return None
-            return {**hearing, "party": person.party.value, "standing": standing.value}
+            return (*hearing, person.party.value, standing.value)
 
         for u in utterances:
             if u.qa_label is not QALabel.QUESTION:
@@ -125,7 +117,7 @@ def build_examples(
             columns = columns_for(u.speaker)
             if columns is None:
                 continue
-            rows.append(ExampleRow(example_id=u.utterance_id, kind="Question", features=featurize(u.text), **columns))
+            rows.append((u.utterance_id, "Question", *columns, *featurize(u.text)))
         hearing_pairs = (pairs or {}).get(meta.hearing_id, ())
         for pair in hearing_pairs:
             columns = columns_for(pair.questioner)
@@ -136,18 +128,9 @@ def build_examples(
             if question is None or answer is None:
                 warnings.append(f"{meta.hearing_id}/{pair.pair_id}: pair references unknown utterances")
                 continue
-            rows.append(
-                ExampleRow(example_id=answer.utterance_id, kind="Answer", features=featurize(answer.text), **columns)
-            )
-            rows.append(
-                ExampleRow(
-                    example_id=pair.pair_id,
-                    kind="Both",
-                    features=featurize(question.text + "\n" + answer.text),
-                    **columns,
-                )
-            )
-    rows.sort(key=lambda r: (r.kind, r.example_id))
+            rows.append((answer.utterance_id, "Answer", *columns, *featurize(answer.text)))
+            rows.append((pair.pair_id, "Both", *columns, *featurize(question.text + "\n" + answer.text)))
+    rows.sort(key=itemgetter(1, 0))  # by kind, then example_id
     return rows, warnings
 
 
@@ -174,14 +157,16 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """One split's example rows, ordered by `example_id`, and the task they are labeled for."""
+    """One split: the example table, the indices of the split's rows ordered by `example_id`, and the task."""
 
-    rows: tuple[ExampleRow, ...]
+    table: ExampleTable
+    rows: tuple[int, ...]
     task: Task
 
     @property
     def labels(self) -> list[str]:
-        return [r.label(self.task) for r in self.rows]
+        column = self.table.labels(self.task)
+        return [column[i] for i in self.rows]
 
     @property
     def label_order(self) -> tuple[str, ...]:
@@ -196,20 +181,20 @@ class SplitSkip:
 
 
 def build_datasets(
-    examples: Sequence[ExampleRow], spec: SplitSpec
+    table: ExampleTable, spec: SplitSpec
 ) -> tuple[list[tuple[tuple[tuple[str, str], ...], Dataset]], list[SplitSkip]]:
-    """Partition example rows into one Dataset per split-key tuple.
+    """Partition the table's rows into one Dataset per split-key tuple.
 
     Every selected row lands in exactly one split or one skip record.
     """
     valid_labels = set(TASK_LABEL_ORDER[spec.task])
-    selected = [r for r in examples if r.kind == spec.utterance_kind]
-    groups: dict[tuple[tuple[str, str], ...], list[ExampleRow]] = {}
-    for r in selected:
-        if r.label(spec.task) not in valid_labels:
+    dims = [getattr(table, d) for d in spec.dimensions]
+    groups: dict[tuple[tuple[str, str], ...], list[int]] = {}
+    for i, (kind, label) in enumerate(zip(table.kind, table.labels(spec.task))):
+        if kind != spec.utterance_kind or label not in valid_labels:
             continue
-        key = tuple((d, r.dim_value(d)) for d in spec.dimensions)
-        groups.setdefault(key, []).append(r)
+        key = tuple(zip(spec.dimensions, [column[i] for column in dims]))
+        groups.setdefault(key, []).append(i)
     datasets = []
     skips = []
     for key in sorted(groups):
@@ -217,7 +202,8 @@ def build_datasets(
         if len(rows) < spec.min_rows:
             skips.append(SplitSkip(key=key, n_rows=len(rows), reason=f"fewer than min_rows={spec.min_rows}"))
             continue
-        datasets.append((key, Dataset(rows=tuple(sorted(rows, key=lambda r: r.example_id)), task=spec.task)))
+        rows.sort(key=table.example_id.__getitem__)
+        datasets.append((key, Dataset(table=table, rows=tuple(rows), task=spec.task)))
     return datasets, skips
 
 
@@ -262,13 +248,6 @@ def _stratified_holdout(
     return train, sorted(test)
 
 
-def impute_with_medians(rows: Sequence[Sequence[Optional[float]]]) -> tuple[list[list[float]], list[float]]:
-    """Rows with nulls replaced by their column's median; returns (rows, medians)."""
-    width = len(rows[0]) if rows else 0
-    medians = column_medians(rows, width)
-    return impute(rows, medians), medians
-
-
 def fit_forest(
     x: Sequence[Sequence[float]],
     y: Sequence[str],
@@ -277,7 +256,7 @@ def fit_forest(
     cv_folds: int,
     seed: int,
 ) -> tuple[ForestModel, list[str]]:
-    """Train a forest on the grid cell that cross-validation picks; returns (model, warnings).
+    """Train a forest on feature columns `x` with the grid cell cross-validation picks; returns (model, warnings).
 
     A one-cell grid is taken as it is, without cross-validation.
     """
@@ -351,10 +330,11 @@ def run_experiment(
 def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> EvalReport:
     labels = dataset.labels
     train_idx, test_idx = _stratified_holdout(labels, config.test_fraction, seed)
-    raw_rows = [r.features.values for r in dataset.rows]
-    x_train, medians = impute_with_medians([raw_rows[i] for i in train_idx])
+    features = dataset.table.features
+    x_train, medians = impute(take(features, [dataset.rows[i] for i in train_idx]))
     y_train = [labels[i] for i in train_idx]
-    x_test = impute([raw_rows[i] for i in test_idx], medians)
+    x_test, _ = impute(take(features, [dataset.rows[i] for i in test_idx]), medians)
+    x_test = list(zip(*x_test))  # predictions go row by row
     y_test = [labels[i] for i in test_idx]
     present_train = set(y_train)
     classes = [c for c in dataset.label_order if c in present_train]
@@ -425,6 +405,34 @@ def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) ->
     write_tsv(path, header, rows)
 
 
+def empty_blocks(reports: Sequence[EvalReport], skips: Sequence[SplitSkip], spec: SplitSpec) -> list[tuple[str, str]]:
+    """(block, reason) for each column block of the hearing_type_government layout that no report fills."""
+
+    def presidencies(keys) -> set[str]:
+        return {dict(key).get("presidency", "All") for key in keys}
+
+    filled = presidencies(r.split_key for r in reports if r.error is None)
+    scored = presidencies(r.split_key for r in reports)
+    skipped = presidencies(s.key for s in skips)
+    partisan = "presidency" in spec.dimensions
+    out = []
+    for value, block in _PRESIDENCY_BLOCKS:
+        if value in filled:
+            continue
+        if value == "All" and partisan:
+            reason = "presidency is in --split-dims, so every split is partisan"
+        elif value != "All" and not partisan:
+            reason = "presidency is not in --split-dims, so no split is partisan"
+        elif value in scored:
+            reason = "every split for it ended in an error (see split_grid.tsv)"
+        elif value in skipped:
+            reason = f"no split for it reached --min-rows {spec.min_rows} (see skipped_splits.tsv)"
+        else:
+            reason = "the examples hold no row for it"
+        out.append((block, reason))
+    return out
+
+
 def _ht_gov_table(reports: Sequence[EvalReport]) -> tuple[list[str], list[list]]:
     """Hearing-type x government rows; All/Democrat/Republican presidency column blocks."""
     cells: dict[tuple[str, str, str], EvalReport] = {}
@@ -472,11 +480,11 @@ _LABEL_ALIASES = {
 
 def score_predictions(
     predictions: Sequence[tuple[str, str]],
-    examples: Sequence[ExampleRow],
+    table: ExampleTable,
     task: Task,
 ) -> tuple[EvalReport, list[str]]:
-    """Score an external model's label file against example-row truth."""
-    truth = {r.example_id: r.label(task) for r in examples}
+    """Score an external model's label file against the example table's labels."""
+    truth = dict(zip(table.example_id, table.labels(task)))
     order = TASK_LABEL_ORDER[task]
     warnings = []
     matched: list[tuple[str, str]] = []

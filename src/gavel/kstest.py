@@ -10,7 +10,8 @@ with the small-sample correction lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D
 and ne = na*nb/(na+nb); the series is truncated once terms drop below 1e-12.
 
 Group comparisons cover the pairs R-D, R-I, D-I, M-m and R.M.-D.M., where
-R/D/I select by party, M/m by standing, and R.M./D.M. by both. Star levels:
+R/D/I select by party, M/m by standing, and R.M./D.M. by both, over the
+example table's columns (NaN for a null feature value). Star levels:
 *** for p < 0.001, ** for p in [0.001, 0.01), * for p in [0.01, 0.05).
 """
 
@@ -20,11 +21,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import sum_floats
 from .corpus import Party, Standing, write_tsv
-from .features import SCHEMA, FeatureVector
+from .features import SCHEMA
 
 SERIES_TERM_CUTOFF = 1e-12
 _MAX_SERIES_TERMS = 200_000
@@ -150,19 +151,12 @@ GROUP_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
-def group_selector(descriptor: str):
-    party = {"R": Party.REPUBLICAN, "D": Party.DEMOCRAT, "I": Party.INDEPENDENT}
-    if descriptor in party:
-        want = party[descriptor]
-        return lambda p, s: p == want
-    if descriptor == "M":
-        return lambda p, s: s == Standing.MAJORITY
-    if descriptor == "m":
-        return lambda p, s: s == Standing.MINORITY
-    if descriptor.endswith(".M.") and descriptor[0] in party:
-        want = party[descriptor[0]]
-        return lambda p, s: p == want and s == Standing.MAJORITY
-    raise ValueError(f"unknown group descriptor {descriptor!r}")
+# group -> (party, standing) of its rows; None selects any value
+GROUPS: dict[str, tuple[Optional[Party], Optional[Standing]]] = {
+    "R": (Party.REPUBLICAN, None), "D": (Party.DEMOCRAT, None), "I": (Party.INDEPENDENT, None),
+    "M": (None, Standing.MAJORITY), "m": (None, Standing.MINORITY),
+    "R.M.": (Party.REPUBLICAN, Standing.MAJORITY), "D.M.": (Party.DEMOCRAT, Standing.MAJORITY),
+}
 
 
 @dataclass(frozen=True)
@@ -183,18 +177,21 @@ class ComparisonSkip:
 
 
 def compare_groups(
-    rows: Sequence[tuple[Party, Standing, FeatureVector]],
+    party: Sequence[str], standing: Sequence[str], features: Sequence[Sequence[float]]
 ) -> tuple[list[GroupComparison], list[ComparisonSkip]]:
-    """One KS comparison per (feature, group pair); null-flagged values excluded."""
+    """One KS comparison per (feature, group pair) over columns of the rows: party, standing and
+    one column per SCHEMA feature, in schema order; null (NaN) values excluded."""
     comparisons: list[GroupComparison] = []
     skips: list[ComparisonSkip] = []
+    rows = {
+        group: [i for i, (p, s) in enumerate(zip(party, standing)) if want_p in (None, p) and want_s in (None, s)]
+        for group, (want_p, want_s) in GROUPS.items()
+    }
     for left, right in GROUP_PAIRS:
-        sel_l, sel_r = group_selector(left), group_selector(right)
-        rows_l = [fv for p, s, fv in rows if sel_l(p, s)]
-        rows_r = [fv for p, s, fv in rows if sel_r(p, s)]
-        for name in SCHEMA:
-            a = [fv[name] for fv in rows_l if fv[name] is not None]
-            b = [fv[name] for fv in rows_r if fv[name] is not None]
+        rows_l, rows_r = rows[left], rows[right]
+        for name, column in zip(SCHEMA, features):
+            a = [v for v in map(column.__getitem__, rows_l) if v == v]
+            b = [v for v in map(column.__getitem__, rows_r) if v == v]
             if len(a) < 2 or len(b) < 2:
                 skips.append(
                     ComparisonSkip(left, right, name, f"need >= 2 usable values per group, got {len(a)}/{len(b)}")

@@ -1,14 +1,15 @@
 """Classical prediction stack for party affiliation and standing.
 
-Rows are dense feature vectors with optional nulls; callers impute nulls
-with train-split medians before training, and the linear model standardizes
-columns to train mean 0 / variance 1 (parameters stored for test-time reuse).
+The learners train on feature columns, NaN for a null cell; callers impute
+nulls with train-split medians (`impute`) before training, and the linear
+model standardizes columns to train mean 0 / variance 1 (parameters stored
+for test-time reuse). Prediction takes one row at a time.
 The logistic model is one-vs-rest, except that a two-class task fits one
 model: the second class's is the first's negated, as sigma(-z) = 1 - sigma(z).
 Speaker-name removal happens on text before feature extraction so names
 cannot leak the label. Every randomized step derives its stream from the
 root seed, and all tie-breaks are by class/lexicographic order, so repeat
-runs are identical. The models take plain rows and labels; the per-split
+runs are identical. The models take plain columns and labels; the per-split
 `Dataset` they are cut from lives in `harness`, next to `build_datasets`.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from . import map_ordered, sum_floats
+from . import map_ordered, sum_floats, take
 from .corpus import Roster, Task
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import PackedRows, predict_proba, train_binary_logistic
@@ -150,21 +151,21 @@ def majority_baseline(labels: Sequence[str], order: Sequence[str]) -> tuple[str,
     return best, counts[best] / len(labels)
 
 
-def column_medians(rows: Sequence[Sequence[Optional[float]]], width: int) -> list[float]:
-    """Per-column median of the non-null values (0.0 for all-null columns)."""
-    medians = []
-    for j in range(width):
-        vals = sorted(r[j] for r in rows if r[j] is not None)
-        if not vals:
-            medians.append(0.0)
-            continue
-        mid = len(vals) // 2
-        medians.append(vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0)
-    return medians
-
-
-def impute(rows: Sequence[Sequence[Optional[float]]], medians: Sequence[float]) -> list[list[float]]:
-    return [[medians[j] if v is None else v for j, v in enumerate(row)] for row in rows]
+def impute(
+    columns: Sequence[Sequence[float]], medians: Optional[Sequence[float]] = None
+) -> tuple[list[list[float]], list[float]]:
+    """`columns` with each NaN (null) cell replaced by its column's median: `medians[j]` when given, else
+    the median of the column's other cells (0.0 when it has none). Returns (columns, medians)."""
+    if medians is None:
+        medians = []
+        for column in columns:
+            vals = sorted(v for v in column if v == v)  # NaN is the one float not equal to itself
+            if not vals:
+                medians.append(0.0)
+                continue
+            mid = len(vals) // 2
+            medians.append(vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0)
+    return [[m if v != v else v for v in column] for column, m in zip(columns, medians)], medians
 
 
 @dataclass(frozen=True)
@@ -176,13 +177,14 @@ class Standardizer:
         return [(v - m) / s for v, m, s in zip(row, self.means, self.scales)]
 
 
-def fit_standardizer(rows: Sequence[Sequence[float]]) -> Standardizer:
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    means = [sum_floats(r[j] for r in rows) / n for j in range(width)]
+def fit_standardizer(columns: Sequence[Sequence[float]]) -> Standardizer:
+    means = []
     scales = []
-    for j in range(width):
-        var = sum_floats((r[j] - means[j]) ** 2 for r in rows) / n
+    for column in columns:
+        n = len(column)
+        mean = sum_floats(column) / n
+        var = sum_floats((v - mean) ** 2 for v in column) / n
+        means.append(mean)
         scales.append(math.sqrt(var) if var > 0 else 1.0)  # constant columns pass through
     return Standardizer(tuple(means), tuple(scales))
 
@@ -211,14 +213,16 @@ class LinearModel:
 
 
 def train_logistic(x: Sequence[Sequence[float]], y: Sequence[str], classes: Sequence[str]) -> LinearModel:
-    if not x:
+    """Fit on feature columns `x` and row labels `y`."""
+    if not y:
         raise ValueError("empty training set")
     present = set(y)
     if len(present) < 2:
         raise ValueError("training set contains a single class")
-    width = len(x[0])
+    width = len(x)
     std = fit_standardizer(x)
-    matrix = PackedRows(({j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x), width)
+    z = [[(v - m) / s for v in column] for column, m, s in zip(x, std.means, std.scales)]
+    matrix = PackedRows(({j: v for j, v in enumerate(row) if v != 0.0} for row in zip(*z)), width)
 
     def one_vs_rest(c: str) -> tuple[tuple[float, ...], float]:
         yc = [1 if lab == c else 0 for lab in y]
@@ -287,7 +291,7 @@ def cross_validate_grid(
     k: int = 5,
     seed: int = 0,
 ) -> tuple[ForestHyper, list[GridCellScore], list[str]]:
-    """Grid search by k-fold mean validation accuracy.
+    """Grid search by k-fold mean validation accuracy, over feature columns `x` and row labels `y`.
 
     Ties prefer the smaller model: fewer estimators, then shallower trees,
     then grid order. A fold whose training part holds fewer than 2 classes,
@@ -306,8 +310,8 @@ def cross_validate_grid(
         if len(set(yt)) < 2 or not yv:
             return 0.0  # degenerate fold; scored as useless
         cell_hyper = replace(grid[cell_no], seed=derive_seed(seed, cell_no * k + held_out))
-        model = train_forest([x[i] for i in train_idx], yt, classes, cell_hyper)
-        return forest_accuracy(model, [x[i] for i in val_idx], yv)
+        model = train_forest(take(x, train_idx), yt, classes, cell_hyper)
+        return forest_accuracy(model, list(zip(*take(x, val_idx))), yv)
 
     # every (cell, fold) fit draws its own seed, so the fits run in any order or process
     accs = map_ordered(fold_accuracy, [(cell_no, held_out) for cell_no in range(len(grid)) for held_out in range(k)])

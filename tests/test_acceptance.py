@@ -212,10 +212,10 @@ def _separable(n, seed, d=6):
 def test_acceptance_6_forest_properties():
     x, y = _separable(200, seed=1)
     xt, yt = _separable(80, seed=2)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=15, max_depth=6, seed=3))
+    model = train_forest(list(zip(*x)), y, ("A", "B"), ForestHyper(n_estimators=15, max_depth=6, seed=3))
     assert forest_accuracy(model, xt, yt) == 1.0
     assert sum(model.impurity_importance) == pytest.approx(1.0, abs=1e-9)
-    again = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=15, max_depth=6, seed=3))
+    again = train_forest(list(zip(*x)), y, ("A", "B"), ForestHyper(n_estimators=15, max_depth=6, seed=3))
     probe = xt[:40]
     assert [predict_forest(model, r) for r in probe] == [predict_forest(again, r) for r in probe]
     rng = random.Random(9)
@@ -227,7 +227,7 @@ def test_acceptance_6_forest_properties():
         rng.shuffle(yr)
         xv = [[rng.uniform(0, 1) for _ in range(5)] for _ in range(200)]
         yv = ["A", "B"] * 100
-        m = train_forest(xr, yr, ("A", "B"), ForestHyper(n_estimators=12, max_depth=6, seed=trial))
+        m = train_forest(list(zip(*xr)), yr, ("A", "B"), ForestHyper(n_estimators=12, max_depth=6, seed=trial))
         null_accs.append(forest_accuracy(m, xv, yv))
     mean_null = sum(null_accs) / len(null_accs)
     assert abs(mean_null - 0.5) <= 0.05
@@ -243,8 +243,8 @@ def test_acceptance_7_experiment_grid(tmp_path):
     for dims in ((), ("committee",), ("committee", "government"), ("session",)):
         spec = SplitSpec(dimensions=dims, min_rows=12)
         datasets, skips = build_datasets(rows, spec)
-        assert sum(len(ds.rows) for _, ds in datasets) + sum(s.n_rows for s in skips) == len(rows)
-        ids = [r.example_id for _, ds in datasets for r in ds.rows]
+        assert sum(len(ds.rows) for _, ds in datasets) + sum(s.n_rows for s in skips) == len(rows.example_id)
+        ids = [rows.example_id[i] for _, ds in datasets for i in ds.rows]
         assert len(ids) == len(set(ids))
     spec = SplitSpec(dimensions=("committee",), min_rows=40)
     datasets, _ = build_datasets(rows, spec)

@@ -3,6 +3,7 @@ import builtins
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from gavel import KINDS, GavelError, cli
 from gavel.cli import main
 from gavel.corpus import HearingMeta, QALabel, Utterance, from_record, load_roster, read_json, store_corpus
-from gavel.features import META_COLUMNS, read_examples
+from gavel.features import COLUMNS, META_COLUMNS, read_examples
 from test_party_models import assert_mirror_labels_match_oracle, oracle_strip
 
 # sha256 of the fixture pipeline's examples.tsv, as written before name removal
@@ -309,6 +310,132 @@ def test_tables_and_grid_forest_have_the_same_bytes_on_one_cpu_and_two(pipeline,
         assert learner_pids == {os.getpid()}
     else:
         assert learner_pids - {os.getpid()}, "no fold or split ran in a worker"
+
+
+# The analysis commands on a synthetic table: a 16-hearing tree (the benchmark's tiny grid-search
+# size) labeled by the pipeline's Q/A model, as built and with null feature cells written into it.
+# Pinned before the table was read into columns: table -> {file under the run's directory: sha256}.
+SYNTH_FOREST_GRID = {"grid": [{"n_estimators": 10, "max_depth": 6}, {"n_estimators": 10, "max_depth": 10},
+                              {"n_estimators": 15, "max_depth": 8}, {"n_estimators": 20, "max_depth": 6}]}
+GOLDEN_SYNTH_ANALYSIS_SHA256 = {
+    "synth": {
+        "ks-Question/matrix.tsv": "e27253c97c2196ba8565985cfcb854cee686cd2e89d3437027536b2872e966dc",
+        "ks-Question/details.tsv": "f4fa5a5dde6bb5684e28887171ffbc8a8fe8263ca4cee225247c6fbdcc447be9",
+        "ks-Answer/matrix.tsv": "d920fb8d399845cae2147797fc5c8b09c03999932fc7bc50ad77b6bb5499d1e3",
+        "ks-Answer/details.tsv": "df3297db2099b47af9f7803b44d869c069d3fcc9b7aaa4f277ec1653802fc15a",
+        "ks-Both/matrix.tsv": "5f1889105285159c3f1882c9364070a6b7810fac50c47c1483da8288799675d8",
+        "ks-Both/details.tsv": "6ed4422a78a3c154be42cd6f35aeab459722ef646de69439f14d763d58bc90b8",
+        "eval-grid/split_grid.tsv": "0552abca36882b0ab52c0b0a2e2b236cc2bcaeddf15456d42fee558c8e8723e5",
+        "eval-grid/skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+        "eval-standing/split_grid.tsv": "4cc1114b85a4fa408ef678fdde5d6d699ad13b88c1f3b7a0b62b4ed73dfab920",
+        "eval-standing/skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    "synth-with-nulls": {
+        "ks-Question/matrix.tsv": "12c8f414c0df102ecef7666d7a556b0a60f15ad12b63fbb381ec09934b662a6f",
+        "ks-Question/details.tsv": "bb691b48ec881ee85c56f9eb0ad7a385ca36c17b44d5acbec7480453510e7686",
+        "ks-Answer/matrix.tsv": "a0fde3423d9cb6cd40caf0d76d170426d61098f0444d30116b0178ba102292c6",
+        "ks-Answer/details.tsv": "cf0b2e26addb0dfd543a01af34bfccb20f9a609822be25aaaab186dd7b40c01d",
+        "ks-Both/matrix.tsv": "6fe5ed2805d6a56c51ab53f5272d85f76f05623574fedcff32e3bcbb534b36fe",
+        "ks-Both/details.tsv": "70228b22016f99a3e87514539e1cb3490c11b8192896c55b66373153e4580283",
+        "eval-grid/split_grid.tsv": "e4cb68f96ed146b97cdf0e78dbe9a9d6e04ad4ffa391ac0ff1790ce17052e2f6",
+        "eval-grid/skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+        "eval-standing/split_grid.tsv": "2cbbea0540160fe4c0108eae6e3247a17528efec535e85d20f2f23a69a966f79",
+        "eval-standing/skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+}
+_RATIO_FEATURES = ("ttr", "avgWlen", "FKGLvl", "SmgIn", "CLIn", "lix")
+
+
+@pytest.fixture(scope="module")
+def synth_table(pipeline, tmp_path_factory):
+    """The examples.tsv the pipeline's commands build from a 16-hearing synthetic tree."""
+    from gavel import synth
+
+    root = tmp_path_factory.mktemp("synth")
+    synth.write_raw_tree(synth.synth_corpus(seed=101, n_hearings=16, n_exchanges=20), root / "raw")
+    synth.write_government_config(root / "government.json")
+    corpus, pairs, examples = root / "corpus", root / "pairs.jsonl", root / "examples.tsv"
+    for argv in (
+        ["segment", "--input", str(root / "raw"), "--output", str(corpus)],
+        ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)],
+        ["pair", "--corpus", str(corpus), "--output", str(pairs)],
+        ["features", "--corpus", str(corpus), "--pairs", str(pairs), "--government", str(root / "government.json"),
+         "--output", str(examples)],
+    ):
+        assert run(argv) == 0, argv
+    return examples
+
+
+def _with_null_features(examples: Path, out: Path) -> Path:
+    """A copy of `examples` with null (empty) feature cells: each 7th row's six ratio features, each 11th row's lix."""
+    header, *rows = examples.read_text().splitlines()
+    columns = header.split("\t")
+    for n, row in enumerate(rows, 1):
+        cells = row.split("\t")
+        for name in _RATIO_FEATURES if n % 7 == 0 else ("lix",) if n % 11 == 0 else ():
+            cells[columns.index(name)] = ""
+        rows[n - 1] = "\t".join(cells)
+    out.write_text("\n".join([header, *rows]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("table", list(GOLDEN_SYNTH_ANALYSIS_SHA256))
+def test_analysis_of_a_synth_table_has_the_golden_bytes_on_one_cpu_and_two(synth_table, tmp_path, cpus, table):
+    examples = synth_table if table == "synth" else _with_null_features(synth_table, tmp_path / "examples.tsv")
+    steps = [["kstest", "--examples", str(examples), "--kind", kind, "--out-matrix",
+              str(tmp_path / f"ks-{kind}" / "matrix.tsv"), "--out-details", str(tmp_path / f"ks-{kind}" / "details.tsv")]
+             for kind in KINDS]
+    steps += [
+        ["evaluate", "--examples", str(examples), "--config", _config(tmp_path, SYNTH_FOREST_GRID),
+         "--out-dir", str(tmp_path / "eval-grid")],
+        ["evaluate", "--examples", str(examples), "--task", "Standing", "--model", "logistic",
+         "--split-dims", "government", "--out-dir", str(tmp_path / "eval-standing")],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, argv
+    golden = GOLDEN_SYNTH_ANALYSIS_SHA256[table]
+    assert {name: _sha256(tmp_path / name) for name in golden} == golden
+
+
+_BLOCKS = ("all", "democrat_president", "republican_president")
+# (table, extra evaluate flags) -> {empty block of hearing_type_government.tsv: the reason evaluate gives}.
+# The fixture runs are the two pinned in GOLDEN_EVAL_SHA256; the fixture hearings all fall under a
+# Republican president.
+EMPTY_BLOCK_REASONS = {
+    ("fixture", "--split-dims", "committee,hearing_type,government", "--min-rows", "4",
+     "--layouts", "split_grid,committee,hearing_type_government"): {
+        "democrat_president": "presidency is not in --split-dims, so no split is partisan",
+        "republican_president": "presidency is not in --split-dims, so no split is partisan",
+    },
+    ("fixture", "--split-dims", "hearing_type,government,presidency", "--min-rows", "5",
+     "--layouts", "split_grid,hearing_type_government"): {
+        "all": "presidency is in --split-dims, so every split is partisan",
+        "democrat_president": "the examples hold no row for it",
+    },
+    ("synth", "--split-dims", "hearing_type,government,presidency", "--min-rows", "30",
+     "--layouts", "hearing_type_government"): {
+        "all": "presidency is in --split-dims, so every split is partisan",
+        "republican_president": "no split for it reached --min-rows 30 (see skipped_splits.tsv)",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_BLOCK_REASONS), ids=lambda case: f"{case[0]}-{case[2]}")
+def test_evaluate_says_why_each_empty_block_is_empty(pipeline, synth_table, tmp_path, capsys, case):
+    table, *flags = case
+    out = tmp_path / "eval"
+    examples = pipeline / "examples.tsv" if table == "fixture" else synth_table
+    assert run(["evaluate", "--examples", str(examples), "--kind", "Question", "--min-rows", "10", *flags,
+                "--out-dir", str(out)]) == 0
+    if tuple(flags) in GOLDEN_EVAL_SHA256:
+        assert {name: _sha256(out / name) for name in GOLDEN_EVAL_SHA256[tuple(flags)]} == GOLDEN_EVAL_SHA256[tuple(flags)]
+    reasons = dict(re.findall(r"(?m)^hearing_type_government\.tsv: the (\w+) block is empty: (.+)$",
+                              capsys.readouterr().err))
+    assert reasons == EMPTY_BLOCK_REASONS[case]
+    header, *rows = [line.split("\t") for line in (out / "hearing_type_government.tsv").read_text().splitlines()]
+    empty = {block for block in _BLOCKS
+             if not any(row[j] for row in rows for j, name in enumerate(header) if name.startswith(f"{block}_"))}
+    assert empty == set(reasons)
 
 
 def test_a_learner_bug_in_a_forked_split_exits_two(pipeline, tmp_path, monkeypatch, capsys):
@@ -622,8 +749,19 @@ def _segment_outputs(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", sorted(SEGMENT_TREES))
-def test_segment_writes_the_golden_store(tmp_path, case):
+def test_segment_writes_the_golden_store(tmp_path, capsys, case):
+    """The store has its pinned bytes, and each hearing's stderr line counts its utterances with an
+    empty marker, when there are any (only the overlapping rules make some)."""
     assert _segment_outputs(tmp_path, case) == GOLDEN_SEGMENT_SHA256[case]
+    printed = {m[1]: int(m[2]) for m in re.finditer(r"(?m)^(\S+): .*, (\d+) with an empty marker$",
+                                                   capsys.readouterr().err)}
+    stored = {}
+    for path in sorted((tmp_path / "store").glob("*/utterances.jsonl")):
+        empty = sum(json.loads(line)["raw_marker"] == "" for line in path.read_text().splitlines())
+        if empty:
+            stored[path.parent.name] = empty
+    assert printed == stored
+    assert bool(printed) == (case == "overlapping-rules")
 
 
 def test_segment_rejects_malformed_rules_file(tmp_path, capsys):
@@ -1231,20 +1369,33 @@ NON_FINITE_READERS = {
 }
 
 
+# What NaN, which means a null feature in memory, would hide if the reader let it in: each
+# case edits the cells of the table's third line and names the column the refusal must name.
+_FIRST_FEATURE = len(META_COLUMNS)
+TABLE_FAULTS = {
+    **{cell: (lambda cells, cell=cell: [*cells[:_FIRST_FEATURE], cell, *cells[_FIRST_FEATURE + 1:]], COLUMNS[_FIRST_FEATURE])
+       for cell in ("nan", "NaN", "inf", "-inf", "Infinity")},
+    "session-not-integer": (lambda cells: [*cells[:3], "110.5", *cells[4:]], "session"),
+    "short-row": (lambda cells: cells[:-1], COLUMNS[-1]),
+    "long-row": (lambda cells: [*cells, "0.0"], COLUMNS[-1]),
+}
+
+
 @pytest.mark.parametrize("command", sorted(NON_FINITE_READERS))
-@pytest.mark.parametrize("cell", ["nan", "-inf"])
+@pytest.mark.parametrize("cell", sorted(TABLE_FAULTS))
 def test_non_finite_feature_cell_exits_one_and_names_the_line(pipeline, tmp_path, capsys, cell, command):
+    """A non-finite feature, a session that is no integer and a row of the wrong width all exit 1,
+    naming the file, the line and the column, before any output is written."""
+    edit, column = TABLE_FAULTS[cell]
     examples = tmp_path / "examples.tsv"
     lines = (pipeline / "examples.tsv").read_text().splitlines()
-    cells = lines[2].split("\t")
-    column = lines[0].split("\t")[len(META_COLUMNS)]
-    cells[len(META_COLUMNS)] = cell
-    lines[2] = "\t".join(cells)
+    lines[2] = "\t".join(edit(lines[2].split("\t")))
     examples.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     assert run(NON_FINITE_READERS[command](examples, out)) == 1
     err = capsys.readouterr().err
-    assert f"{examples}:3" in err and "non-finite" in err and column in err
+    assert f"{examples}:3 field '{column}'" in err
+    assert cell not in ("nan", "NaN", "inf", "-inf", "Infinity") or "non-finite" in err
     assert not out.exists()
 
 

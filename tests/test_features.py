@@ -2,6 +2,7 @@ import functools
 import random
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -211,15 +212,20 @@ def test_ttr_bounds_random_texts():
             assert feats["ttr"] == 1.0
 
 
+def features_by_name(text: str, lexicons) -> dict:
+    """`extract_features` of `text` as {feature name: value}."""
+    return dict(zip(SCHEMA, extract_features(text, lexicons).values))
+
+
 def test_affect_zero_hits_is_all_neutral(lexicons):
-    feats = extract_features("zxqv flibber jabberwock", lexicons)
+    feats = features_by_name("zxqv flibber jabberwock", lexicons)
     assert feats["vneu"] == 1.0
     assert feats["vpos"] == 0.0 and feats["vneg"] == 0.0
     assert feats["wneg"] == feats["spos"] == 0.0
 
 
 def test_affect_single_strong_positive_word(lexicons):
-    feats = extract_features("excellent", lexicons)
+    feats = features_by_name("excellent", lexicons)
     assert feats["spos"] == 1.0
     assert feats["sneg"] == feats["wpos"] == feats["wneu"] == 0.0
 
@@ -229,18 +235,18 @@ def test_affect_shares_sum_to_one(lexicons):
     words = list(lexicons.sentiment_valence) + ["committee", "hearing", "zxqv", "terrible", "great"]
     for _ in range(200):
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 30)))
-        feats = extract_features(text, lexicons)
+        feats = features_by_name(text, lexicons)
         assert feats["vneg"] + feats["vneu"] + feats["vpos"] == pytest.approx(1.0, abs=1e-12)
         assert min(feats["vneg"], feats["vneu"], feats["vpos"]) >= 0.0
 
 
 def test_bias_counts_rule_forced(lexicons):
-    feats = extract_features("I assert and claim this", lexicons)
+    feats = features_by_name("I assert and claim this", lexicons)
     assert feats["assert"] == 2.0
 
 
 def test_bias_empty_text(lexicons):
-    feats = extract_features("", lexicons)
+    feats = features_by_name("", lexicons)
     assert all(feats[name] == 0.0 for name in SCHEMA[16:24])
 
 
@@ -465,7 +471,8 @@ def test_extract_features_matches_per_entry_scan_on_fixture_texts(lexicons):
     texts = _fixture_utterance_texts()
     assert len(texts) > 40
     vectors = [extract_features(text, lexicons) for text in texts]
-    assert sum(v["location_mentions"] + v["hedges"] + v["repVerb"] for v in vectors) > 0
+    named = [dict(zip(SCHEMA, v.values)) for v in vectors]
+    assert sum(v["location_mentions"] + v["hedges"] + v["repVerb"] for v in named) > 0
     for text, vector in zip(texts, vectors):
         assert _same_bytes(vector, _old_features(text, lexicons, _per_entry_scan)), text
 
@@ -516,36 +523,36 @@ def test_alnum_class_is_exactly_isalnum():
 
 
 def test_style_event_rule_forced(lexicons):
-    feats = extract_features("On 01/02/2020 in Ohio!", lexicons)
+    feats = features_by_name("On 01/02/2020 in Ohio!", lexicons)
     assert feats["date_mentions"] == 1.0
     assert feats["location_mentions"] == 1.0
     assert feats["punct_count"] >= 1.0
 
 
 def test_style_event_empty(lexicons):
-    feats = extract_features("", lexicons)
+    feats = features_by_name("", lexicons)
     assert all(feats[name] == 0.0 for name in SCHEMA[24:])
 
 
 def test_allcaps_tokens(lexicons):
-    assert extract_features("HELLO WORLD", lexicons)["allcaps_count"] == 2.0
-    assert extract_features("hello world", lexicons)["allcaps_count"] == 0.0
+    assert features_by_name("HELLO WORLD", lexicons)["allcaps_count"] == 2.0
+    assert features_by_name("hello world", lexicons)["allcaps_count"] == 0.0
 
 
 def test_date_patterns(lexicons):
-    assert extract_features("It happened in 1999.", lexicons)["date_mentions"] == 1.0
-    assert extract_features("March 15, 2021 was the deadline", lexicons)["date_mentions"] == 1.0
-    assert extract_features("room 2154 holds 300 people", lexicons)["date_mentions"] == 0.0
+    assert features_by_name("It happened in 1999.", lexicons)["date_mentions"] == 1.0
+    assert features_by_name("March 15, 2021 was the deadline", lexicons)["date_mentions"] == 1.0
+    assert features_by_name("room 2154 holds 300 people", lexicons)["date_mentions"] == 0.0
 
 
 def test_extract_features_deterministic_and_composed(lexicons):
     text = "Thank you, Chairman. We believe the program failed in Ohio in 2020. Why?"
     v1 = extract_features(text, lexicons)
     v2 = extract_features(text, lexicons)
-    assert v1 == v2
+    assert v1.values == v2.values
     assert len(v1.values) == len(SCHEMA)
     for name, value in complexity_features(stats_of(text)).items():
-        assert v1[name] == value
+        assert dict(zip(SCHEMA, v1.values))[name] == value
     assert _same_bytes(v1, _old_features(text, lexicons))
 
 
@@ -559,8 +566,8 @@ def test_count_features_case_invariant(lexicons):
                  "location_mentions", "punct_count", "symbol_count", "quote_count")
     for _ in range(50):
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 20)))
-        upper = extract_features(text.upper(), lexicons)
-        lower = extract_features(text.lower(), lexicons)
+        upper = features_by_name(text.upper(), lexicons)
+        lower = features_by_name(text.lower(), lexicons)
         for name in case_free:
             assert upper[name] == lower[name], name
 
@@ -585,3 +592,24 @@ def test_lexicon_manifest_checksums(tmp_path):
     (work / "hedges.txt").write_text("tampered\n")
     problems = verify_manifest(work)
     assert problems and "hedges.txt" in problems[0]
+
+
+def test_read_examples_holds_at_most_600_bytes_per_row(tmp_path):
+    """The table is read into columns: a list per metadata column, its equal cells sharing one str,
+    and an array of doubles per feature. Row objects held about 1.8 KB per row."""
+    from test_party_models import synth_rows
+
+    from gavel.features import read_examples, write_examples
+
+    path = tmp_path / "examples.tsv"
+    write_examples(synth_rows(100, seed=7), path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_examples(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_rows = len(table.example_id)
+    assert n_rows >= 1000
+    assert held / n_rows <= 600, f"{held / n_rows:.0f} bytes per row"

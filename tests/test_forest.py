@@ -87,7 +87,7 @@ def golden_forest(path):
     rng = random.Random(7)
     x, y_idx = random_matrix(rng, 150, 3)
     hyper = ForestHyper(n_estimators=6, max_depth=None, min_samples_split=5, max_features=1, seed=13)
-    save_forest(train_forest(x, ["ABC"[c] for c in y_idx], ("A", "B", "C"), hyper), path)
+    save_forest(train_forest(list(zip(*x)), ["ABC"[c] for c in y_idx], ("A", "B", "C"), hyper), path)
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -109,4 +109,4 @@ def test_saved_forest_does_not_depend_on_hash_seed(tmp_path):
 def test_non_finite_value_rejected(bad):
     x = [[0.0, 1.0], [1.0, bad], [2.0, 0.0]]
     with pytest.raises(ValueError, match="non-finite value in feature 1"):
-        train_forest(x, ["A", "B", "A"], ("A", "B"), ForestHyper(n_estimators=1))
+        train_forest(list(zip(*x)), ["A", "B", "A"], ("A", "B"), ForestHyper(n_estimators=1))

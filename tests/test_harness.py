@@ -1,4 +1,7 @@
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +19,9 @@ from gavel.corpus import (
     Roster,
     Utterance,
 )
-from gavel.features import SCHEMA, FeatureVector
+from gavel.features import COLUMNS, META_COLUMNS, SCHEMA
 from gavel.forest import ForestHyper
 from gavel.harness import (
-    ExampleRow,
     ExperimentConfig,
     SplitSpec,
     build_datasets,
@@ -70,46 +72,65 @@ def mini_corpus():
     return [(meta, utterances)], {"h-1": roster}, gov, pairs
 
 
+def records(rows):
+    """Example row tuples as {column: cell} dicts."""
+    return [dict(zip(COLUMNS, row)) for row in rows]
+
+
+def table_of(rows):
+    """The `ExampleTable` that `read_examples` gives for `rows` written by `write_examples`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "examples.tsv"
+        write_examples(rows, path)
+        return read_examples(path)
+
+
 def test_build_examples_rows_and_labels():
     corpus, rosters, gov, pairs = mini_corpus()
     rows, warnings = build_examples(corpus, rosters, gov, LEX, pairs=pairs)
     assert not warnings
     by_kind = {}
-    for r in rows:
-        by_kind.setdefault(r.kind, []).append(r)
+    for r in records(rows):
+        by_kind.setdefault(r["kind"], []).append(r)
     assert len(by_kind["Question"]) == 2
     assert len(by_kind["Answer"]) == 1
     assert len(by_kind["Both"]) == 1
     answer_row = by_kind["Answer"][0]
     # answer rows are labeled with the questioner's party/standing
-    assert answer_row.party == "Democrat"
-    assert answer_row.standing == "Majority"  # House majority is Democrat in the fixture
-    r_question = next(r for r in by_kind["Question"] if r.party == "Republican")
-    assert r_question.standing == "Minority"
-    assert by_kind["Question"][0].government == "Divided"
-    assert by_kind["Question"][0].presidency == "Republican"
+    assert answer_row["party"] == "Democrat"
+    assert answer_row["standing"] == "Majority"  # House majority is Democrat in the fixture
+    r_question = next(r for r in by_kind["Question"] if r["party"] == "Republican")
+    assert r_question["standing"] == "Minority"
+    assert by_kind["Question"][0]["government"] == "Divided"
+    assert by_kind["Question"][0]["presidency"] == "Republican"
 
 
 def test_build_examples_name_stripping_changes_features():
     corpus, rosters, gov, pairs = mini_corpus()
     stripped, _ = build_examples(corpus, rosters, gov, LEX, pairs=pairs, strip_names=True)
     kept, _ = build_examples(corpus, rosters, gov, LEX, pairs=pairs, strip_names=False)
-    row_s = next(r for r in stripped if r.example_id == "h-1-u00000")
-    row_k = next(r for r in kept if r.example_id == "h-1-u00000")
+    row_s = next(r for r in records(stripped) if r["example_id"] == "h-1-u00000")
+    row_k = next(r for r in records(kept) if r["example_id"] == "h-1-u00000")
     # "Carolyn Maloney" collapses to one placeholder token
-    assert row_s.features["wCount"] == row_k.features["wCount"] - 1
+    assert row_s["wCount"] == row_k["wCount"] - 1
 
 
 def test_examples_file_round_trip(tmp_path):
     corpus, rosters, gov, pairs = mini_corpus()
     rows, _ = build_examples(corpus, rosters, gov, LEX, pairs=pairs)
+    rows.append(("h-1-u00009", "Question", *rows[0][2:-1], None))  # a null feature cell
     path = tmp_path / "examples.tsv"
     write_examples(rows, path)
-    assert read_examples(path) == rows
+    table = read_examples(path)
+    meta = [getattr(table, column) for column in META_COLUMNS]
+    read_back = [(*cells, *values) for cells, values in zip(zip(*meta), zip(*table.features))]
+    written = [(*row[:3], str(row[3]), *row[4:]) for row in rows]  # the session reads back as text
+    assert read_back[:-1] == written[:-1]
+    assert read_back[-1][:-1] == written[-1][:-1] and math.isnan(read_back[-1][-1])
 
 
-def synthetic_examples(n=300, seed=1, committees=("A", "B", "C"), signal=True):
-    """Rows whose wCount column separates the parties when signal is on."""
+def synthetic_rows(n=300, seed=1, committees=("A", "B", "C"), signal=True):
+    """Row tuples whose wCount column separates the parties when signal is on."""
     rng = random.Random(seed)
     rows = []
     for i in range(n):
@@ -123,23 +144,26 @@ def synthetic_examples(n=300, seed=1, committees=("A", "B", "C"), signal=True):
                 values.append(rng.uniform(0.5, 1.0))
             else:
                 values.append(rng.uniform(0.0, 5.0))
-        rows.append(
-            ExampleRow(
-                example_id=f"ex{i:05d}",
-                kind="Question",
-                hearing_id=f"h{i % 7}",
-                session=108 + i % 10,
-                committee=committees[i % len(committees)],
-                chamber="House",
-                hearing_type="General" if i % 3 else "Oversight",
-                government="Unified" if i % 2 else "Divided",
-                presidency="Democrat" if i % 4 < 2 else "Republican",
-                party=party,
-                standing=standing,
-                features=FeatureVector(values),
-            )
-        )
+        rows.append((
+            f"ex{i:05d}",  # example_id
+            "Question",  # kind
+            f"h{i % 7}",  # hearing_id
+            108 + i % 10,  # session
+            committees[i % len(committees)],  # committee
+            "House",  # chamber
+            "General" if i % 3 else "Oversight",  # hearing_type
+            "Unified" if i % 2 else "Divided",  # government
+            "Democrat" if i % 4 < 2 else "Republican",  # presidency
+            party,
+            standing,
+            *values,
+        ))
     return rows
+
+
+def synthetic_examples(n=300, seed=1, committees=("A", "B", "C"), signal=True):
+    """The table of `synthetic_rows`."""
+    return table_of(synthetic_rows(n, seed, committees, signal))
 
 
 def test_split_spec_validates():
@@ -158,6 +182,7 @@ def test_build_datasets_no_dims_single_dataset():
     key, ds = datasets[0]
     assert key == ()
     assert len(ds.rows) == 100
+    assert [rows.example_id[i] for i in ds.rows] == sorted(rows.example_id)
 
 
 def test_build_datasets_partition_property():
@@ -165,12 +190,12 @@ def test_build_datasets_partition_property():
     spec = SplitSpec(dimensions=("committee", "government"), min_rows=5)
     datasets, skips = build_datasets(rows, spec)
     total = sum(len(ds.rows) for _, ds in datasets) + sum(s.n_rows for s in skips)
-    assert total == len(rows)
+    assert total == len(rows.example_id)
     seen = set()
     for _, ds in datasets:
         for row in ds.rows:
-            assert row.example_id not in seen
-            seen.add(row.example_id)
+            assert rows.example_id[row] not in seen
+            seen.add(rows.example_id[row])
 
 
 def test_build_datasets_committee_counts_sum():
@@ -186,8 +211,8 @@ def test_build_datasets_known_cell_counts():
     datasets, skips = build_datasets(rows, spec)
     # hand tally over the generator's construction
     expected = {}
-    for r in rows:
-        key = (("hearing_type", r.hearing_type), ("government", r.government))
+    for hearing_type, government in zip(rows.hearing_type, rows.government):
+        key = (("hearing_type", hearing_type), ("government", government))
         expected[key] = expected.get(key, 0) + 1
     got = {key: len(ds.rows) for key, ds in datasets}
     for s in skips:
@@ -247,19 +272,12 @@ def test_run_experiment_lets_a_programming_error_through(monkeypatch):
 
 def test_run_experiment_constant_features_match_baseline():
     rows = []
-    base = synthetic_examples(100, signal=False)
+    base = synthetic_rows(100, signal=False)
     for i, r in enumerate(base):
         party = "Democrat" if i < 75 else "Republican"
-        rows.append(
-            ExampleRow(
-                example_id=r.example_id, kind=r.kind, hearing_id=r.hearing_id, session=r.session,
-                committee=r.committee, chamber=r.chamber, hearing_type=r.hearing_type,
-                government=r.government, presidency=r.presidency, party=party,
-                standing="Majority" if party == "Democrat" else "Minority",
-                features=FeatureVector([0.0] * len(SCHEMA)),
-            )
-        )
-    datasets, _ = build_datasets(rows, SplitSpec(min_rows=20))
+        standing = "Majority" if party == "Democrat" else "Minority"
+        rows.append((*r[:9], party, standing, *[0.0] * len(SCHEMA)))
+    datasets, _ = build_datasets(table_of(rows), SplitSpec(min_rows=20))
     (report,) = run_experiment(datasets, ExperimentConfig(grid=(ForestHyper(n_estimators=5, max_depth=3),), seed=1))
     assert report.accuracy == pytest.approx(report.baseline_accuracy)
     assert not report.beats_baseline
@@ -287,17 +305,8 @@ def test_every_report_baseline_recomputable_from_confusion():
 
 
 def test_single_class_split_reported_degenerate():
-    rows = []
-    for i, r in enumerate(synthetic_examples(60, signal=False)):
-        rows.append(
-            ExampleRow(
-                example_id=r.example_id, kind=r.kind, hearing_id=r.hearing_id, session=r.session,
-                committee=r.committee, chamber=r.chamber, hearing_type=r.hearing_type,
-                government=r.government, presidency=r.presidency,
-                party="Republican", standing="Minority", features=r.features,
-            )
-        )
-    datasets, _ = build_datasets(rows, SplitSpec(min_rows=10, task=Task.STANDING))
+    rows = [(*r[:9], "Republican", "Minority", *r[11:]) for r in synthetic_rows(60, signal=False)]
+    datasets, _ = build_datasets(table_of(rows), SplitSpec(min_rows=10, task=Task.STANDING))
     (report,) = run_experiment(datasets, ExperimentConfig(seed=2))
     assert report.degenerate
     assert report.error is None
@@ -418,11 +427,11 @@ def test_render_prompt_no_unresolved_placeholders():
 
 def test_score_predictions_against_examples():
     rows = synthetic_examples(40)
-    predictions = [(r.example_id, "D" if i % 2 == 0 else "R") for i, r in enumerate(rows)]
+    predictions = [(example_id, "D" if i % 2 == 0 else "R") for i, example_id in enumerate(rows.example_id)]
     report, warnings = score_predictions(predictions, rows, Task.AFFILIATION)
     assert report.n_test == 40
     assert report.accuracy == 1.0  # generator alternates Democrat/Republican
-    predictions_bad = predictions + [("missing-id", "D"), (rows[0].example_id, "X")]
+    predictions_bad = predictions + [("missing-id", "D"), (rows.example_id[0], "X")]
     report2, warnings2 = score_predictions(predictions_bad, rows, Task.AFFILIATION)
     assert len(warnings2) == 2  # unknown id and unusable label both reported
     assert report2.n_test == 40
@@ -430,7 +439,8 @@ def test_score_predictions_against_examples():
 
 def test_score_predictions_standing_case_sensitivity():
     rows = synthetic_examples(10)
-    predictions = [(r.example_id, "M" if r.standing == "Majority" else "m") for r in rows]
+    predictions = [(example_id, "M" if standing == "Majority" else "m")
+                   for example_id, standing in zip(rows.example_id, rows.standing)]
     report, warnings = score_predictions(predictions, rows, Task.STANDING)
     assert not warnings
     assert report.accuracy == 1.0

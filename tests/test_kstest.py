@@ -1,10 +1,11 @@
 import math
 import random
+from array import array
 
 import pytest
 
 from gavel.corpus import Party, Standing
-from gavel.features import SCHEMA, FeatureVector
+from gavel.features import SCHEMA
 from gavel.kstest import (
     GROUP_PAIRS,
     Stars,
@@ -120,12 +121,18 @@ def test_star_levels():
     assert Stars.THREE.glyph == "***"
 
 
-def _fv(value: float) -> FeatureVector:
-    return FeatureVector([value] * len(SCHEMA))
+def _fv(value: float) -> list:
+    return [value] * len(SCHEMA)
 
 
-def _fv_null_except(value: float, keep: str) -> FeatureVector:
-    return FeatureVector([value if name == keep else None for name in SCHEMA])
+def _fv_null_except(value: float, keep: str) -> list:
+    return [value if name == keep else math.nan for name in SCHEMA]
+
+
+def columns(rows):
+    """`rows` of (party, standing, feature values) as the columns `compare_groups` takes."""
+    parties, standings, values = zip(*rows)
+    return [p.value for p in parties], [s.value for s in standings], [array("d", c) for c in zip(*values)]
 
 
 def make_rows(n_per_group, value_fn):
@@ -148,7 +155,7 @@ def _only(items, features, pairs=GROUP_PAIRS):
 
 def test_compare_groups_identical_distributions():
     rows = make_rows(30, lambda party, i: float(i % 5))
-    comparisons, _ = compare_groups(rows)
+    comparisons, _ = compare_groups(*columns(rows))
     comparisons = _only(comparisons, ("ttr", "wCount"))
     assert comparisons
     for c in comparisons:
@@ -161,7 +168,7 @@ def test_compare_groups_shifted_direction():
         base = float(i % 7)
         return base + 10.0 if party is Party.REPUBLICAN else base
 
-    comparisons, _ = compare_groups(make_rows(25, value))
+    comparisons, _ = compare_groups(*columns(make_rows(25, value)))
     (rd,) = _only(comparisons, ("ttr",), (("R", "D"),))
     assert rd.direction > 0
 
@@ -172,7 +179,7 @@ def test_compare_groups_strong_separation_three_stars():
     for i in range(500):
         rows.append((Party.REPUBLICAN, Standing.MAJORITY, _fv(rng.uniform(0.0, 1.0))))
         rows.append((Party.DEMOCRAT, Standing.MINORITY, _fv(rng.uniform(0.5, 1.5))))
-    comparisons, _ = compare_groups(rows)
+    comparisons, _ = compare_groups(*columns(rows))
     (c,) = _only(comparisons, ("ttr",), (("R", "D"),))
     assert c.result.stars is Stars.THREE
     assert c.result.p_value < 0.001
@@ -185,7 +192,7 @@ def test_compare_groups_skips_small_and_null_flagged():
         (Party.DEMOCRAT, Standing.MINORITY, _fv_null_except(3.0, "wCount")),
         (Party.DEMOCRAT, Standing.MINORITY, _fv_null_except(4.0, "wCount")),
     ]
-    comparisons, skips = compare_groups(rows)
+    comparisons, skips = compare_groups(*columns(rows))
     assert [c.feature_name for c in _only(comparisons, ("ttr", "wCount"), (("R", "D"),))] == ["wCount"]
     # ttr is all null on both sides
     assert any("usable" in s.reason for s in _only(skips, ("ttr",), (("R", "D"),)))
@@ -193,7 +200,7 @@ def test_compare_groups_skips_small_and_null_flagged():
 
 def test_emit_heatmap_matrix(tmp_path):
     rows = make_rows(20, lambda party, i: float(i) + (5.0 if party is Party.REPUBLICAN else 0.0))
-    comparisons, skips = compare_groups(rows)
+    comparisons, skips = compare_groups(*columns(rows))
     out = tmp_path / "matrix.tsv"
     emit_heatmap_matrix(_only(comparisons, ("ttr",)), out)
     lines = out.read_text().splitlines()
@@ -223,7 +230,7 @@ def test_emit_heatmap_empty(tmp_path):
 
 def test_emit_details_carries_both_means(tmp_path):
     rows = make_rows(10, lambda party, i: float(i))
-    comparisons, skips = compare_groups(rows)
+    comparisons, skips = compare_groups(*columns(rows))
     out = tmp_path / "details.tsv"
     emit_comparison_details(_only(comparisons, ("ttr",), (("R", "D"),)), _only(skips, ("ttr",), (("R", "D"),)), out)
     header = out.read_text().splitlines()[0].split("\t")

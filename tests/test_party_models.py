@@ -1,12 +1,13 @@
 import functools
 import json
+import math
 import random
 import re
 from pathlib import Path
 
 import pytest
 
-from gavel import KINDS
+from gavel import KINDS, take
 from gavel.corpus import Chamber, Party, Person, Role, Roster, Utterance, load_roster
 from gavel.forest import (
     ForestHyper,
@@ -18,7 +19,7 @@ from gavel.forest import (
     train_forest,
 )
 from gavel import party_models
-from gavel.harness import SplitSpec, build_datasets, build_examples, impute_with_medians
+from gavel.harness import SplitSpec, build_datasets, build_examples
 from gavel.lexicons import load_lexicons
 from gavel.linear import PackedRows, train_binary_logistic
 from gavel.party_models import (
@@ -27,6 +28,7 @@ from gavel.party_models import (
     Task,
     cross_validate_grid,
     fit_standardizer,
+    impute,
     majority_baseline,
     strip_speaker_names,
     stratified_folds,
@@ -34,6 +36,7 @@ from gavel.party_models import (
 )
 from gavel.qa import pair_qa
 from gavel.synth import government_context, synth_corpus
+from test_harness import table_of
 
 
 def roster_fixture():
@@ -191,6 +194,11 @@ def test_majority_baseline_single_class_and_ties():
         majority_baseline([], order=("D", "R"))
 
 
+def columns(rows):
+    """Row-major `rows` as the feature columns the learners train on."""
+    return [list(column) for column in zip(*rows)]
+
+
 def separable_rows(n=200, seed=0, d=6):
     rng = random.Random(seed)
     x, y = [], []
@@ -206,20 +214,20 @@ def separable_rows(n=200, seed=0, d=6):
 def test_forest_perfect_on_separable_fixture():
     x, y = separable_rows(200, seed=1)
     xt, yt = separable_rows(80, seed=2)
-    model = train_forest(x, y, classes=("A", "B"), hyper=ForestHyper(n_estimators=15, max_depth=6, seed=5))
+    model = train_forest(columns(x), y, classes=("A", "B"), hyper=ForestHyper(n_estimators=15, max_depth=6, seed=5))
     assert forest_accuracy(model, xt, yt) == 1.0
 
 
 def test_forest_seed_determinism_bitwise():
     x, y = separable_rows(120, seed=3)
     probe, _ = separable_rows(40, seed=4)
-    m1 = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=11))
-    m2 = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=11))
+    m1 = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=11))
+    m2 = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=11))
     p1 = [predict_forest(m1, row) for row in probe]
     p2 = [predict_forest(m2, row) for row in probe]
     assert p1 == p2
     assert m1.impurity_importance == m2.impurity_importance
-    m3 = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=12))
+    m3 = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=9, max_depth=5, seed=12))
     assert any(predict_forest(m3, row)[1] != a[1] for row, a in zip(probe, p1))
 
 
@@ -234,7 +242,7 @@ def test_forest_null_experiment_permuted_labels():
         rng.shuffle(y)
         xt = [[rng.uniform(0, 1) for _ in range(5)] for _ in range(200)]
         yt = ["A", "B"] * 100
-        model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=12, max_depth=6, seed=trial))
+        model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=12, max_depth=6, seed=trial))
         accs.append(forest_accuracy(model, xt, yt))
     mean_acc = sum(accs) / len(accs)
     assert abs(mean_acc - 0.5) <= 0.05
@@ -243,12 +251,12 @@ def test_forest_null_experiment_permuted_labels():
 def test_forest_single_class_rejected():
     x = [[0.0], [1.0]]
     with pytest.raises(ValueError):
-        train_forest(x, ["A", "A"], ("A", "B"))
+        train_forest(columns(x), ["A", "A"], ("A", "B"))
 
 
 def test_predict_probabilities_sum_to_one_and_match_label():
     x, y = separable_rows(100, seed=9)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=7, max_depth=4, seed=2))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=7, max_depth=4, seed=2))
     rng = random.Random(0)
     for _ in range(50):
         row = [rng.uniform(-12, 12) for _ in range(6)]
@@ -259,7 +267,7 @@ def test_predict_probabilities_sum_to_one_and_match_label():
 
 def test_single_tree_prediction_equals_leaf_argmax():
     x, y = separable_rows(60, seed=5)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=1, max_depth=3, seed=8))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=1, max_depth=3, seed=8))
     row = x[0]
     label, probs = predict_forest(model, row)
     assert probs[label] == max(probs.values())
@@ -269,7 +277,7 @@ def test_duplicating_trees_keeps_predictions():
     from gavel.forest import ForestModel
 
     x, y = separable_rows(80, seed=6)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=5, max_depth=4, seed=3))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=5, max_depth=4, seed=3))
     doubled = ForestModel(
         trees=model.trees + model.trees,
         classes=model.classes,
@@ -291,7 +299,7 @@ def test_forest_tree_order_invariance():
     from gavel.forest import ForestModel
 
     x, y = separable_rows(80, seed=13)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=6, max_depth=4, seed=4))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=6, max_depth=4, seed=4))
     reversed_model = ForestModel(
         trees=tuple(reversed(model.trees)),
         classes=model.classes,
@@ -307,7 +315,7 @@ def test_forest_tree_order_invariance():
 
 def test_impurity_importance_sums_to_one_and_localizes():
     x, y = separable_rows(150, seed=21)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=10, max_depth=6, seed=1))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=10, max_depth=6, seed=1))
     total = sum(model.impurity_importance)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert max(range(6), key=lambda i: model.impurity_importance[i]) == 2
@@ -317,7 +325,7 @@ def test_importance_single_feature_is_one():
     rng = random.Random(5)
     x = [[rng.uniform(0, 1)] for _ in range(60)]
     y = ["A" if row[0] > 0.5 else "B" for row in x]
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=5, max_depth=4, seed=0, max_features=1))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=5, max_depth=4, seed=0, max_features=1))
     assert model.impurity_importance[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -325,14 +333,14 @@ def test_unused_feature_importance_zero():
     x, y = separable_rows(100, seed=30)
     for row in x:
         row.append(0.0)  # constant column can never split
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=8, max_depth=5, seed=7))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=8, max_depth=5, seed=7))
     assert model.impurity_importance[-1] == 0.0
 
 
 def test_forest_save_load_round_trip(tmp_path):
     """The saved JSON holds every split and leaf: walking its records reaches the model's own leaves."""
     x, y = separable_rows(80, seed=50)
-    model = train_forest(x, y, ("A", "B"), ForestHyper(n_estimators=4, max_depth=4, seed=9))
+    model = train_forest(columns(x), y, ("A", "B"), ForestHyper(n_estimators=4, max_depth=4, seed=9))
     path = tmp_path / "forest.json"
     save_forest(model, path)
     saved = json.loads(path.read_text(encoding="utf-8"))
@@ -376,7 +384,7 @@ def test_stratified_folds_small_class_falls_back():
 def test_cv_grid_single_cell_returned():
     x, y = separable_rows(60, seed=60)
     grid = (ForestHyper(n_estimators=3, max_depth=3),)
-    best, scores, _ = cross_validate_grid(x, y, ("A", "B"), grid, k=5, seed=0)
+    best, scores, _ = cross_validate_grid(columns(x), y, ("A", "B"), grid, k=5, seed=0)
     assert best == grid[0]
     assert len(scores) == 1
 
@@ -394,7 +402,7 @@ def test_cv_grid_dominant_cell_wins():
         y.append(label)
     strong = ForestHyper(n_estimators=12, max_depth=6)
     weak = ForestHyper(n_estimators=1, max_depth=1, max_features=1)
-    best, scores, _ = cross_validate_grid(x, y, ("A", "B"), (weak, strong), k=4, seed=5)
+    best, scores, _ = cross_validate_grid(columns(x), y, ("A", "B"), (weak, strong), k=4, seed=5)
     by_hyper = {s.hyper: s.mean_accuracy for s in scores}
     assert by_hyper[strong] > by_hyper[weak]
     assert best == strong
@@ -404,7 +412,7 @@ def test_cv_grid_tie_prefers_smaller_model():
     x, y = separable_rows(80, seed=80)
     small = ForestHyper(n_estimators=5, max_depth=3)
     big = ForestHyper(n_estimators=20, max_depth=9)
-    best, scores, _ = cross_validate_grid(x, y, ("A", "B"), (big, small), k=4, seed=1)
+    best, scores, _ = cross_validate_grid(columns(x), y, ("A", "B"), (big, small), k=4, seed=1)
     accs = {s.hyper: s.mean_accuracy for s in scores}
     if accs[small] == accs[big]:  # separable: both usually perfect
         assert best == small
@@ -417,7 +425,7 @@ def test_cv_grid_training_error_propagates(monkeypatch):
     monkeypatch.setattr(party_models, "train_forest", boom)
     x, y = separable_rows(40, seed=4)
     with pytest.raises(ValueError, match="boom"):
-        cross_validate_grid(x, y, ("A", "B"), (ForestHyper(n_estimators=2),), k=4, seed=0)
+        cross_validate_grid(columns(x), y, ("A", "B"), (ForestHyper(n_estimators=2),), k=4, seed=0)
 
 
 def test_cv_grid_single_class_training_fold_scores_zero():
@@ -425,7 +433,7 @@ def test_cv_grid_single_class_training_fold_scores_zero():
     y = ["A", "A", "A", "B"]
     folds, warnings = stratified_folds(y, 2, seed=0)
     assert warnings  # B is too rare to stratify, so one training part is all A
-    _, (score,), _ = cross_validate_grid(x, y, ("A", "B"), (ForestHyper(n_estimators=2),), k=2, seed=0)
+    _, (score,), _ = cross_validate_grid(columns(x), y, ("A", "B"), (ForestHyper(n_estimators=2),), k=2, seed=0)
     held_out_b = next(i for i, fold in enumerate(folds) if 3 in fold)
     assert score.fold_accuracies[held_out_b] == 0.0
 
@@ -443,28 +451,29 @@ def dense_rows(n=80, seed=0):
     for i in range(n):
         label = "A" if i % 2 == 0 else "B"
         base = 1.0 if label == "A" else -1.0
-        x.append([base + rng.gauss(0, 0.3), rng.gauss(0, 1), 7.5, None if rng.random() < 0.2 else rng.gauss(0, 1)])
+        x.append([base + rng.gauss(0, 0.3), rng.gauss(0, 1), 7.5, math.nan if rng.random() < 0.2 else rng.gauss(0, 1)])
         y.append(label)
-    return impute_with_medians(x)[0], y
+    imputed, _ = impute(columns(x))
+    return [list(row) for row in zip(*imputed)], y
 
 
 def test_logistic_trains_and_predicts():
     x, y = dense_rows()
-    model = train_logistic(x, y, ("A", "B"))
+    model = train_logistic(columns(x), y, ("A", "B"))
     hits = sum(model.predict(row)[0] == label for row, label in zip(x, y))
     assert hits / len(y) > 0.9
 
 
 def test_logistic_deterministic():
     x, y = dense_rows()
-    m1 = train_logistic(x, y, ("A", "B"))
-    m2 = train_logistic(x, y, ("A", "B"))
+    m1 = train_logistic(columns(x), y, ("A", "B"))
+    m2 = train_logistic(columns(x), y, ("A", "B"))
     assert m1.per_class == m2.per_class
 
 
 def test_logistic_constant_column_gets_zero_weight():
     x, y = dense_rows(120, seed=3)
-    model = train_logistic(x, y, ("A", "B"))
+    model = train_logistic(columns(x), y, ("A", "B"))
     for weights, _ in model.per_class:
         assert abs(weights[2]) < 1e-6  # column 2 is constant 7.5
 
@@ -473,15 +482,15 @@ def test_logistic_affine_rescaling_invariance():
     """Standardization makes predictions invariant to rescaling a column in
     both train and test."""
     x, y = dense_rows(100, seed=4)
-    model_a = train_logistic(x, y, ("A", "B"))
-    scaled = [[None if v is None else (v * 37.0 - 5.0 if j == 0 else v) for j, v in enumerate(row)] for row in x]
-    model_b = train_logistic(scaled, y, ("A", "B"))
+    model_a = train_logistic(columns(x), y, ("A", "B"))
+    scaled = [[v * 37.0 - 5.0 if j == 0 else v for j, v in enumerate(row)] for row in x]
+    model_b = train_logistic(columns(scaled), y, ("A", "B"))
     for row, srow in zip(x, scaled):
         assert model_a.predict(row)[0] == model_b.predict(srow)[0]
 
 
 def test_standardizer_constant_column_passthrough():
-    std = fit_standardizer([[1.0, 5.0], [3.0, 5.0]])
+    std = fit_standardizer([[1.0, 3.0], [5.0, 5.0]])
     assert std.scales[1] == 1.0
     assert std.apply([2.0, 5.0]) == [0.0, 0.0]
 
@@ -491,7 +500,7 @@ def test_standardizer_constant_column_passthrough():
 def oracle_train_logistic(x, y, classes):
     """One-vs-rest with one binary fit per class, as `train_logistic` did for every class count."""
     width = len(x[0])
-    std = fit_standardizer(x)
+    std = fit_standardizer(columns(x))
     matrix = PackedRows([{j: v for j, v in enumerate(std.apply(r)) if v != 0.0} for r in x], width)
     models = []
     for c in classes:
@@ -516,17 +525,23 @@ def assert_mirror_labels_match_oracle(examples, dimension_sets, kinds, min_rows)
                     classes = [c for c in dataset.label_order if c in set(labels)]
                     if len(classes) != 2:
                         continue
-                    x, _ = impute_with_medians([r.features.values for r in dataset.rows])
+                    x, _ = impute(take(dataset.table.features, dataset.rows))
+                    rows = list(zip(*x))
                     model = train_logistic(x, labels, classes)
-                    oracle = oracle_train_logistic(x, labels, classes)
-                    got = [model.predict(row)[0] for row in x]
-                    assert got == [oracle.predict(row)[0] for row in x], (dims, kind, task, key)
-                    compared += len(x)
+                    oracle = oracle_train_logistic(rows, labels, classes)
+                    got = [model.predict(row)[0] for row in rows]
+                    assert got == [oracle.predict(row)[0] for row in rows], (dims, kind, task, key)
+                    compared += len(rows)
     return compared
 
 
 def synth_examples(n_hearings: int, seed: int):
-    """Example rows of a synthetic corpus, with its true speakers, Q/A labels and pairs."""
+    """The example table of `synth_rows`."""
+    return table_of(synth_rows(n_hearings, seed))
+
+
+def synth_rows(n_hearings: int, seed: int):
+    """The example rows of a synthetic corpus, with its true speakers, Q/A labels and pairs."""
     corpus, rosters, pairs = [], {}, {}
     hearings = synth_corpus(n_hearings, seed=seed)
     for h in hearings:
@@ -565,7 +580,7 @@ def binary_fits(monkeypatch):
 
 def test_two_class_logistic_fits_once_and_mirrors(binary_fits):
     x, y = dense_rows()
-    model = train_logistic(x, y, ("A", "B"))
+    model = train_logistic(columns(x), y, ("A", "B"))
     assert len(binary_fits) == 1
     (weights, bias), (mirror_weights, mirror_bias) = model.per_class
     assert mirror_weights == tuple(-w for w in weights) and mirror_bias == -bias
@@ -578,7 +593,7 @@ def test_two_class_logistic_fits_once_and_mirrors(binary_fits):
 def test_logistic_fits_each_class_of_three(binary_fits):
     x, y = dense_rows(90)
     y = [("A", "B", "C")[i % 3] for i in range(len(y))]
-    train_logistic(x, y, ("A", "B", "C"))
+    train_logistic(columns(x), y, ("A", "B", "C"))
     assert len(binary_fits) == 3
 
 
@@ -592,7 +607,7 @@ def test_logistic_fits_each_class_of_three(binary_fits):
 def test_logistic_keeps_one_vs_rest_when_classes_differ_from_labels(binary_fits, classes, relabel, fits):
     x, y = dense_rows()
     y = [relabel.get(i, lab) for i, lab in enumerate(y)]
-    model = train_logistic(x, y, classes)
+    model = train_logistic(columns(x), y, classes)
     assert len(binary_fits) == fits
     assert model.per_class == oracle_train_logistic(x, y, classes).per_class
 
