@@ -1,11 +1,13 @@
 """Command-line pipeline wiring all modules together.
 
 Subcommands: fetch, segment, classify-qa (train/apply), pair, features,
-kstest, train, evaluate, prompts, verify-sample. Every run honors --seed
-(default 108, never wall-clock) and --config (JSON file whose keys mirror
-the flags; flags override), writes its artifacts only under the declared
-output location, creating missing parent directories, and drops a manifest
-with a config hash and input checksums so identical runs are identifiable.
+kstest, train, evaluate, prompts, verify-sample. Those that draw random
+numbers (classify-qa train, train, evaluate and verify-sample) take --seed
+(default 108, never wall-clock). Every run honors --config (JSON file whose
+keys mirror the flags; flags override), writes its artifacts only under the
+declared output location, creating missing parent directories, and drops a
+manifest with a config hash and input checksums so identical runs are
+identifiable.
 Each option, with its default, type and choices, is declared once, in
 `build_parser`; config-file values pass the same checks as flags.
 Diagnostics go to stderr, data to stdout or files. Exit codes: 0 success,
@@ -152,9 +154,10 @@ def write_manifest(
         "subcommand": subcommand,
         "config": _settings(args),
         "input_checksums": {str(p): _checksum_input(p) for p in sorted(set(inputs), key=str)},
-        "seed": args.seed,
         "version": __version__,
     }
+    if "seed" in vars(args):  # a run that draws random numbers
+        payload["seed"] = args.seed
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     payload["config_hash"] = config_hash
     payload["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
@@ -270,6 +273,8 @@ def cmd_fetch(args) -> int:
         raise UsageError("no hearing ids given (--ids or --ids-file)")
     started = time.time()
     fetcher = Fetcher(args.endpoint, args.cache_dir, min_delay=args.min_delay, retries=args.retries)
+    for hearing_id in ids:  # every id is checked before the first request
+        fetcher.cache_path(hearing_id)
     for hearing_id in ids:
         fetcher.fetch(hearing_id)
         _log(f"fetched {hearing_id}")
@@ -457,7 +462,7 @@ def cmd_kstest(args) -> int:
             if kind == args.kind and party in parties and standing in standings]
     if not rows:
         raise UsageError(f"no rows of kind {args.kind!r} in {args.examples}")
-    comparisons, skips = compare_groups(*take([table.party, table.standing], rows), take(table.features, rows))
+    comparisons, skips = compare_groups(table.party, table.standing, table.features, rows)
     emit_heatmap_matrix(comparisons, args.out_matrix)
     if args.out_details:
         emit_comparison_details(comparisons, skips, args.out_details)
@@ -565,6 +570,8 @@ def cmd_evaluate(args) -> int:
         (("|".join(f"{d}={v}" for d, v in s.key), s.n_rows, s.reason) for s in skips),
     )
     for rep in reports:
+        for w in rep.warnings:
+            _log(f"warning: {rep.split_label}: {w}")
         flag = "*" if rep.beats_baseline else " "
         _log(
             f"{flag} {rep.split_label}: acc {rep.accuracy:.4f} base {rep.baseline_accuracy:.4f}"
@@ -674,11 +681,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"gavel {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(subparsers, name, fn, **kwargs):
+    def add(subparsers, name, fn, seeded=False, **kwargs):
+        """A subcommand; `seeded` ones draw random numbers and take --seed."""
         p = subparsers.add_parser(name, **kwargs)
         p.set_defaults(fn=fn, command_parser=p, given=())
         p.add_argument("--config", help="JSON config file; keys mirror the flags, flags override")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
+        if seeded:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         return p
 
     def exclude(p, mode, *ignored):
@@ -713,7 +722,7 @@ def build_parser() -> _Parser:
 
     qa = sub.add_parser("classify-qa", help="train or apply the question/answer classifier")
     modes = qa.add_subparsers(dest="mode", required=True)
-    p = add(modes, "train", cmd_classify_qa_train, help="train the classifier on labeled files")
+    p = add(modes, "train", cmd_classify_qa_train, seeded=True, help="train the classifier on labeled files")
     p.add_argument("--train", action=_AppendFlags, help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
     p.add_argument("--model-out", dest="model_out", help="where to write the trained model")
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
@@ -748,12 +757,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out-matrix", dest="out_matrix", help="heatmap matrix TSV to write")
     p.add_argument("--out-details", dest="out_details", help="long-format details TSV to write")
 
-    p = add(sub, "train", cmd_train, help="train a party-prediction model on the full example table")
+    p = add(sub, "train", cmd_train, seeded=True, help="train a party-prediction model on the full example table")
     add_table_options(p)
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--importance-out", dest="importance_out")
 
-    p = add(sub, "evaluate", cmd_evaluate, help="run the split-wise experiment grid with baselines")
+    p = add(sub, "evaluate", cmd_evaluate, seeded=True, help="run the split-wise experiment grid with baselines")
     add_table_options(p)
     p.add_argument("--model", choices=("forest", "logistic"), default="forest")
     mode = p.add_mutually_exclusive_group()
@@ -763,7 +772,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--layouts", type=_layouts, default="split_grid", help=f"comma list from: {','.join(LAYOUTS)}")
-    exclude(p, "predictions", "model", "layouts", "cv_folds", "test_fraction", "min_rows", "kind")
+    exclude(p, "predictions", "seed", "model", "layouts", "cv_folds", "test_fraction", "min_rows", "kind")
 
     p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
     p.add_argument("--corpus")
@@ -771,14 +780,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="Question")
     p.add_argument("--output")
 
-    p = add(sub, "verify-sample", cmd_verify_sample, help="draw or score the human-verification sample")
+    p = add(sub, "verify-sample", cmd_verify_sample, seeded=True, help="draw or score the human-verification sample")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--corpus")
     mode.add_argument("--score", help="verdict TSV (utterance_id, verdict) to summarize")
     p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
     p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
     p.add_argument("--output", help="annotation manifest TSV to write")
-    exclude(p, "score", "output", "hearings_per_session", "utterances_per_hearing")
+    exclude(p, "score", "seed", "output", "hearings_per_session", "utterances_per_hearing")
 
     return parser
 

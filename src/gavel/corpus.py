@@ -93,21 +93,14 @@ class Task(str, Enum):
 
 UNKNOWN_SPEAKER = "Unknown"
 
-# Titles stripped during surname normalization. "The Honorable" is two tokens
-# and must be removed before single-token titles.
+# Speaker titles. A marker opens with one of these before the name (see
+# segmenter.SegmenterRules), and `normalize_surname` strips them from it.
 HONORIFICS = (
-    "the honorable",
-    "mr",
-    "mrs",
-    "ms",
-    "dr",
-    "senator",
-    "chairman",
-    "chairwoman",
-    "chair",
+    "Mr", "Mrs", "Ms", "Miss", "Dr", "Senator", "Chairman", "Chairwoman", "Chairperson", "Chair", "Secretary",
+    "General", "Admiral", "Governor", "Judge", "The Honorable",
 )
 
-_ID_RE = re.compile(r"^[A-Za-z0-9._\-]+$")
+HEARING_ID_RE = re.compile(r"^[A-Za-z0-9._\-]+$")
 
 T = TypeVar("T")
 
@@ -139,23 +132,32 @@ class RecordError(CorpusError):
         super().__init__(f"{message} ({where})" if where else message)
 
 
-def normalize_surname(name: str) -> str:
-    """Lowercase a speaker name and strip punctuation and leading honorifics.
+def _squash(name: str) -> str:
+    """`name` lowercased, with periods and commas as spaces and single spaces between words."""
+    return " ".join(name.lower().replace(".", " ").replace(",", " ").split())
 
-    Idempotent: normalizing a normalized name is a no-op.
+
+@cache
+def _title_run(honorifics: tuple[str, ...]) -> re.Pattern:
+    """One or more of `honorifics` at the start of a squashed name, each followed by a space."""
+    return re.compile("(?:(?:%s) )+" % "|".join(re.escape(_squash(h)) for h in honorifics))
+
+
+def is_title(name: str, honorifics: tuple[str, ...]) -> bool:
+    """Whether `name` holds titles of `honorifics` and nothing else, up to case and punctuation."""
+    return _title_run(honorifics).fullmatch(_squash(name) + " ") is not None
+
+
+def normalize_surname(name: str, honorifics: tuple[str, ...] = HONORIFICS) -> str:
+    """Lowercase a speaker name and strip punctuation and the leading titles of `honorifics`.
+
+    Titles match as whole words, and one is stripped only while a name still
+    follows it: "Mr. Judge" gives "judge", and so does "Judge". Idempotent:
+    normalizing a normalized name is a no-op.
     """
-    s = name.lower().replace(".", " ").replace(",", " ")
-    s = " ".join(s.split())
-    changed = True
-    while changed:
-        changed = False
-        for hon in HONORIFICS:
-            if s == hon:
-                return ""
-            if s.startswith(hon + " "):
-                s = s[len(hon) + 1 :]
-                changed = True
-    return s
+    s = _squash(name)
+    titles = _title_run(honorifics).match(s)  # never all of s: it holds no trailing space
+    return s[titles.end() :] if titles else s
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class HearingMeta:
     date: Optional[str] = None  # ISO-8601 date
 
     def __post_init__(self):
-        if not self.hearing_id or not _ID_RE.match(self.hearing_id):
+        if not self.hearing_id or not HEARING_ID_RE.match(self.hearing_id):
             raise InvariantError(f"hearing_id must be a non-empty identifier, got {self.hearing_id!r}")
 
 

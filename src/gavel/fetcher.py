@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import GavelError
+from .corpus import HEARING_ID_RE
 
 
 class FetchError(GavelError):
@@ -64,6 +65,9 @@ class Fetcher:
         return self.endpoint.rstrip("/") + "/" + hearing_id
 
     def cache_path(self, hearing_id: str) -> Path:
+        """Where `hearing_id` is cached; an id a hearing could not have, such as a path, is refused."""
+        if not HEARING_ID_RE.match(hearing_id):
+            raise FetchError(f"not a hearing id: {hearing_id!r}")
         return self.cache_dir / f"{hearing_id}.txt"
 
     def fetch(self, hearing_id: str) -> str:

@@ -273,6 +273,7 @@ def _eval_report(
     y_pred: Sequence[str],
     n_train: int,
     degenerate: bool = False,
+    warnings: Sequence[str] = (),
 ) -> EvalReport:
     """Score predictions against truth and the truth's own majority-class baseline."""
     confusion = Counter(zip(y_true, y_pred))
@@ -289,6 +290,7 @@ def _eval_report(
         n_test=len(y_true),
         degenerate=degenerate,
         beats_baseline=accuracy > base_acc,
+        warnings=tuple(warnings),
     )
 
 
@@ -339,17 +341,18 @@ def _run_split(key, dataset: Dataset, config: ExperimentConfig, seed: int) -> Ev
     present_train = set(y_train)
     classes = [c for c in dataset.label_order if c in present_train]
     degenerate = len(present_train) < 2 or len(set(y_test)) < 2
+    warnings: list[str] = []
     if len(present_train) < 2:
         # single-class split: constant prediction, flagged, never suppressed
         constant = next(iter(present_train))
         predictions = [constant] * len(y_test)
     elif config.model == "forest":
-        model, _ = fit_forest(x_train, y_train, classes, config.grid, config.cv_folds, seed)
+        model, warnings = fit_forest(x_train, y_train, classes, config.grid, config.cv_folds, seed)
         predictions = [predict_forest(model, row)[0] for row in x_test]
     else:
         model = train_logistic(x_train, y_train, classes)
         predictions = [model.predict(row)[0] for row in x_test]
-    return _eval_report(key, dataset.task, y_test, predictions, len(y_train), degenerate=degenerate)
+    return _eval_report(key, dataset.task, y_test, predictions, len(y_train), degenerate, warnings)
 
 
 # --- table emission ----------------------------------------------------------

@@ -177,18 +177,18 @@ class ComparisonSkip:
 
 
 def compare_groups(
-    party: Sequence[str], standing: Sequence[str], features: Sequence[Sequence[float]]
+    party: Sequence[str], standing: Sequence[str], features: Sequence[Sequence[float]], rows: Sequence[int]
 ) -> tuple[list[GroupComparison], list[ComparisonSkip]]:
-    """One KS comparison per (feature, group pair) over columns of the rows: party, standing and
+    """One KS comparison per (feature, group pair) over `rows` of the columns: party, standing and
     one column per SCHEMA feature, in schema order; null (NaN) values excluded."""
     comparisons: list[GroupComparison] = []
     skips: list[ComparisonSkip] = []
-    rows = {
-        group: [i for i, (p, s) in enumerate(zip(party, standing)) if want_p in (None, p) and want_s in (None, s)]
+    members = {
+        group: [i for i in rows if want_p in (None, party[i]) and want_s in (None, standing[i])]
         for group, (want_p, want_s) in GROUPS.items()
     }
     for left, right in GROUP_PAIRS:
-        rows_l, rows_r = rows[left], rows[right]
+        rows_l, rows_r = members[left], members[right]
         for name, column in zip(SCHEMA, features):
             a = [v for v in map(column.__getitem__, rows_l) if v == v]
             b = [v for v in map(column.__getitem__, rows_r) if v == v]

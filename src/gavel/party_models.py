@@ -63,6 +63,7 @@ class EvalReport:
     degenerate: bool = False
     beats_baseline: bool = False
     error: Optional[str] = None
+    warnings: tuple[str, ...] = ()  # what fitting the split's model warned of
 
     def __post_init__(self):
         if self.error is None:

@@ -25,6 +25,8 @@ from typing import Callable, Optional, Sequence
 
 from . import GavelError
 from .corpus import (
+    HONORIFICS,
+    Chamber,
     HearingMeta,
     QALabel,
     RecordError,
@@ -32,27 +34,11 @@ from .corpus import (
     Roster,
     UNKNOWN_SPEAKER,
     Utterance,
+    is_title,
     normalize_surname,
     read_json,
     read_tsv,
     write_tsv,
-)
-
-DEFAULT_HONORIFICS = (
-    "Mr",
-    "Mrs",
-    "Ms",
-    "Miss",
-    "Dr",
-    "Senator",
-    "Chairman",
-    "Chairwoman",
-    "Chairperson",
-    "Secretary",
-    "General",
-    "Admiral",
-    "Governor",
-    "Judge",
 )
 
 DEFAULT_START_PATTERNS = (
@@ -68,15 +54,21 @@ DEFAULT_END_PATTERNS = (
 
 STAGE_DIRECTION_RE = re.compile(r"\[[^\[\]]*\]")
 
+# Titles, lowercased, that cue which of several people sharing a surname a marker names
 FEMALE_HONORIFICS = frozenset({"mrs", "ms", "miss", "chairwoman"})
 MALE_HONORIFICS = frozenset({"mr", "chairman"})
+ROLE_CUES = {
+    "senator": lambda p: p.role is Role.MEMBER and p.chamber is Chamber.SENATE,
+    **dict.fromkeys(("chairman", "chairwoman", "chairperson", "chair"), lambda p: p.role is Role.MEMBER),
+    "dr": lambda p: p.role is Role.WITNESS,
+}
 
 
 class SegmentationFailed(GavelError):
     """No speaker marker matched anywhere in the body."""
 
 
-def default_marker_patterns(honorifics: Sequence[str] = DEFAULT_HONORIFICS) -> tuple[str, ...]:
+def default_marker_patterns(honorifics: Sequence[str] = HONORIFICS) -> tuple[str, ...]:
     """Line-anchored marker regexes built over the honorific list.
 
     The whole match is the marker span: leading indentation, the marker
@@ -100,7 +92,7 @@ class SegmenterRules:
     start_patterns: tuple[str, ...] = DEFAULT_START_PATTERNS
     end_patterns: tuple[str, ...] = DEFAULT_END_PATTERNS
     marker_patterns: tuple[str, ...] = ()
-    honorifics: tuple[str, ...] = DEFAULT_HONORIFICS
+    honorifics: tuple[str, ...] = HONORIFICS
     # each pattern list above, compiled once under its field name
     compiled: dict[str, list[re.Pattern]] = field(init=False, repr=False, compare=False)
 
@@ -275,30 +267,25 @@ def resolve_speaker(
     raw_marker: str,
     roster: Roster,
     prefer_role: Optional[Role] = None,
+    honorifics: tuple[str, ...] = HONORIFICS,
 ) -> tuple[str, Optional[str]]:
     """Look up a marker in the roster; returns (person_id or Unknown, warning).
 
+    The marker's leading `honorifics` are stripped before the lookup.
     Ambiguous surnames try the honorific as a cue: gendered titles match the
     surname-sharing person whose honorific history fits, "Senator" filters
-    to Senate members, "Dr" prefers witnesses. A remaining tie resolves to
-    `prefer_role` if exactly one candidate has it, else Unknown.
+    to Senate members, a chair title to members, "Dr" to witnesses. A
+    remaining tie resolves to `prefer_role` if exactly one candidate has it,
+    else Unknown.
     """
-    marker_norm = normalize_surname(raw_marker.strip().rstrip(".").strip())
     # "Smith of Ohio" carries a state suffix, not part of the surname
-    if " of " in marker_norm:
-        marker_norm = marker_norm.split(" of ")[0].strip()
+    marker_norm = normalize_surname(raw_marker, honorifics).partition(" of ")[0]
     # officer markers like "The Chairman": the article hides the honorific
     if marker_norm.startswith("the "):
-        marker_norm = normalize_surname(marker_norm[4:])
-    if not marker_norm:
-        return UNKNOWN_SPEAKER, f"marker {raw_marker.strip()!r} carries no resolvable name"
+        marker_norm = normalize_surname(marker_norm[4:], honorifics)
     # try full normalized form first, then the last token (bare surname)
-    candidates_keys = [marker_norm]
-    last = marker_norm.split()[-1]
-    if last != marker_norm:
-        candidates_keys.append(last)
-    honorific = _marker_honorific(raw_marker)
-    for key in candidates_keys:
+    honorific = _first_word(raw_marker)
+    for key in dict.fromkeys([marker_norm, marker_norm.split()[-1]] if marker_norm else ()):
         if key in roster.name_index:
             return roster.name_index[key], None
         if key in roster.ambiguous:
@@ -307,51 +294,34 @@ def resolve_speaker(
             if resolved:
                 return resolved, None
             return UNKNOWN_SPEAKER, f"surname {key!r} is ambiguous among {list(ids)}"
+    # a title no name follows ("Mr.", "The Chairman.") names no one
+    if not marker_norm or is_title(marker_norm, honorifics):
+        return UNKNOWN_SPEAKER, f"marker {raw_marker.strip()!r} carries no resolvable name"
     return UNKNOWN_SPEAKER, f"surname {marker_norm!r} not on the roster"
 
 
-def _marker_honorific(raw_marker: str) -> str:
-    token = raw_marker.strip().split()
-    return token[0].rstrip(".").lower() if token else ""
+def _first_word(text: str) -> str:
+    """The first word of `text`, lowercased, without a trailing period: a marker's or a name's title."""
+    words = text.split()
+    return words[0].rstrip(".").lower() if words else ""
 
 
 def _disambiguate(
     ids: Sequence[str], roster: Roster, honorific: str, prefer_role: Optional[Role]
 ) -> Optional[str]:
+    """The person of `ids` picked by the first cue that picks exactly one, else None."""
     people = [roster.person(pid) for pid in ids]
-    if honorific == "senator":
-        from .corpus import Chamber
-
-        hits = [p for p in people if p.role is Role.MEMBER and p.chamber is Chamber.SENATE]
-        if len(hits) == 1:
-            return hits[0].person_id
-    if honorific in ("chairman", "chairwoman", "chairperson"):
-        hits = [p for p in people if p.role is Role.MEMBER]
-        if len(hits) == 1:
-            return hits[0].person_id
-    if honorific == "dr":
-        hits = [p for p in people if p.role is Role.WITNESS]
-        if len(hits) == 1:
-            return hits[0].person_id
+    cues = [ROLE_CUES.get(honorific)]
     if honorific in FEMALE_HONORIFICS or honorific in MALE_HONORIFICS:
         # honorific/gender cue: match against how the roster lists the person
-        wanted_female = honorific in FEMALE_HONORIFICS
-        hits = [p for p in people if _display_is_female(p.display_name) == wanted_female]
-        if len(hits) == 1:
-            return hits[0].person_id
+        same = FEMALE_HONORIFICS if honorific in FEMALE_HONORIFICS else MALE_HONORIFICS
+        cues.append(lambda p: _first_word(p.display_name) in same)
     if prefer_role is not None:
-        hits = [p for p in people if p.role is prefer_role]
+        cues.append(lambda p: p.role is prefer_role)
+    for cue in filter(None, cues):
+        hits = [p for p in people if cue(p)]
         if len(hits) == 1:
             return hits[0].person_id
-    return None
-
-
-def _display_is_female(display_name: str) -> Optional[bool]:
-    first = display_name.strip().split()[0].rstrip(".").lower() if display_name.strip() else ""
-    if first in FEMALE_HONORIFICS:
-        return True
-    if first in MALE_HONORIFICS:
-        return False
     return None
 
 
@@ -389,7 +359,7 @@ def segment_hearing(
     line_no = _line_numbers(trim.body)
     for i, seg in enumerate(result.segments):
         prefer = Role.MEMBER if prev_person_role is Role.WITNESS else None
-        person_id, warning = resolve_speaker(seg.marker_raw, roster, prefer_role=prefer)
+        person_id, warning = resolve_speaker(seg.marker_raw, roster, prefer, rules.honorifics)
         if warning:
             warnings.append((line_no(seg.start) + head_lines, warning))
         if person_id == UNKNOWN_SPEAKER:

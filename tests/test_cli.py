@@ -233,6 +233,38 @@ def test_pipeline_manifest_hash_fields(pipeline):
     assert manifest["subcommand"] == "evaluate"
 
 
+def test_only_a_seeded_run_records_a_seed(pipeline):
+    manifest = json.loads((pipeline / "corpus" / "manifest.json").read_text())
+    assert manifest["subcommand"] == "classify-qa apply"  # it labels the store and draws nothing
+    assert "seed" not in manifest and "seed" not in manifest["config"]
+
+
+UNSEEDED_RUNS = {
+    "fetch": ["fetch", "--ids", "h-1", "--endpoint", "https://x.test/{hearing_id}", "--cache-dir", "c"],
+    "segment": ["segment", "--input", "in", "--output", "out"],
+    "classify-qa apply": ["classify-qa", "apply", "--model", "m.json", "--corpus", "c"],
+    "pair": ["pair", "--corpus", "c", "--output", "p.jsonl"],
+    "features": ["features", "--corpus", "c", "--government", "g.json", "--output", "e.tsv"],
+    "kstest": ["kstest", "--examples", "e.tsv", "--out-matrix", "m.tsv"],
+    "prompts": ["prompts", "--corpus", "c", "--output", "p.jsonl"],
+    "evaluate --predictions": ["evaluate", "--examples", "e.tsv", "--predictions", "p.tsv", "--out-dir", "o"],
+    "verify-sample --score": ["verify-sample", "--score", "v.tsv"],
+}
+
+
+@pytest.mark.parametrize("run_name", list(UNSEEDED_RUNS))
+def test_a_run_that_draws_no_random_number_refuses_seed(run_name, capsys):
+    assert run([*UNSEEDED_RUNS[run_name], "--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_evaluate_predictions_refuses_a_seed_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert run([*UNSEEDED_RUNS["evaluate --predictions"], "--config", str(cfg)]) == 1
+    assert "config key 'seed'" in capsys.readouterr().err
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -395,6 +427,25 @@ def test_analysis_of_a_synth_table_has_the_golden_bytes_on_one_cpu_and_two(synth
         assert run(argv) == 0, argv
     golden = GOLDEN_SYNTH_ANALYSIS_SHA256[table]
     assert {name: _sha256(tmp_path / name) for name in golden} == golden
+
+
+# The synth table's grid search by session, whose split_grid.tsv has the bytes it had before each split's
+# cross-validation warnings were printed: the classes that warn, by session, with --cv-folds 5.
+SYNTH_SESSION_GRID_SHA256 = "0e1f3661bf7a8af82156b461c16c1fed6845c7d77d4b6d0e8e336f39c4566b7e"
+SYNTH_SESSION_GRID_SMALL_CLASSES = {
+    "108": "['Independent']", "109": "['Independent']", "111": "['Independent']",
+    "114": "['Republican']", "116": "['Republican']",
+}
+
+
+def test_evaluate_prints_the_cross_validation_warnings_of_each_split(synth_table, tmp_path, capsys, cpus):
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--examples", str(synth_table), "--config", _config(tmp_path, TWO_CELL_GRID),
+                "--split-dims", "session", "--min-rows", "10", "--out-dir", str(out)]) == 0
+    warned = re.findall(r"(?m)^warning: session=(\d+): classes with fewer than 5 members \((.+)\); "
+                        r"falling back to unstratified folds$", capsys.readouterr().err)
+    assert dict(warned) == SYNTH_SESSION_GRID_SMALL_CLASSES and len(warned) == len(SYNTH_SESSION_GRID_SMALL_CLASSES)
+    assert _sha256(out / "split_grid.tsv") == SYNTH_SESSION_GRID_SHA256
 
 
 _BLOCKS = ("all", "democrat_president", "republican_president")

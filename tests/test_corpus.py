@@ -172,11 +172,18 @@ def test_normalize_surname_idempotent_and_strips_honorifics():
         ("The Honorable Jane Doe", "jane doe"),
         ("Dr. Smith,", "smith"),
         ("  SENATOR   BROWN  ", "brown"),
+        ("Secretary Van Hollen", "van hollen"),
+        ("Mr. Judge", "judge"),  # a title is stripped only while a name follows it
+        ("Judge", "judge"),
+        ("Drake Bell", "drake bell"),  # titles match whole words
     ]
     for raw, expected in cases:
         norm = normalize_surname(raw)
         assert norm == expected
         assert normalize_surname(norm) == norm
+    # only the titles given are stripped
+    assert normalize_surname("Ambassador Van Hollen", ("Ambassador",)) == "van hollen"
+    assert normalize_surname("Mr. Van Hollen", ("Ambassador",)) == "mr van hollen"
 
 
 def test_roster_indexes_unique_and_ambiguous():

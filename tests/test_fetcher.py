@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 import urllib.error
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from gavel import cli
 from gavel.fetcher import Fetcher, FetchError, NotFoundError
 
 
@@ -104,6 +106,31 @@ def test_transient_failure_then_success(tmp_path):
 
     fetcher, _ = make_fetcher(tmp_path, opener)
     assert fetcher.fetch("h-3") == "recovered"
+
+
+@pytest.mark.parametrize("hearing_id", ["../escaped", "/tmp/abs", "a/b", "", "h 1"])
+def test_an_id_that_is_not_a_hearing_id_is_refused_before_any_request(tmp_path, hearing_id):
+    calls = []
+    fetcher, _ = make_fetcher(tmp_path, lambda url: calls.append(url) or b"x")
+    with pytest.raises(FetchError, match="not a hearing id"):
+        fetcher.fetch(hearing_id)
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_fetch_command_checks_every_id_before_the_first_request(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "Fetcher", partial(Fetcher, opener=lambda url: calls.append(url) or b"text"))
+    work = tmp_path / "work"
+    cache = work / "cache"
+    argv = ["fetch", "--endpoint", "https://example.test/{hearing_id}", "--cache-dir", str(cache), "--min-delay", "0"]
+    assert cli.main([*argv, "--ids", "h-1,../escaped"]) == 1
+    assert "'../escaped'" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert cli.main([*argv, "--ids", "h-1,h.2"]) == 0
+    assert len(calls) == 2
+    assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == [
+        "cache", "cache/h-1.txt", "cache/h.2.txt", "cache/manifest.json"
+    ]
 
 
 def test_url_template_and_join(tmp_path):

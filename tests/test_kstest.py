@@ -130,9 +130,10 @@ def _fv_null_except(value: float, keep: str) -> list:
 
 
 def columns(rows):
-    """`rows` of (party, standing, feature values) as the columns `compare_groups` takes."""
+    """`rows` of (party, standing, feature values) as the columns and row indices `compare_groups` takes."""
     parties, standings, values = zip(*rows)
-    return [p.value for p in parties], [s.value for s in standings], [array("d", c) for c in zip(*values)]
+    party, standing = [p.value for p in parties], [s.value for s in standings]
+    return party, standing, [array("d", c) for c in zip(*values)], range(len(rows))
 
 
 def make_rows(n_per_group, value_fn):
@@ -151,6 +152,14 @@ def make_rows(n_per_group, value_fn):
 def _only(items, features, pairs=GROUP_PAIRS):
     """The comparisons or skips of `compare_groups` for the given features and group pairs."""
     return [c for c in items if c.feature_name in features and (c.left_group, c.right_group) in pairs]
+
+
+def test_compare_groups_reads_only_the_rows_it_is_given():
+    rows = make_rows(20, lambda party, i: float(i % 7) + (party is Party.DEMOCRAT))
+    others = make_rows(20, lambda party, i: 100.0 - i)
+    mixed = [row for pair in zip(rows, others) for row in pair]
+    *mixed_columns, _ = columns(mixed)
+    assert compare_groups(*mixed_columns, range(0, len(mixed), 2)) == compare_groups(*columns(rows))
 
 
 def test_compare_groups_identical_distributions():

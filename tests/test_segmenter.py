@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gavel.corpus import (
+    HONORIFICS,
     Chamber,
     HearingMeta,
     Party,
@@ -19,6 +21,9 @@ from gavel.corpus import (
     to_record,
 )
 from gavel.segmenter import (
+    FEMALE_HONORIFICS,
+    MALE_HONORIFICS,
+    ROLE_CUES,
     STAGE_DIRECTION_RE,
     SegmentationFailed,
     SegmenterRules,
@@ -174,6 +179,90 @@ def test_resolve_ambiguous_surname_uses_cues():
     person_id, warning = resolve_speaker("Brown.", roster)
     assert person_id == "Unknown" and "ambiguous" in warning
     assert resolve_speaker("Brown.", roster, prefer_role=Role.MEMBER)[0] == "sen"
+
+
+def test_resolve_ambiguous_surname_by_gender_after_role():
+    def lee(person_id, display_name, role):
+        party = Party.DEMOCRAT if role is Role.MEMBER else Party.NONE
+        return Person(person_id=person_id, display_name=display_name, surname="Lee", role=role, party=party,
+                      chamber=Chamber.HOUSE if role is Role.MEMBER else None)
+
+    roster = Roster(hearing_id="h-3", people=(
+        lee("ann", "Mrs. Ann Lee", Role.MEMBER), lee("bo", "Mr. Bo Lee", Role.MEMBER), lee("cy", "Cy Lee", Role.WITNESS),
+    ))
+    # a chair title leaves two members, so the gender cue decides
+    assert resolve_speaker("Chairwoman Lee.", roster)[0] == "ann"
+    assert resolve_speaker("Chairman LEE.", roster)[0] == "bo"
+    assert resolve_speaker("Miss Lee.", roster)[0] == "ann"
+    assert resolve_speaker("Dr. Lee.", roster)[0] == "cy"
+    assert resolve_speaker("Chair Lee.", roster)[0] == "Unknown"
+    assert resolve_speaker("Chair Lee.", roster, prefer_role=Role.WITNESS)[0] == "cy"
+
+
+def test_cue_titles_are_honorifics():
+    titles = {h.lower() for h in HONORIFICS}
+    assert FEMALE_HONORIFICS <= titles and MALE_HONORIFICS <= titles and set(ROLE_CUES) <= titles
+
+
+def one_member_hearing(marker: str, surname: str) -> tuple[str, Roster, HearingMeta]:
+    """A transcript in which a witness speaks, then `marker` opens a member's utterance, with its roster."""
+    raw = (
+        "    The committee met, pursuant to notice.\n"
+        "    Dr. Okafor. Thank you for having me.\n"
+        f"    {marker} Is the program on schedule?\n"
+        "    [Whereupon, the hearing was adjourned.]\n"
+    )
+    roster = Roster(
+        hearing_id="h-1",
+        people=(
+            Person(person_id="m", display_name=f"Pat {surname}", surname=surname, role=Role.MEMBER,
+                   party=Party.DEMOCRAT, chamber=Chamber.HOUSE),
+            Person(person_id="w", display_name="Alex Okafor", surname="Okafor", role=Role.WITNESS),
+        ),
+    )
+    meta = HearingMeta(hearing_id="h-1", session=116, chamber=Chamber.HOUSE, committee="Oversight")
+    return raw, roster, meta
+
+
+def speakers(raw: str, roster: Roster, meta: HearingMeta, rules: SegmenterRules = RULES) -> list[str]:
+    utterances, _ = segment_hearing(raw, rules, roster, meta)
+    return [u.speaker for u in utterances]
+
+
+@pytest.mark.parametrize(
+    "title,surname,caps,state",
+    itertools.product(HONORIFICS, ("Maloney", "Van Hollen"), (False, True), ("", " of Ohio")),
+)
+def test_every_title_opens_a_marker_that_resolves(title, surname, caps, state):
+    dot = "." if len(title) <= 3 else ""
+    marker = f"{title}{dot} {surname.upper() if caps else surname}{state}."
+    raw, roster, meta = one_member_hearing(marker, surname)
+    segments = segment_utterances(trim_proceedings(raw, RULES).body, RULES).segments
+    assert [s.marker_raw.strip() for s in segments] == ["Dr. Okafor.", marker]
+    assert speakers(raw, roster, meta) == ["w", "m"]
+
+
+def test_chair_marker_opens_its_own_utterance():
+    raw, roster, meta = one_member_hearing("Chair Maloney.", "Maloney")
+    utterances, _ = segment_hearing(raw, RULES, roster, meta)
+    assert [u.speaker for u in utterances] == ["w", "m"]
+    assert utterances[0].text.strip() == "Thank you for having me."
+
+
+def test_a_rules_files_honorifics_are_matched_and_stripped(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"honorifics": ["Ambassador", "Dr"]}))  # Dr for the witness's marker
+    rules = SegmenterRules.from_file(path)
+    raw, roster, meta = one_member_hearing("Ambassador Van Hollen.", "Van Hollen")
+    assert speakers(raw, roster, meta, rules) == ["w", "m"]
+
+
+def test_a_title_is_stripped_only_when_a_name_follows():
+    raw, roster, meta = one_member_hearing("Mr. Judge.", "Judge")
+    assert speakers(raw, roster, meta) == ["w", "m"]
+    for marker in ("The CHAIRMAN.", "Mr."):
+        person_id, warning = resolve_speaker(marker, roster)
+        assert person_id == "Unknown" and "carries no resolvable name" in warning
 
 
 GOLDEN = synth_corpus(50, seed=7)
