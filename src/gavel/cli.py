@@ -2,12 +2,12 @@
 
 Subcommands: fetch, segment, classify-qa (train/apply), pair, features,
 kstest, train, evaluate, prompts, verify-sample. Those that draw random
-numbers (classify-qa train, train, evaluate and verify-sample) take --seed
-(default 108, never wall-clock). Every run honors --config (JSON file whose
-keys mirror the flags; flags override), writes its artifacts only under the
-declared output location, creating missing parent directories, and drops a
-manifest with a config hash and input checksums so identical runs are
-identifiable.
+numbers (train, evaluate and verify-sample) take --seed (default 108, never
+wall-clock). Every run honors --config (JSON file whose keys mirror the
+flags; flags override), writes its artifacts only under the declared output
+location, creating missing parent directories, and drops a manifest with a
+config hash and the checksums of the input bytes it read (through `corpus`,
+the only reader of input files) so identical runs are identifiable.
 Each option, with its default, type and choices, is declared once, in
 `build_parser`; config-file values pass the same checks as flags.
 Diagnostics go to stderr, data to stdout or files. Exit codes: 0 success,
@@ -36,9 +36,10 @@ from . import KINDS, LAYOUTS, GavelError, __version__, take
 # process imports only those; `--version` and the parser import none of them.
 _IMPORTS = {
     "corpus": (
-        "HearingMeta", "Party", "QALabel", "RecordError", "Standing", "Task", "from_record", "load_corpus",
-        "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines", "render_prompt",
-        "store_corpus", "to_record", "write_lines", "write_tsv",
+        "HearingMeta", "Party", "QALabel", "RecordError", "Standing", "Task", "from_record", "input_checksum",
+        "load_corpus", "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines",
+        "read_text", "recording_reads", "render_prompt", "store_corpus", "to_record", "write_lines", "write_tsv",
+        "write_utterances",
     ),
     "features": ("SCHEMA", "read_examples", "write_examples"),
     "fetcher": ("Fetcher",),
@@ -121,27 +122,6 @@ class _AppendFlags(argparse.Action):
         setattr(namespace, self.dest, items + [values])
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _checksum_input(path: Path) -> str:
-    if path.is_file():
-        return _sha256_file(path)
-    if path.is_dir():
-        # an upstream run's manifest.json holds timestamps, so it is not input content
-        h = hashlib.sha256()
-        for f in sorted(p for p in path.rglob("*") if p.is_file() and p.name != "manifest.json"):
-            h.update(str(f.relative_to(path)).encode())
-            h.update(_sha256_file(f).encode())
-        return h.hexdigest()
-    return "missing"
-
-
 def _settings(args: argparse.Namespace) -> dict:
     """The subcommand's settable values: each of its options, plus `grid` where declared."""
     return {k: v for k, v in vars(args).items() if k not in _WIRING}
@@ -153,7 +133,7 @@ def write_manifest(
     payload = {
         "subcommand": subcommand,
         "config": _settings(args),
-        "input_checksums": {str(p): _checksum_input(p) for p in sorted(set(inputs), key=str)},
+        "input_checksums": {str(p): input_checksum(p) for p in sorted(set(inputs), key=str)},
         "version": __version__,
     }
     if "seed" in vars(args):  # a run that draws random numbers
@@ -301,7 +281,7 @@ def cmd_segment(args) -> int:
         hearings.append((hdir, meta, load_roster(hdir / "roster.json", meta.hearing_id)))
     results = []
     for hdir, meta, roster in hearings:
-        raw = (hdir / "transcript.txt").read_text(encoding="utf-8")
+        raw = read_text(hdir / "transcript.txt")
         utterances, report = segment_hearing(raw, rules, roster, meta)
         results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)
@@ -349,7 +329,7 @@ def cmd_classify_qa_train(args) -> int:
         corpus.extend(rows)
         inputs.append(path)
         _log(f"{path}: kept {len(rows)} rows ({duplicates} duplicates removed)")
-    hyper = QAHyper(learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2, seed=args.seed)
+    hyper = QAHyper(learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2)
     model, trace = train_qa(corpus, hyper)
     save_model(model, args.model_out)
     _log(f"trained on {len(corpus)} rows; loss {trace[0]:.4f} -> {trace[-1]:.4f}")
@@ -389,7 +369,8 @@ def cmd_classify_qa_apply(args) -> int:
     for meta, utterances in corpus:
         relabeled = [replace(u, qa_label=classify_qa(model, u.text, other_band=args.other_band)[0]) for u in utterances]
         labeled.append((meta, relabeled))
-    store_corpus(labeled, corpus_dir)
+    for meta, relabeled in labeled:  # the labels are all that changes in the store
+        write_utterances(corpus_dir / meta.hearing_id / "utterances.jsonl", relabeled)
     n = sum(len(u) for _, u in labeled)
     _log(f"labeled {n} utterances in place under {corpus_dir}")
     write_manifest(corpus_dir, "classify-qa apply", args, [Path(args.model)], started)
@@ -424,10 +405,9 @@ def cmd_features(args) -> int:
     _require(args, "corpus", "government", "output")
     _check_outputs(args, files=("output",))
     started = time.time()
-    problems = verify_manifest(args.lexicons)
-    for p in problems:
-        _log(f"lexicon manifest: {p}")
     lexicons = load_lexicons(args.lexicons)
+    for p in verify_manifest(args.lexicons):  # checks the digests of the files just read
+        _log(f"lexicon manifest: {p}")
     corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
     rosters = load_rosters(corpus_dir)
@@ -722,7 +702,7 @@ def build_parser() -> _Parser:
 
     qa = sub.add_parser("classify-qa", help="train or apply the question/answer classifier")
     modes = qa.add_subparsers(dest="mode", required=True)
-    p = add(modes, "train", cmd_classify_qa_train, seeded=True, help="train the classifier on labeled files")
+    p = add(modes, "train", cmd_classify_qa_train, help="train the classifier on labeled files")
     p.add_argument("--train", action=_AppendFlags, help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
     p.add_argument("--model-out", dest="model_out", help="where to write the trained model")
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
@@ -800,11 +780,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         _use("corpus")  # manifests, config and list files are read and written with it
-        config = _load_config_file(args.config) if args.config else {}
-        _apply_config(args, config)
-        if config:
-            args = parser.parse_args(argv)
-        return args.fn(args)
+        with recording_reads():  # a manifest covers what this call reads
+            config = _load_config_file(args.config) if args.config else {}
+            _apply_config(args, config)
+            if config:
+                args = parser.parse_args(argv)
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -18,10 +18,13 @@ other module formats a cell.
 A stored JSON record is `to_record` of its dataclass and is read back by
 `from_record`, one rule for every type (docs/formats.md, "JSON records").
 
-Every input file is read back through `read_json`, `read_records` (JSONL),
-`read_tsv` or `read_lines`. A file that does not decode, or holds a value of
-the wrong shape, raises `RecordError` with its path, and with the line number
-for the line-based formats.
+Every input file is read through `read_text`, `read_json`, `read_records`
+(JSONL), `read_tsv` or `read_lines`, and nothing else in gavel opens one. A
+file that does not decode, or holds a value of the wrong shape, raises
+`RecordError` with its path, and with the line number for the line-based
+formats. Each reader hashes the bytes it reads: within `recording_reads` (one
+run) the digest of each file read to its end is kept, `write_lines` drops
+that of a file it writes, and `input_checksum` answers from what is kept.
 
 `render_prompt` turns a question, an answer or a pair into the fixed
 zero-shot prompt that `gavel prompts` writes for external models.
@@ -29,14 +32,18 @@ zero-shot prompt that `gavel prompts` writes for external models.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
 from typing import get_args, get_origin, get_type_hints
 
 from . import GavelError
@@ -390,6 +397,8 @@ def derive_standing(
 def write_lines(path: Path | str, lines: Iterable[str]) -> None:
     """Write each line followed by a newline as UTF-8, creating the parent directory."""
     path = Path(path)
+    if _digests:
+        _digests.pop(path, None)  # what this run read there is gone
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -438,11 +447,81 @@ def _decoded(decode: Callable[[Any], T], value: Any, path: Path | str, line_no: 
         raise RecordError(f"malformed record: {exc}", path=str(path), line_no=line_no) from None
 
 
+# sha256 of each file read to its end in this run, by the path it was opened under; None between runs
+_digests: Optional[dict[Path, str]] = None
+
+
+class _HashingFile(io.FileIO):
+    """A file open for reading, unbuffered and in binary, that hashes every byte read from it."""
+
+    def __init__(self, path: Path | str):
+        super().__init__(os.fspath(path))  # an OSError names the path as `open` does
+        self.sha256 = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = super().read(size)
+        self.sha256.update(data)
+        return data
+
+
+@contextmanager
+def _opened(path: Path | str) -> Iterator[TextIO]:
+    """`path` as `open(path, encoding="utf-8")` reads it; its digest is kept once the caller has read it all."""
+    raw = _HashingFile(path)
+    try:
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:  # it reads in chunks; a buffer between would copy them
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise RecordError(f"not UTF-8 text: {exc}", path=str(path)) from None
+    if _digests is not None:
+        _digests[Path(path)] = raw.sha256.hexdigest()
+
+
+@contextmanager
+def recording_reads() -> Iterator[None]:
+    """One run: the sha256 of each file read to its end is recorded until it ends."""
+    global _digests
+    _digests = {}
+    try:
+        yield
+    finally:
+        _digests = None
+
+
+def input_checksum(path: Path | str) -> str:
+    """sha256 of an input as this run read it (docs/formats.md, "Run manifests").
+
+    A file gives the digest of its bytes, read for it only if the run has not
+    read them. A directory gives the sha256 over each file the run read under
+    it, in sorted path order, of its path relative to the directory and then
+    its digest.
+    """
+    path = Path(path)
+    digests = {} if _digests is None else _digests
+    if path not in digests and not path.is_dir():
+        with _HashingFile(path) as fh:
+            fh.read()
+        digests[path] = fh.sha256.hexdigest()
+    if path in digests:
+        return digests[path]
+    h = hashlib.sha256()
+    for f in sorted(f for f in digests if f.is_relative_to(path)):
+        h.update(str(f.relative_to(path)).encode())
+        h.update(digests[f].encode())
+    return h.hexdigest()
+
+
+def read_text(path: Path | str) -> str:
+    """The whole of a UTF-8 text file, with newlines translated as `open` does."""
+    with _opened(path) as fh:
+        return fh.read()
+
+
 def read_json(path: Path | str, kind: type, decode: Callable[[Any], T]) -> T:
     """Decode a whole-file JSON value of type `kind` (dict or list)."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        value = json.loads(read_text(path))
+    except ValueError as exc:  # a file not UTF-8 raises RecordError
         raise RecordError(f"invalid JSON: {exc}", path=str(path)) from None
     if not isinstance(value, kind):
         raise RecordError(f"expected a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}", path=str(path))
@@ -451,14 +530,11 @@ def read_json(path: Path | str, kind: type, decode: Callable[[Any], T]) -> T:
 
 def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """(line_no, line) for each non-empty line of a UTF-8 text file, newline removed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield line_no, line
-    except UnicodeDecodeError as exc:
-        raise RecordError(f"not UTF-8 text: {exc}", path=str(path)) from None
+    with _opened(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line
 
 
 def read_tsv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
@@ -507,10 +583,15 @@ def store_corpus(
         _check_sequence(meta.hearing_id, utterances)
         hdir = root / meta.hearing_id
         write_lines(hdir / "meta.json", [json.dumps(to_record(meta), indent=1)])
-        write_lines(hdir / "utterances.jsonl", (json.dumps(to_record(u), ensure_ascii=False) for u in utterances))
+        write_utterances(hdir / "utterances.jsonl", utterances)
         if rosters and meta.hearing_id in rosters:
             roster = rosters[meta.hearing_id]
             write_lines(hdir / "roster.json", [json.dumps(to_record(roster), ensure_ascii=False, indent=1)])
+
+
+def write_utterances(path: Path | str, utterances: Iterable[Utterance]) -> None:
+    """One hearing's utterances as JSONL, one record per line."""
+    write_lines(path, (json.dumps(to_record(u), ensure_ascii=False) for u in utterances))
 
 
 def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
@@ -525,17 +606,13 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
             continue  # not a hearing directory
         meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
         utterances_path = hdir / "utterances.jsonl"
-        utterances = load_utterances(utterances_path)
+        utterances = sorted(read_records(utterances_path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
         try:
             _check_sequence(meta.hearing_id, utterances)
         except InvariantError as exc:
             raise RecordError(str(exc), path=str(utterances_path)) from None
         out.append((meta, utterances))
     return out
-
-
-def load_utterances(path: Path | str) -> list[Utterance]:
-    return sorted(read_records(path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
 
 
 def load_roster(path: Path | str, hearing_id: str) -> Roster:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import GavelError
-from .corpus import HEARING_ID_RE
+from .corpus import HEARING_ID_RE, read_text
 
 
 class FetchError(GavelError):
@@ -73,7 +73,7 @@ class Fetcher:
     def fetch(self, hearing_id: str) -> str:
         cached = self.cache_path(hearing_id)
         if cached.is_file():
-            return cached.read_text(encoding="utf-8")
+            return read_text(cached)
         data = self._download(hearing_id)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cached.with_suffix(".tmp")

@@ -11,13 +11,12 @@ loader at another directory.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 from . import GavelError
-from .corpus import read_lines
+from .corpus import input_checksum, read_lines
 
 DEFAULT_DIR = Path(__file__).parent / "data" / "lexicons"
 
@@ -53,15 +52,11 @@ LIST_FILES = tuple(f.name for f in fields(Lexicons) if f.name != "sentiment_vale
 
 
 def _read_list(path: Path) -> frozenset[str]:
-    if not path.is_file():
-        raise LexiconError(f"missing lexicon file: {path}")
     entries = (" ".join(line.split("#", 1)[0].lower().split()) for _, line in read_lines(path))
     return frozenset(entry for entry in entries if entry)
 
 
 def _read_valence(path: Path) -> dict[str, float]:
-    if not path.is_file():
-        raise LexiconError(f"missing lexicon file: {path}")
     out: dict[str, float] = {}
     for line_no, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
@@ -107,7 +102,6 @@ def verify_manifest(directory: Path | str | None = None) -> list[str]:
         if not f.is_file():
             problems.append(f"{name}: missing")
             continue
-        actual = hashlib.sha256(f.read_bytes()).hexdigest()
-        if actual != digest:
+        if input_checksum(f) != digest:
             problems.append(f"{name}: checksum mismatch")
     return problems

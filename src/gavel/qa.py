@@ -181,7 +181,7 @@ class LexicalModel:
     vocabulary: Mapping[str, int]
     weights: tuple[float, ...]
     bias: float
-    training_meta: dict  # seed, epochs, learning_rate, l2, n_examples; saved in this key order
+    training_meta: dict  # epochs, learning_rate, l2, n_examples; saved in this key order
     _unigram_weights: dict[str, float] = field(init=False, repr=False, compare=False)
     _bigram_weights: dict[tuple[str, str], float] = field(init=False, repr=False, compare=False)
     _structural_weights: dict[str, float] = field(init=False, repr=False, compare=False)
@@ -218,7 +218,6 @@ class QAHyper:
     learning_rate: float = 0.5
     epochs: int = 60
     l2: float = 1e-4
-    seed: int = 0
 
 
 def build_vocabulary(featurized: Iterable[Mapping[str, float]]) -> dict[str, int]:
@@ -250,7 +249,6 @@ def train_qa(corpus: Sequence[LabeledText], hyper: QAHyper = QAHyper()) -> tuple
         matrix, y, learning_rate=hyper.learning_rate, epochs=hyper.epochs, l2=hyper.l2
     )
     meta = {
-        "seed": hyper.seed,
         "epochs": hyper.epochs,
         "learning_rate": hyper.learning_rate,
         "l2": hyper.l2,
@@ -429,5 +427,5 @@ def _model_from_record(record: dict) -> LexicalModel:
         vocabulary=record["vocabulary"],
         weights=weights,
         bias=bias,
-        training_meta={key: meta[key] for key in ("seed", "epochs", "learning_rate", "l2", "n_examples")},
+        training_meta={key: meta[key] for key in ("epochs", "learning_rate", "l2", "n_examples")},
     )

@@ -98,6 +98,8 @@ class SegmenterRules:
 
     def __post_init__(self):
         if not self.marker_patterns:
+            if not self.honorifics or not all(h.strip() for h in self.honorifics):  # "" would admit any "Word."
+                raise ValueError(f"honorifics must be titles to build the default markers, got {list(self.honorifics)}")
             object.__setattr__(self, "marker_patterns", default_marker_patterns(self.honorifics))
         object.__setattr__(self, "compiled", {})
         for key in ("start_patterns", "end_patterns", "marker_patterns"):

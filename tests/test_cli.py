@@ -1,6 +1,7 @@
 import ast
 import builtins
 import hashlib
+import io
 import json
 import os
 import re
@@ -86,11 +87,12 @@ GOLDEN_PARALLEL_EVAL_SHA256 = {
 }
 # sha256 of the forest `train --min-rows 4 --cv-folds 2` saves with TWO_CELL_GRID
 GOLDEN_GRID_FOREST_SHA256 = "2610f167fac659656e01474f1a39251c8fbc36752b7e48ba436967737339fe50"
-# sha256 of the Q/A model `classify-qa train` writes from the fixture AMA and UKParl files,
-# pinned before the logistic fits ran over packed rows: (extra flags) -> sha256
+# sha256 of the Q/A model `classify-qa train` writes from the fixture AMA and UKParl files:
+# (extra flags) -> sha256. Re-pinned when `training_meta` lost its seed; the weights are
+# those pinned before the logistic fits ran over packed rows.
 GOLDEN_QA_MODEL_SHA256 = {
-    ("--epochs", "30"): "c9254a003429c77df31c95dad7cdc8909d45e5b4aa1aca51d43f902a352cd37a",  # the pipeline's
-    (): "eb46bfaf544c9a8d31747cc6ca32511dcac558265c4118a813088bf0ee40ac11",
+    ("--epochs", "30"): "45762eb8f1c018e402cb5f69ea435fb4c6c4f5c32ed1a0c4da56f810b4d23ba7",  # the pipeline's
+    (): "e8a895ee1549b18b352e9abbb149af165ecdf8d1d3f97c42476e69e6088c6866",
 }
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -242,6 +244,7 @@ def test_only_a_seeded_run_records_a_seed(pipeline):
 UNSEEDED_RUNS = {
     "fetch": ["fetch", "--ids", "h-1", "--endpoint", "https://x.test/{hearing_id}", "--cache-dir", "c"],
     "segment": ["segment", "--input", "in", "--output", "out"],
+    "classify-qa train": ["classify-qa", "train", "--train", "t.tsv:AMA", "--model-out", "m.json"],
     "classify-qa apply": ["classify-qa", "apply", "--model", "m.json", "--corpus", "c"],
     "pair": ["pair", "--corpus", "c", "--output", "p.jsonl"],
     "features": ["features", "--corpus", "c", "--government", "g.json", "--output", "e.tsv"],
@@ -815,6 +818,23 @@ def test_segment_writes_the_golden_store(tmp_path, capsys, case):
     assert bool(printed) == (case == "overlapping-rules")
 
 
+@pytest.mark.parametrize("honorifics", [[], ["Mr", ""], ["Mr", " "]])
+def test_rules_without_titles_for_the_default_markers_exit_one(tmp_path, capsys, honorifics):
+    """An empty title, or none, would make any indented capitalized word and a period a marker."""
+    from gavel.segmenter import SegmenterRules
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"honorifics": honorifics}))
+    argv = ["segment", "--input", str(FIXTURES / "hearings"), "--output", str(tmp_path / "s"), "--rules", str(rules)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "honorifics" in err and str(rules) in err
+    assert not (tmp_path / "s").exists()
+    # rules that bring their own marker patterns build none from the titles
+    rules.write_text(json.dumps({"honorifics": honorifics, "marker_patterns": [r"^[ \t]*The CHAIRMAN\. "]}))
+    assert SegmenterRules.from_file(rules).honorifics == tuple(honorifics)
+
+
 def test_segment_rejects_malformed_rules_file(tmp_path, capsys):
     rules_path = tmp_path / "rules.json"
     rules_path.write_text(json.dumps({"marker_patterns": ["(no name group"]}))
@@ -1118,6 +1138,8 @@ def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, m
     shutil.copytree(pipeline / "corpus", corpus)
     stored = {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file() and p.name != "manifest.json"}
     assert any(p.name == "roster.json" for p in stored)
+    # apply rewrites each utterances.jsonl and nothing else of the store
+    untouched = {p: p.stat().st_mtime_ns for p in stored if p.name in ("meta.json", "roster.json")}
 
     def no_rosters(root):
         raise AssertionError(f"apply read the rosters under {root}")
@@ -1125,6 +1147,21 @@ def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, m
     monkeypatch.setattr("gavel.cli.load_rosters", no_rosters)
     assert run(["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)]) == 0
     assert {p: p.read_bytes() for p in stored} == stored
+    assert {p: p.stat().st_mtime_ns for p in untouched} == untouched
+
+
+def test_a_model_file_that_records_a_seed_still_loads(pipeline, tmp_path, capsys):
+    """Models saved while `classify-qa train` took --seed carry `training_meta.seed`; it is ignored."""
+    model = tmp_path / "model.json"
+    record = json.loads((pipeline / "qa_model.json").read_text())
+    record["training_meta"] = {"seed": 108, **record["training_meta"]}
+    model.write_text(json.dumps(record))
+    scores = []
+    for path in (pipeline / "qa_model.json", model):
+        assert run(["classify-qa", "apply", "--model", str(path),
+                    "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"]) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1]
 
 
 def test_prompts_manifest_checksums_the_pairs_file(pipeline, tmp_path):
@@ -1141,19 +1178,99 @@ def test_prompts_manifest_checksums_the_pairs_file(pipeline, tmp_path):
     assert hashes[0] != hashes[1]
 
 
-def test_directory_checksum_ignores_upstream_manifest(tmp_path):
-    from gavel.cli import _checksum_input
-
+def test_directory_checksum_ignores_upstream_manifest(pipeline, tmp_path):
+    """A directory's checksum covers the files the run read under it: `pair` reads each
+    hearing's meta, roster and utterances, not the store's manifest or segmentation report."""
     store = tmp_path / "corpus"
-    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(store)]) == 0
-    before = _checksum_input(store)
-    manifest = store / "manifest.json"
-    record = json.loads(manifest.read_text())
-    record["started_at"] = record["finished_at"] = "1999-01-01T00:00:00Z"
-    manifest.write_text(json.dumps(record))
-    assert _checksum_input(store) == before
+    shutil.copytree(pipeline / "corpus", store)
+
+    def checksum():
+        assert run(["pair", "--corpus", str(store), "--output", str(tmp_path / "pairs.jsonl")]) == 0
+        return json.loads((tmp_path / "manifest.json").read_text())["input_checksums"][str(store)]
+
+    before = checksum()
+    _rewrite_json(store / "manifest.json", lambda r: r.update(started_at="1999-01-01T00:00:00Z"))
     (store / "segmentation_report.json").write_text("{}\n")
-    assert _checksum_input(store) != before
+    assert checksum() == before
+    _rewrite_json(next(store.glob("*/roster.json")), lambda r: r["people"][0].update(display_name="Someone Else"))
+    assert checksum() != before
+
+
+def _walk_checksum(root: Path) -> str:
+    """A directory's checksum as it was taken before runs recorded what they read: every file
+    under it but manifest.json, by relative path and sha256, in sorted path order."""
+    h = hashlib.sha256()
+    for f in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        h.update(str(f.relative_to(root)).encode())
+        h.update(_sha256(f).encode())
+    return h.hexdigest()
+
+
+def test_segment_checksums_the_raw_tree_as_the_whole_tree_walk_did(tmp_path):
+    """`segment` reads every file of a raw hearing tree, so its checksum has not changed."""
+    raw = FIXTURES / "hearings"
+    assert run(["segment", "--input", str(raw), "--output", str(tmp_path / "corpus")]) == 0
+    manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+    assert manifest["input_checksums"] == {str(raw): _walk_checksum(raw)}
+
+
+def test_each_run_opens_each_input_once_and_its_manifest_hashes_those_bytes(pipeline, tmp_path, monkeypatch):
+    """corpus opens every input with `_HashingFile`; any other reader would call `open`. No run opens
+    a file for reading twice. Each manifest checksum is the sha256 of the bytes on disk: a file's
+    own, or a directory's over the files the run read under it."""
+    from gavel import corpus as corpus_module
+
+    opened: list[Path] = []
+    real_open, hashing_file = builtins.open, corpus_module._HashingFile
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.append(Path(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_hashing_file(path):
+        opened.append(Path(path))
+        return hashing_file(path)
+
+    corpus, pairs, examples = tmp_path / "corpus", tmp_path / "pairs" / "pairs.jsonl", tmp_path / "x" / "examples.tsv"
+    model = pipeline / "qa_model.json"
+    steps = [  # (argv, the directory it writes its manifest in, or None)
+        (["segment", "--input", str(FIXTURES / "hearings"), "--output", str(corpus)], corpus),
+        (["classify-qa", "apply", "--model", str(model), "--corpus", str(corpus)], corpus),
+        (["classify-qa", "apply", "--model", str(model),
+          "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"], None),
+        (["pair", "--corpus", str(corpus), "--output", str(pairs)], pairs.parent),
+        (["features", "--corpus", str(corpus), "--pairs", str(pairs), "--government",
+          str(FIXTURES / "government_context.json"), "--output", str(examples)], examples.parent),
+        (["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "ks" / "m.tsv")], tmp_path / "ks"),
+        (["evaluate", "--examples", str(examples), "--min-rows", "10", "--out-dir", str(tmp_path / "eval")],
+         tmp_path / "eval"),
+        (["prompts", "--corpus", str(corpus), "--pairs", str(pairs), "--kind", "Both",
+          "--output", str(tmp_path / "prompts" / "p.jsonl")], tmp_path / "prompts"),
+    ]
+    for argv, manifest_dir in steps:
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spy_open)
+            patch.setattr(io, "open", spy_open)
+            patch.setattr(corpus_module, "_HashingFile", spy_hashing_file)
+            assert run(argv) == 0, argv
+        assert opened, argv
+        assert [p for p in set(opened) if opened.count(p) > 1] == [], argv
+        if manifest_dir is None:
+            continue
+        checksums = json.loads((manifest_dir / "manifest.json").read_text())["input_checksums"]
+        assert checksums, argv
+        for name, digest in checksums.items():
+            path = Path(name)
+            if path.is_file():
+                assert digest == _sha256(path), (argv, name)
+                continue
+            h = hashlib.sha256()
+            for f in sorted(p for p in opened if p.is_relative_to(path)):
+                h.update(str(f.relative_to(path)).encode())
+                h.update(_sha256(f).encode())
+            assert digest == h.hexdigest(), (argv, name)
 
 
 @pytest.mark.parametrize("grid", [[], [{"n_estimators": 5, "max_depth": "4"}], [{"n_estimators": 5, "depth": 4}]])
@@ -1180,6 +1297,13 @@ def _segment_bad_roster(pipeline, tmp_path):
     raw, hdir = _raw_hearings(tmp_path)
     (hdir / "roster.json").write_text("[]")
     return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "roster.json"
+
+
+def _segment_transcript_not_utf8(pipeline, tmp_path):
+    raw, hdir = _raw_hearings(tmp_path)
+    with open(hdir / "transcript.txt", "ab") as fh:
+        fh.write(b"\xff")
+    return ["segment", "--input", str(raw), "--output", str(tmp_path / "s")], hdir / "transcript.txt"
 
 
 def _segment_bad_meta(pipeline, tmp_path):
@@ -1362,6 +1486,7 @@ def _pair_sequence_gap(pipeline, tmp_path):
 MALFORMED_INPUTS = {
     "roster-not-object": _segment_bad_roster,
     "meta-invalid-json": _segment_bad_meta,
+    "transcript-not-utf8": _segment_transcript_not_utf8,
     "meta-unknown-chamber": _segment_meta(lambda r: r.update(chamber="Moon"),
                                           "unknown chamber 'Moon' ({} field 'chamber')"),
     "meta-without-committee": _segment_meta(lambda r: r.pop("committee"), "missing field ({} field 'committee')"),

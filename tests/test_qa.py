@@ -167,10 +167,12 @@ def test_train_loss_monotone_nonincreasing():
         assert later <= earlier + 1e-12
 
 
-def test_train_deterministic_same_seed():
-    m1, _ = train_qa(toy_corpus(), QAHyper(seed=3))
-    m2, _ = train_qa(toy_corpus(), QAHyper(seed=3))
+def test_train_is_deterministic():
+    """Full-batch descent from zero weights draws nothing, so it needs no seed."""
+    m1, _ = train_qa(toy_corpus(), QAHyper())
+    m2, _ = train_qa(toy_corpus(), QAHyper())
     assert m1.weights == m2.weights and m1.bias == m2.bias
+    assert list(m1.training_meta) == ["epochs", "learning_rate", "l2", "n_examples"]
 
 
 def test_train_rejects_single_class():
