@@ -14,9 +14,6 @@ __version__ = "0.1.0"
 
 KINDS = ("Question", "Answer", "Both")
 
-# evaluation table layout -> the split dimensions its rows are keyed by
-LAYOUTS = {"split_grid": (), "committee": ("committee",), "hearing_type_government": ("hearing_type", "government")}
-
 
 class GavelError(Exception):
     """A failure the user can fix: bad input, a bad lexicon, an unreachable source."""

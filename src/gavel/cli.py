@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import KINDS, LAYOUTS, GavelError, __version__, take
+from . import KINDS, GavelError, __version__, take
 
 # Every name the subcommands take from another gavel module, by the module that
 # defines it. Each command binds the names of the modules it runs with `_use`, so a
@@ -45,8 +45,8 @@ _IMPORTS = {
     "fetcher": ("Fetcher",),
     "forest": ("ForestHyper", "save_forest"),
     "harness": (
-        "DEFAULT_GRID", "ExperimentConfig", "SplitSpec", "build_datasets", "build_examples", "emit_tables",
-        "empty_blocks", "fit_forest", "read_predictions_file", "run_experiment", "score_predictions",
+        "DEFAULT_GRID", "ExperimentConfig", "PIVOTS", "SplitSpec", "build_datasets", "build_examples",
+        "emit_tables", "empty_blocks", "fit_forest", "read_predictions_file", "run_experiment", "score_predictions",
     ),
     "kstest": ("compare_groups", "emit_comparison_details", "emit_heatmap_matrix"),
     "lexicons": ("load_lexicons", "verify_manifest"),
@@ -55,7 +55,8 @@ _IMPORTS = {
         "QAHyper", "Source", "classify_qa", "load_model", "load_pairs", "load_training_corpus", "pair_qa",
         "save_model", "save_pairs", "score_confusion", "train_qa",
     ),
-    "segmenter": ("SegmenterRules", "read_verdict_file", "score_verdicts", "segment_hearing", "verify_sample"),
+    "segmenter": ("SegmentationFailed", "SegmenterRules", "read_verdict_file", "score_verdicts", "segment_hearing",
+                  "verify_sample"),
 }
 _HOME = {name: module for module, names in _IMPORTS.items() for name in names}
 
@@ -281,8 +282,11 @@ def cmd_segment(args) -> int:
         hearings.append((hdir, meta, load_roster(hdir / "roster.json", meta.hearing_id)))
     results = []
     for hdir, meta, roster in hearings:
-        raw = read_text(hdir / "transcript.txt")
-        utterances, report = segment_hearing(raw, rules, roster, meta)
+        transcript = hdir / "transcript.txt"
+        try:
+            utterances, report = segment_hearing(read_text(transcript), rules, roster, meta)
+        except SegmentationFailed as exc:
+            raise SegmentationFailed(f"hearing {meta.hearing_id}: {exc} ({transcript})") from None
         results.append((meta, utterances, roster, report))
     results.sort(key=lambda t: t[0].hearing_id)
     out = Path(args.output)
@@ -517,11 +521,6 @@ def cmd_evaluate(args) -> int:
         write_manifest(out_dir, "evaluate", args, [Path(args.examples), Path(args.predictions)], started)
         return 0
     dims = tuple(d for d in args.split_dims.split(",") if d)
-    layouts = [l for l in args.layouts.split(",") if l]
-    for layout in layouts:
-        missing = [d for d in LAYOUTS[layout] if d not in dims]
-        if missing:
-            raise UsageError(f"--layouts {layout} needs split dimension(s) {', '.join(missing)} in --split-dims")
     spec = SplitSpec(dimensions=dims, utterance_kind=args.kind, task=task, min_rows=args.min_rows)
     exp = ExperimentConfig(
         model=args.model,
@@ -539,9 +538,10 @@ def cmd_evaluate(args) -> int:
     if not datasets:
         raise UsageError("every split was skipped; lower --min-rows or change --split-dims")
     reports = run_experiment(datasets, exp)
-    for layout in layouts:
+    pivots = [pivot for pivot, keys in PIVOTS.items() if spec.dimensions in keys]
+    for layout in ("split_grid", *pivots):
         emit_tables(reports, layout, out_dir / f"{layout}.tsv")
-    if "hearing_type_government" in layouts:
+    if "hearing_type_government" in pivots:
         for block, reason in empty_blocks(reports, skips, spec):
             _log(f"hearing_type_government.tsv: the {block} block is empty: {reason}")
     write_tsv(
@@ -634,14 +634,6 @@ def cmd_verify_sample(args) -> int:
 
 
 # --- parser wiring -------------------------------------------------------------
-
-def _layouts(value: str) -> str:
-    """--layouts: a comma list of LAYOUTS, checked before any input is read."""
-    for layout in (l for l in value.split(",") if l):
-        if layout not in LAYOUTS:
-            raise argparse.ArgumentTypeError(f"unknown layout {layout!r}; valid: {', '.join(LAYOUTS)}")
-    return value
-
 
 def _other_band(value: str) -> float:
     """--other-band: a margin of probability around 0.5, so in [0, 0.5]; NaN or a
@@ -751,8 +743,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--predictions", help="score an external predictions TSV instead of training")
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--layouts", type=_layouts, default="split_grid", help=f"comma list from: {','.join(LAYOUTS)}")
-    exclude(p, "predictions", "seed", "model", "layouts", "cv_folds", "test_fraction", "min_rows", "kind")
+    exclude(p, "predictions", "seed", "model", "cv_folds", "test_fraction", "min_rows", "kind")
 
     p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
     p.add_argument("--corpus")

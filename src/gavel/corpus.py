@@ -605,6 +605,9 @@ def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
         if not meta_path.is_file():
             continue  # not a hearing directory
         meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
+        if meta.hearing_id != hdir.name:
+            raise RecordError(f"hearing {meta.hearing_id!r} stored under {hdir.name!r}", path=str(meta_path),
+                              field_name="hearing_id")
         utterances_path = hdir / "utterances.jsonl"
         utterances = sorted(read_records(utterances_path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
         try:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import GavelError
-from .corpus import HEARING_ID_RE, read_text
+from .corpus import HEARING_ID_RE
 
 
 class FetchError(GavelError):
@@ -70,16 +70,16 @@ class Fetcher:
             raise FetchError(f"not a hearing id: {hearing_id!r}")
         return self.cache_dir / f"{hearing_id}.txt"
 
-    def fetch(self, hearing_id: str) -> str:
+    def fetch(self, hearing_id: str) -> Path:
+        """The cache path of `hearing_id`'s transcript, downloaded first unless it is cached there."""
         cached = self.cache_path(hearing_id)
-        if cached.is_file():
-            return read_text(cached)
-        data = self._download(hearing_id)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cached.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(cached)  # readers never see partial files
-        return data.decode("utf-8")
+        if not cached.is_file():
+            data = self._download(hearing_id)
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            tmp = cached.with_suffix(".tmp")
+            tmp.write_bytes(data)
+            tmp.replace(cached)  # readers never see partial files
+        return cached
 
     def _download(self, hearing_id: str) -> bytes:
         url = self.url_for(hearing_id)

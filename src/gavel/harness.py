@@ -27,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import KINDS, LAYOUTS, map_ordered, take
+from . import KINDS, map_ordered, take
 from .corpus import (
     GovernmentContext,
     HearingMeta,
@@ -363,9 +363,6 @@ _BASE_CLASS_MARK = {
     "Independent": "I",
     "Majority": "M",
     "Minority": "m",
-    "Question": "Q",
-    "Answer": "A",
-    "": "",
 }
 
 
@@ -385,9 +382,16 @@ def _scores(r: EvalReport) -> tuple:
 
 _PRESIDENCY_BLOCKS = (("All", "all"), ("Democrat", "democrat_president"), ("Republican", "republican_president"))
 
+# pivot table -> the split dimensions (in DIMENSIONS order) that key its rows; a run writes
+# the pivot exactly when its dimensions are one of these. Presidency picks a column block.
+PIVOTS = {
+    "committee": (("committee",),),
+    "hearing_type_government": (("hearing_type", "government"), ("hearing_type", "government", "presidency")),
+}
+
 
 def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) -> None:
-    """Write one layout file; full-precision numbers plus 2-decimal display."""
+    """Write `split_grid` or a pivot of `PIVOTS`, one report per cell; full-precision numbers plus 2-decimal display."""
     if layout == "split_grid":
         header = ("split", "task", "n_train", "n_test", *_SCORE_COLUMNS, "beats_baseline", "degenerate", "confusion",
                   "error")
@@ -396,15 +400,19 @@ def emit_tables(reports: Sequence[EvalReport], layout: str, path: Path | str) ->
              ";".join(f"{t}>{p}:{n}" for t, p, n in r.confusion), r.error)
             for r in sorted(reports, key=lambda r: r.split_label)
         )
-    elif layout == "committee":
-        header = ("committee", *_SCORE_COLUMNS, "beats_baseline")
-        keyed = [(dict(r.split_key), r) for r in reports if r.error is None]
-        kept = sorted(((key["committee"], r) for key, r in keyed if "committee" in key), key=itemgetter(0))
-        rows = ((committee, *_scores(r), r.beats_baseline) for committee, r in kept)
-    elif layout == "hearing_type_government":
-        header, rows = _ht_gov_table(reports)
+    elif layout not in PIVOTS:
+        raise ValueError(f"unknown layout {layout!r}; valid: split_grid, {', '.join(PIVOTS)}")
     else:
-        raise ValueError(f"unknown layout {layout!r}; valid: {', '.join(LAYOUTS)}")
+        stray = sorted({r.split_label for r in reports if tuple(d for d, _ in r.split_key) not in PIVOTS[layout]})
+        if stray:
+            raise ValueError(f"{layout} is not keyed by the dimensions of split(s) {'; '.join(stray)}")
+        scored = [(dict(r.split_key), r) for r in reports if r.error is None]
+        if layout == "committee":
+            header = ("committee", *_SCORE_COLUMNS, "beats_baseline")
+            rows = ((key["committee"], *_scores(r), r.beats_baseline)
+                    for key, r in sorted(scored, key=lambda kr: kr[0]["committee"]))
+        else:
+            header, rows = _ht_gov_table(scored)
     write_tsv(path, header, rows)
 
 
@@ -436,13 +444,9 @@ def empty_blocks(reports: Sequence[EvalReport], skips: Sequence[SplitSkip], spec
     return out
 
 
-def _ht_gov_table(reports: Sequence[EvalReport]) -> tuple[list[str], list[list]]:
+def _ht_gov_table(scored: Sequence[tuple[dict, EvalReport]]) -> tuple[list[str], list[list]]:
     """Hearing-type x government rows; All/Democrat/Republican presidency column blocks."""
-    cells: dict[tuple[str, str, str], EvalReport] = {}
-    for r in reports:
-        kd = dict(r.split_key)
-        if "hearing_type" in kd and "government" in kd and r.error is None:
-            cells[(kd["hearing_type"], kd["government"], kd.get("presidency", "All"))] = r
+    cells = {(key["hearing_type"], key["government"], key.get("presidency", "All")): r for key, r in scored}
     header = ["hearing_type", "government",
               *(f"{block}_{column}" for _, block in _PRESIDENCY_BLOCKS for column in (*_SCORE_COLUMNS, "degenerate"))]
     rows = []

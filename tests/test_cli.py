@@ -42,20 +42,27 @@ GOLDEN_EVAL_SHA256 = {
         "split_grid.tsv": "0f29fab530ac36923c6666db067a33d41a31b17517937517500a3995afb9d23c",
         "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
     },
-    # pinned before every table cell was formatted by corpus.write_tsv: the per-split layouts,
-    # and a skipped_splits.tsv with a row
-    ("--split-dims", "committee,hearing_type,government", "--min-rows", "4",
-     "--layouts", "split_grid,committee,hearing_type_government"): {
+    # pinned before every table cell was formatted by corpus.write_tsv: a split by three dimensions
+    # (no pivot is keyed by them), and a pivot beside a skipped_splits.tsv with a row
+    ("--split-dims", "committee,hearing_type,government", "--min-rows", "4"): {
         "split_grid.tsv": "e32eab04ab9324446f80d4ec99d12b517929d032058d445328334b84c4b30a4c",
-        "committee.tsv": "6cb5fa04478923c89cbbfba8bb2a1060e97cf1b6980b5e7f5c10cfa27172ed19",
-        "hearing_type_government.tsv": "71961baac4c8b4007e4d7757ad9dcf49b8573b4b0dbc4244b68caa5972c1a455",
         "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
     },
-    ("--split-dims", "hearing_type,government,presidency", "--min-rows", "5",
-     "--layouts", "split_grid,hearing_type_government"): {
+    ("--split-dims", "hearing_type,government,presidency", "--min-rows", "5"): {
         "split_grid.tsv": "f865b05e13540ccf368a776c885a0abec255a4d7a9c8e0e44bfd790b593c09cb",
         "hearing_type_government.tsv": "805364a91e539320b237e03436ad5262a8f56fc1bde4bf05e0b28fe1e6d4da7f",
         "skipped_splits.tsv": "06cf5c0466d12c1e039530ae7fc55a17a6f4a3b1fa4957d1329defb72e2d3e0f",
+    },
+    # pinned when a pivot was written only when `--layouts` named it: runs split by the pivot's own dimensions
+    ("--split-dims", "committee", "--min-rows", "4"): {
+        "split_grid.tsv": "96f41380bf592f695577adc656f7804b43b2553204bf6780112021555eb175e2",
+        "committee.tsv": "6cb5fa04478923c89cbbfba8bb2a1060e97cf1b6980b5e7f5c10cfa27172ed19",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
+    },
+    ("--split-dims", "hearing_type,government", "--min-rows", "4"): {
+        "split_grid.tsv": "f3594bf0c90fabb7cff0c1eee4d1f365d092490d3737ac3780f7fad74947edc6",
+        "hearing_type_government.tsv": "c64e18c31682065fa93d5dd9469e6bdaadca2c935e2ce3967e65a39c54cad19f",
+        "skipped_splits.tsv": "b267ad2eeb95e0a6ee43e4dc204d0296cea158f042a1810129f9a103970c1155",
     },
 }
 # sha256 of the fixture pipeline's `train --importance-out` and `verify-sample` tables,
@@ -456,18 +463,15 @@ _BLOCKS = ("all", "democrat_president", "republican_president")
 # The fixture runs are the two pinned in GOLDEN_EVAL_SHA256; the fixture hearings all fall under a
 # Republican president.
 EMPTY_BLOCK_REASONS = {
-    ("fixture", "--split-dims", "committee,hearing_type,government", "--min-rows", "4",
-     "--layouts", "split_grid,committee,hearing_type_government"): {
+    ("fixture", "--split-dims", "hearing_type,government", "--min-rows", "4"): {
         "democrat_president": "presidency is not in --split-dims, so no split is partisan",
         "republican_president": "presidency is not in --split-dims, so no split is partisan",
     },
-    ("fixture", "--split-dims", "hearing_type,government,presidency", "--min-rows", "5",
-     "--layouts", "split_grid,hearing_type_government"): {
+    ("fixture", "--split-dims", "hearing_type,government,presidency", "--min-rows", "5"): {
         "all": "presidency is in --split-dims, so every split is partisan",
         "democrat_president": "the examples hold no row for it",
     },
-    ("synth", "--split-dims", "hearing_type,government,presidency", "--min-rows", "30",
-     "--layouts", "hearing_type_government"): {
+    ("synth", "--split-dims", "hearing_type,government,presidency", "--min-rows", "30"): {
         "all": "presidency is in --split-dims, so every split is partisan",
         "republican_president": "no split for it reached --min-rows 30 (see skipped_splits.tsv)",
     },
@@ -490,6 +494,58 @@ def test_evaluate_says_why_each_empty_block_is_empty(pipeline, synth_table, tmp_
     empty = {block for block in _BLOCKS
              if not any(row[j] for row in rows for j, name in enumerate(header) if name.startswith(f"{block}_"))}
     assert empty == set(reasons)
+
+
+# --split-dims -> the pivot table evaluate writes beside split_grid.tsv and skipped_splits.tsv; other
+# dimensions write none. A pivot's row key is its dimensions but presidency, which picks a column block.
+PIVOT_OF_SPLIT_DIMS = {
+    "committee": "committee.tsv",
+    "hearing_type,government": "hearing_type_government.tsv",
+    "hearing_type,government,presidency": "hearing_type_government.tsv",
+}
+_SCORE_CELLS = ("accuracy", "accuracy_2dp", "baseline", "baseline_2dp", "baseline_class")
+_PRESIDENCY_BLOCK = {"Democrat": "democrat_president_", "Republican": "republican_president_"}
+
+
+def _tsv_rows(path: Path) -> list[dict[str, str]]:
+    header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
+# (table, --split-dims, --min-rows) of each run: each pivot, and dimensions that key none
+PIVOT_RUNS = [
+    *(("fixture", dims, "4") for dims in ("committee", "hearing_type,government", "committee,hearing_type,government",
+                                          "committee,presidency", "session", "")),
+    ("fixture", "hearing_type,government,presidency", "5"),
+    *(("synth", dims, "30") for dims in ("committee", "hearing_type,government", "hearing_type,government,presidency")),
+    ("synth", "committee,hearing_type,government", "10"),
+]
+
+
+@pytest.mark.parametrize("table, dims, min_rows", PIVOT_RUNS, ids=[f"{t}-{d or 'unsplit'}" for t, d, _ in PIVOT_RUNS])
+def test_each_report_fills_one_pivot_cell(pipeline, synth_table, tmp_path, table, dims, min_rows):
+    """Each error-free split of a pivot-writing run fills one cell of the pivot, and each filled cell is one split."""
+    out = tmp_path / "eval"
+    examples = pipeline / "examples.tsv" if table == "fixture" else synth_table
+    assert run(["evaluate", "--examples", str(examples), "--split-dims", dims, "--min-rows", min_rows,
+                "--out-dir", str(out)]) == 0
+    pivot = PIVOT_OF_SPLIT_DIMS.get(dims)
+    assert sorted(p.name for p in out.glob("*.tsv")) == sorted({"split_grid.tsv", "skipped_splits.tsv", pivot} - {None})
+    if pivot is None:
+        return
+    rows = _tsv_rows(out / pivot)
+    keys = [d for d in dims.split(",") if d != "presidency"]
+    blocks = [b for b in ("", "all_", *_PRESIDENCY_BLOCK.values()) if f"{b}accuracy" in rows[0]]
+    cells = sorted((tuple(row[k] for k in keys), b, tuple(row[b + c] for c in _SCORE_CELLS))
+                   for row in rows for b in blocks if row[b + "accuracy"])
+    reports = []
+    for report in _tsv_rows(out / "split_grid.tsv"):
+        if report["error"]:
+            continue
+        key = dict(part.split("=", 1) for part in report["split"].split("|"))
+        block = _PRESIDENCY_BLOCK.get(key.get("presidency"), blocks[0])
+        reports.append((tuple(key[k] for k in keys), block, tuple(report[c] for c in _SCORE_CELLS)))
+    assert reports and cells == sorted(reports)
 
 
 def test_a_learner_bug_in_a_forked_split_exits_two(pipeline, tmp_path, monkeypatch, capsys):
@@ -901,7 +957,8 @@ def test_evaluate_rejects_qa_sessions_layout(pipeline, tmp_path, capsys):
         "--min-rows", "10", "--out-dir", str(tmp_path / "eval"), "--layouts", "qa_sessions",
     ]
     assert run(argv) == 1
-    assert "unknown layout 'qa_sessions'" in capsys.readouterr().err
+    assert "unrecognized arguments: --layouts qa_sessions" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_classify_qa_train_creates_model_out_parent(tmp_path):
@@ -976,26 +1033,30 @@ def test_evaluate_checks_settings_before_reading_input(tmp_path, capsys):
     assert "unknown split dimensions" in capsys.readouterr().err
 
 
-def test_evaluate_checks_layouts_before_reading_input(pipeline, tmp_path, capsys):
-    argv = [
-        "evaluate", "--examples", str(pipeline / "examples.tsv"), "--min-rows", "10",
-        "--out-dir", str(tmp_path / "eval"), "--layouts", "split_grid,bogus",
-    ]
-    assert run(argv) == 1
-    assert "unknown layout 'bogus'" in capsys.readouterr().err
-    assert not (tmp_path / "eval" / "split_grid.tsv").exists()
+def test_evaluate_checks_layouts_before_reading_input(tmp_path, capsys):
+    """The split dimensions decide which tables a run writes: `--layouts` is an unknown flag and config key."""
+    argv = ["evaluate", "--examples", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path / "eval")]
+    assert run(argv + ["--layouts", "committee"]) == 1
+    assert "unrecognized arguments: --layouts committee" in capsys.readouterr().err
+    assert run(argv + ["--config", _config(tmp_path, {"layouts": "committee"})]) == 1
+    assert "unknown config key(s): layouts" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("layout, missing", [
     ("committee", "committee"),
     ("hearing_type_government", "hearing_type, government"),
 ])
-def test_evaluate_refuses_a_layout_its_split_dims_cannot_fill(tmp_path, capsys, layout, missing):
-    argv = ["evaluate", "--examples", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path / "eval"),
-            "--split-dims", "session", "--layouts", f"split_grid,{layout}"]
-    assert run(argv) == 1
-    assert f"--layouts {layout} needs split dimension(s) {missing}" in capsys.readouterr().err
-    assert not (tmp_path / "eval").exists()
+def test_evaluate_refuses_a_layout_its_split_dims_cannot_fill(pipeline, tmp_path, layout, missing):
+    """A run whose split dimensions lack a pivot's keys writes the split grid and no such pivot."""
+    from gavel.harness import PIVOTS
+
+    assert ", ".join(PIVOTS[layout][0]) == missing
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--examples", str(pipeline / "examples.tsv"), "--split-dims", "session",
+                "--min-rows", "4", "--out-dir", str(out)]) == 0
+    assert (out / "split_grid.tsv").is_file()
+    assert not (out / f"{layout}.tsv").exists()
 
 
 def test_classify_qa_train_rejects_apply_flags(tmp_path, capsys):
@@ -1483,6 +1544,34 @@ def _pair_sequence_gap(pipeline, tmp_path):
     return ["pair", "--corpus", str(corpus), "--output", str(tmp_path / "pairs.jsonl")], path
 
 
+def _store_dir_not_named_for_its_hearing(subcommand):
+    def case(pipeline, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline / "corpus", corpus)
+        (corpus / "synth-108-0000").rename(corpus / "renamed")
+        argv = {
+            "classify-qa": ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json")],
+            "pair": ["pair", "--output", str(tmp_path / "pairs.jsonl")],
+            "features": ["features", "--government", str(FIXTURES / "government_context.json"),
+                         "--output", str(tmp_path / "ex.tsv")],
+        }[subcommand]
+        meta = corpus / "renamed" / "meta.json"
+        return argv + ["--corpus", str(corpus)], f"'synth-108-0000' stored under 'renamed' ({meta} field 'hearing_id')"
+    return case
+
+
+def _segment_matching_no_marker(pipeline, tmp_path):
+    from gavel.corpus import to_record
+    from gavel.segmenter import SegmenterRules
+
+    raw = _raw_tree(tmp_path, "synth-108-0000")
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({**to_record(SegmenterRules()), "marker_patterns": ["^Q\\. "]}))
+    argv = ["segment", "--input", str(raw), "--output", str(tmp_path / "s"), "--rules", str(rules)]
+    transcript = raw / "synth-108-0000" / "transcript.txt"
+    return argv, f"hearing synth-108-0000: no speaker marker matched; the hearing needs manual rules ({transcript})"
+
+
 MALFORMED_INPUTS = {
     "roster-not-object": _segment_bad_roster,
     "meta-invalid-json": _segment_bad_meta,
@@ -1508,16 +1597,20 @@ MALFORMED_INPUTS = {
     "stored-roster-of-another-hearing": _pair_roster_of_another_hearing,
     "examples-bad-session": _kstest_bad_session,
     "utterances-sequence-gap": _pair_sequence_gap,
+    "apply-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("classify-qa"),
+    "pair-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("pair"),
+    "features-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("features"),
+    "transcript-matching-no-marker": _segment_matching_no_marker,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_one_and_names_the_file(pipeline, tmp_path, capsys, case):
     argv, where = MALFORMED_INPUTS[case](pipeline, tmp_path)
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
     assert run(argv) == 1
     assert str(where) in capsys.readouterr().err
-    if argv[0] == "segment":
-        assert not (tmp_path / "s").exists()  # nothing written
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
 
 
 def test_segment_checks_every_roster_before_it_segments_a_hearing(tmp_path, capsys, monkeypatch):
@@ -1736,7 +1829,6 @@ IGNORED_SETTINGS = {
             "--predictions", [flag, value], {key: config})
         for flag, value, key, config in (
             ("--model", "logistic", "model", "logistic"),
-            ("--layouts", "committee", "layouts", "committee"),
             ("--cv-folds", "3", "cv_folds", 3),
             ("--test-fraction", "0.3", "test_fraction", 0.3),
             ("--min-rows", "7", "min_rows", 7),
@@ -1756,7 +1848,7 @@ IGNORED_SETTINGS = {
 
 
 # Each setting again at its default value: an option counts as given whatever its value.
-IGNORED_DEFAULTS = {"model": "forest", "layouts": "split_grid", "cv_folds": 5, "test_fraction": 0.2,
+IGNORED_DEFAULTS = {"model": "forest", "cv_folds": 5, "test_fraction": 0.2,
                     "min_rows": 50, "kind": "Question", "hearings_per_session": 50, "utterances_per_hearing": 10}
 IGNORED_SETTINGS.update({
     f"{case}-at-default": (argv, mode, [flag[0], str(IGNORED_DEFAULTS[key])], {key: IGNORED_DEFAULTS[key]})

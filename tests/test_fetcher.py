@@ -47,8 +47,8 @@ def test_cache_hit_makes_no_network_calls(tmp_path):
         return b"the transcript"
 
     fetcher, _ = make_fetcher(tmp_path, opener)
-    assert fetcher.fetch("h-1") == "the transcript"
-    assert fetcher.fetch("h-1") == "the transcript"
+    assert fetcher.fetch("h-1") == tmp_path / "cache" / "h-1.txt"
+    assert fetcher.fetch("h-1") == tmp_path / "cache" / "h-1.txt"
     assert len(calls) == 1
     assert (tmp_path / "cache" / "h-1.txt").read_text() == "the transcript"
 
@@ -105,7 +105,7 @@ def test_transient_failure_then_success(tmp_path):
         return b"recovered"
 
     fetcher, _ = make_fetcher(tmp_path, opener)
-    assert fetcher.fetch("h-3") == "recovered"
+    assert fetcher.fetch("h-3").read_bytes() == b"recovered"
 
 
 @pytest.mark.parametrize("hearing_id", ["../escaped", "/tmp/abs", "a/b", "", "h 1"])
@@ -131,6 +131,19 @@ def test_fetch_command_checks_every_id_before_the_first_request(tmp_path, monkey
     assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == [
         "cache", "cache/h-1.txt", "cache/h.2.txt", "cache/manifest.json"
     ]
+
+
+def test_fetch_command_leaves_a_cached_transcript_unread(tmp_path, monkeypatch):
+    """Only the commands that read a transcript decode it, so a cached file that is not UTF-8 is fetched."""
+    calls = []
+    monkeypatch.setattr(cli, "Fetcher", partial(Fetcher, opener=lambda url: calls.append(url) or b"text"))
+    cache = tmp_path / "c"
+    cache.mkdir()
+    (cache / "h-1.txt").write_bytes(b"the transcript\xff")
+    argv = ["fetch", "--ids", "h-1", "--cache-dir", str(cache), "--endpoint", "https://example.test/{hearing_id}"]
+    assert cli.main(argv) == 0
+    assert calls == []
+    assert (cache / "h-1.txt").read_bytes() == b"the transcript\xff"
 
 
 def test_url_template_and_join(tmp_path):

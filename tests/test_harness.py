@@ -342,6 +342,19 @@ def test_emit_tables_empty_reports_header_only(tmp_path):
     assert len(out.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("layout, key", [
+    ("committee", (("committee", "Armed Services"), ("government", "Unified"))),
+    ("committee", (("session", "108"),)),
+    ("hearing_type_government", (("committee", "Armed"), ("hearing_type", "General"), ("government", "Unified"))),
+])
+def test_a_pivot_refuses_a_report_split_by_other_dimensions(tmp_path, layout, key):
+    report = party_models.EvalReport(split_key=key, task=Task.AFFILIATION, accuracy=1.0, baseline_accuracy=0.5,
+                                     baseline_class="Democrat", confusion=(), n_train=4, n_test=2)
+    with pytest.raises(ValueError, match=f"{layout} is not keyed by"):
+        emit_tables([report], layout, tmp_path / "pivot.tsv")
+    assert not (tmp_path / "pivot.tsv").exists()
+
+
 def test_hearing_type_government_layout(tmp_path):
     rows = synthetic_examples(400)
     all_ds, _ = build_datasets(rows, SplitSpec(dimensions=("hearing_type", "government"), min_rows=20))
