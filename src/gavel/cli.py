@@ -4,12 +4,16 @@ Subcommands: fetch, segment, classify-qa (train/apply), pair, features,
 kstest, train, evaluate, prompts, verify-sample. Those that draw random
 numbers (train, evaluate and verify-sample) take --seed (default 108, never
 wall-clock). Every run honors --config (JSON file whose keys mirror the
-flags; flags override), writes its artifacts only under the declared output
-location, creating missing parent directories, and drops a manifest with a
-config hash and the checksums of the input bytes it read (through `corpus`,
-the only reader of input files) so identical runs are identifiable.
+flags; flags override) and writes its artifacts only under the declared output
+location, creating missing parent directories.
 Each option, with its default, type and choices, is declared once, in
-`build_parser`; config-file values pass the same checks as flags.
+`build_parser`; config-file values pass the same checks as flags. An option
+that names a path is declared with its role: an input, an output file, an
+output directory or a new output directory. From the roles, `main` checks
+every output given before the command reads any input, and afterwards writes
+a manifest beside the first output given. The manifest holds a config hash
+and the checksums of the bytes the run read of each input given (through
+`corpus`, the only reader of input files), so identical runs are identifiable.
 Diagnostics go to stderr, data to stdout or files. Exit codes: 0 success,
 1 validation error, 2 internal error.
 """
@@ -23,11 +27,9 @@ import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import KINDS, GavelError, __version__, take
 
@@ -36,10 +38,10 @@ from . import KINDS, GavelError, __version__, take
 # process imports only those; `--version` and the parser import none of them.
 _IMPORTS = {
     "corpus": (
-        "HearingMeta", "Party", "QALabel", "RecordError", "Standing", "Task", "from_record", "input_checksum",
-        "load_corpus", "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines",
-        "read_text", "recording_reads", "render_prompt", "store_corpus", "to_record", "write_lines", "write_tsv",
-        "write_utterances",
+        "HearingMeta", "Party", "QALabel", "RecordError", "Role", "Standing", "Task", "from_record",
+        "input_checksum", "load_corpus", "load_government_config", "load_roster", "load_rosters", "read_json",
+        "read_lines", "read_text", "recording_reads", "render_prompt", "store_corpus", "to_record", "write_lines",
+        "write_tsv", "write_utterances",
     ),
     "features": ("SCHEMA", "read_examples", "write_examples"),
     "fetcher": ("Fetcher",),
@@ -87,6 +89,9 @@ DEFAULT_SEED = 108  # first session in the supported range; fixed, never wall-cl
 # Namespace entries that are parser wiring rather than settable values.
 _WIRING = ("subcommand", "mode", "fn", "command_parser", "config", "given")
 
+# The role of an option that names a path, declared with it; a _SPEC is PATH:FORMAT, a _NEW_DIR absent or empty.
+_INPUT, _SPEC, _FILE, _DIR, _NEW_DIR = "input", "input PATH:FORMAT", "file", "directory", "new directory"
+
 
 class UsageError(Exception):
     pass
@@ -102,19 +107,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Store(argparse._StoreAction):
-    """`store`, noting in `given` each option given, whatever its value.
+    """`store`, noting in `given` each option given, whatever its value; `role` is a path option's.
 
     argparse counts an option as present only when its value is not the default
     object, so `--cv-folds 5` (5 is a cached int, the default's very object)
     would pass for absent in a mode group; `_apply_config` reads `given` instead.
     """
 
+    def __init__(self, *args, role: Optional[str] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.role = role
+
     def __call__(self, parser, namespace, values, option_string=None):
         super().__call__(parser, namespace, values, option_string)
         namespace.given = (*namespace.given, self.dest)
 
 
-class _AppendFlags(argparse.Action):
+class _AppendFlags(_Store):
     """`append`, except that the first flag replaces a list from the config file."""
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -128,13 +137,22 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _WIRING}
 
 
-def write_manifest(
-    out_dir: Path, subcommand: str, args: argparse.Namespace, inputs: Sequence[Path], started: float
-) -> None:
+def _given(args: argparse.Namespace, *roles: str) -> Iterator[tuple[argparse.Action, str]]:
+    """(option, path) of each path given to an option of `roles`, in declaration order; of PATH:FORMAT, PATH."""
+    for action in args.command_parser._actions:
+        value = getattr(args, action.dest) if getattr(action, "role", None) in roles else None
+        for path in [value] if isinstance(value, str) else value or []:
+            if path:
+                yield action, path.rpartition(":")[0] if action.role == _SPEC else path
+
+
+def write_manifest(out_dir: Path, args: argparse.Namespace, started: float) -> None:
+    """`manifest.json` in `out_dir`: the run's settings and the checksum of each input it was given."""
+    inputs = {Path(path) for _, path in _given(args, _INPUT, _SPEC)}
     payload = {
-        "subcommand": subcommand,
+        "subcommand": " ".join(filter(None, (args.subcommand, getattr(args, "mode", None)))),
         "config": _settings(args),
-        "input_checksums": {str(p): input_checksum(p) for p in sorted(set(inputs), key=str)},
+        "input_checksums": {str(p): input_checksum(p) for p in sorted(inputs, key=str)},
         "version": __version__,
     }
     if "seed" in vars(args):  # a run that draws random numbers
@@ -202,29 +220,27 @@ def _require(args: argparse.Namespace, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _check_outputs(
-    args: argparse.Namespace, files: Sequence[str] = (), dirs: Sequence[str] = (), new_dirs: Sequence[str] = ()
-) -> None:
+def _check_outputs(args: argparse.Namespace) -> Optional[Path]:
     """Reject output locations that cannot be written, before any input is read.
 
     A file output must not be an existing directory; a directory output, and
     every parent of either kind, must not be an existing non-directory. A new
     directory output must also be absent or empty, so that nothing stale from
-    an earlier run is read back with the new contents.
+    an earlier run is read back with the new contents. Returns where the run's
+    manifest goes: beside the first output given, or None if none was.
     """
-    for dest in (*files, *dirs, *new_dirs):
-        value = getattr(args, dest)
-        if not value:
-            continue
-        path = Path(value)
-        option = "--" + dest.replace("_", "-")
-        if dest in files and path.is_dir():
+    beside = []
+    for action, value in _given(args, _FILE, _DIR, _NEW_DIR):
+        path, option = Path(value), action.option_strings[0]
+        if action.role == _FILE and path.is_dir():
             raise UsageError(f"{option} {value}: is a directory, expected a file")
-        for p in path.parents if dest in files else (path, *path.parents):
+        for p in path.parents if action.role == _FILE else (path, *path.parents):
             if p.exists() and not p.is_dir():
                 raise UsageError(f"{option} {value}: {p} exists and is not a directory")
-        if dest in new_dirs and path.is_dir() and any(path.iterdir()):
+        if action.role == _NEW_DIR and path.is_dir() and any(path.iterdir()):
             raise UsageError(f"{option} {value}: directory exists and is not empty")
+        beside.append(path.parent if action.role == _FILE else path)
+    return beside[0] if beside else None
 
 
 def _listed(path: str) -> list[str]:
@@ -246,28 +262,23 @@ def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
 def cmd_fetch(args) -> int:
     _use("fetcher")
     _require(args, "endpoint", "cache_dir")
-    _check_outputs(args, dirs=("cache_dir",))
     ids = [i for i in args.ids.split(",") if i]
     if args.ids_file:
         ids.extend(_listed(args.ids_file))
     if not ids:
         raise UsageError("no hearing ids given (--ids or --ids-file)")
-    started = time.time()
     fetcher = Fetcher(args.endpoint, args.cache_dir, min_delay=args.min_delay, retries=args.retries)
     for hearing_id in ids:  # every id is checked before the first request
         fetcher.cache_path(hearing_id)
     for hearing_id in ids:
         fetcher.fetch(hearing_id)
         _log(f"fetched {hearing_id}")
-    write_manifest(Path(args.cache_dir), "fetch", args, [], started)
     return 0
 
 
 def cmd_segment(args) -> int:
     _use("segmenter")
     _require(args, "input", "output")
-    _check_outputs(args, new_dirs=("output",))
-    started = time.time()
     rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
     # every hearing's meta and roster are checked before any hearing is segmented
     hearings = []
@@ -304,7 +315,6 @@ def cmd_segment(args) -> int:
         )
     reports = {meta.hearing_id: to_record(rep) for meta, _, _, rep in results}
     write_lines(out / "segmentation_report.json", [json.dumps(reports, indent=1, sort_keys=True)])
-    write_manifest(out, "segment", args, [Path(args.input)], started)
     return 0
 
 
@@ -324,20 +334,15 @@ def _parse_train_specs(specs: Sequence[str]) -> list[tuple[Path, Source]]:
 def cmd_classify_qa_train(args) -> int:
     _use("qa")
     _require(args, "train", "model_out")
-    _check_outputs(args, files=("model_out",))
-    started = time.time()
     corpus = []
-    inputs = []
     for path, fmt in _parse_train_specs(args.train):
         rows, duplicates = load_training_corpus(path, fmt)
         corpus.extend(rows)
-        inputs.append(path)
         _log(f"{path}: kept {len(rows)} rows ({duplicates} duplicates removed)")
     hyper = QAHyper(learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2)
     model, trace = train_qa(corpus, hyper)
     save_model(model, args.model_out)
     _log(f"trained on {len(corpus)} rows; loss {trace[0]:.4f} -> {trace[-1]:.4f}")
-    write_manifest(Path(args.model_out).parent, "classify-qa train", args, inputs, started)
     return 0
 
 
@@ -347,7 +352,6 @@ def cmd_classify_qa_apply(args) -> int:
     if not (args.corpus or args.eval):
         raise UsageError("missing required option: --corpus (label a corpus) or --eval (score a labeled file)")
     model = load_model(args.model)
-    started = time.time()
     if args.eval:
         (path, fmt), = _parse_train_specs([args.eval])
         rows, _ = load_training_corpus(path, fmt)
@@ -367,6 +371,7 @@ def cmd_classify_qa_apply(args) -> int:
             )
         )
         return 0
+    from dataclasses import replace  # only this command copies a record
     corpus_dir = Path(args.corpus)
     corpus = load_corpus(corpus_dir)
     labeled = []
@@ -377,18 +382,14 @@ def cmd_classify_qa_apply(args) -> int:
         write_utterances(corpus_dir / meta.hearing_id / "utterances.jsonl", relabeled)
     n = sum(len(u) for _, u in labeled)
     _log(f"labeled {n} utterances in place under {corpus_dir}")
-    write_manifest(corpus_dir, "classify-qa apply", args, [Path(args.model)], started)
     return 0
 
 
 def cmd_pair(args) -> int:
     _use("qa")
     _require(args, "corpus", "output")
-    _check_outputs(args, files=("output",))
-    started = time.time()
-    corpus_dir = Path(args.corpus)
-    corpus = load_corpus(corpus_dir)
-    rosters = load_rosters(corpus_dir)
+    corpus = load_corpus(args.corpus)
+    rosters = load_rosters(args.corpus)
     pairs_by_hearing = {}
     n_pairs = n_unpaired = n_orphans = 0
     for meta, utterances in corpus:
@@ -400,30 +401,20 @@ def cmd_pair(args) -> int:
         n_orphans += len(report.orphan_answers)
     save_pairs(pairs_by_hearing, args.output)
     _log(f"{n_pairs} pairs, {n_unpaired} unpaired questions, {n_orphans} orphan answers")
-    write_manifest(Path(args.output).parent, "pair", args, [corpus_dir], started)
     return 0
 
 
 def cmd_features(args) -> int:
     _use("lexicons", "qa", "features", "harness")
     _require(args, "corpus", "government", "output")
-    _check_outputs(args, files=("output",))
-    started = time.time()
     lexicons = load_lexicons(args.lexicons)
     for p in verify_manifest(args.lexicons):  # checks the digests of the files just read
         _log(f"lexicon manifest: {p}")
-    corpus_dir = Path(args.corpus)
-    corpus = load_corpus(corpus_dir)
-    rosters = load_rosters(corpus_dir)
+    corpus = load_corpus(args.corpus)
+    rosters = load_rosters(args.corpus)
     gov = load_government_config(args.government)
     pairs = load_pairs(args.pairs) if args.pairs else None
-    directory = ()
-    inputs = [corpus_dir, Path(args.government)]
-    if args.member_directory:
-        directory = tuple(_listed(args.member_directory))
-        inputs.append(Path(args.member_directory))
-    if args.pairs:
-        inputs.append(Path(args.pairs))
+    directory = tuple(_listed(args.member_directory)) if args.member_directory else ()
     rows, warnings = build_examples(
         corpus, rosters, gov, lexicons, pairs=pairs, member_directory=directory, strip_names=args.strip_names
     )
@@ -431,15 +422,12 @@ def cmd_features(args) -> int:
         _log(f"warning: {w}")
     write_examples(rows, args.output)
     _log(f"wrote {len(rows)} example rows to {args.output}")
-    write_manifest(Path(args.output).parent, "features", args, inputs, started)
     return 0
 
 
 def cmd_kstest(args) -> int:
     _use("features", "kstest")
     _require(args, "examples", "out_matrix")
-    _check_outputs(args, files=("out_matrix", "out_details"))
-    started = time.time()
     table = read_examples(args.examples)
     parties, standings = {p.value for p in Party}, {s.value for s in Standing}
     rows = [i for i, (kind, party, standing) in enumerate(zip(table.kind, table.party, table.standing))
@@ -451,7 +439,6 @@ def cmd_kstest(args) -> int:
     if args.out_details:
         emit_comparison_details(comparisons, skips, args.out_details)
     _log(f"{len(comparisons)} comparisons, {len(skips)} skipped")
-    write_manifest(Path(args.out_matrix).parent, "kstest", args, [Path(args.examples)], started)
     return 0
 
 
@@ -473,9 +460,7 @@ def _grid_from_config(value) -> tuple[ForestHyper, ...]:
 def cmd_train(args) -> int:
     _use("harness", "forest", "features", "party_models")
     _require(args, "examples", "model_out")
-    _check_outputs(args, files=("model_out", "importance_out"))
     grid = _grid_from_config(args.grid)
-    started = time.time()
     table = read_examples(args.examples)
     spec = SplitSpec(dimensions=(), utterance_kind=args.kind, task=Task(args.task), min_rows=args.min_rows)
     datasets, skips = build_datasets(table, spec)
@@ -498,15 +483,12 @@ def cmd_train(args) -> int:
         ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))
         write_tsv(args.importance_out, ["feature", "importance"], ranked)
     _log(f"trained forest on {len(labels)} rows, classes {present}")
-    write_manifest(Path(args.model_out).parent, "train", args, [Path(args.examples)], started)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     _use("features", "harness", "forest")
     _require(args, "examples", "out_dir")
-    _check_outputs(args, dirs=("out_dir",))
-    started = time.time()
     out_dir = Path(args.out_dir)
     task = Task(args.task)
     if args.predictions:
@@ -518,7 +500,6 @@ def cmd_evaluate(args) -> int:
             f"external predictions: accuracy {report.accuracy:.4f} vs baseline "
             f"{report.baseline_accuracy:.4f} ({report.baseline_class})"
         )
-        write_manifest(out_dir, "evaluate", args, [Path(args.examples), Path(args.predictions)], started)
         return 0
     dims = tuple(d for d in args.split_dims.split(",") if d)
     spec = SplitSpec(dimensions=dims, utterance_kind=args.kind, task=task, min_rows=args.min_rows)
@@ -557,7 +538,6 @@ def cmd_evaluate(args) -> int:
             f"{flag} {rep.split_label}: acc {rep.accuracy:.4f} base {rep.baseline_accuracy:.4f}"
             f" ({rep.baseline_class}){' DEGENERATE' if rep.degenerate else ''}{' ERROR ' + rep.error if rep.error else ''}"
         )
-    write_manifest(out_dir, "evaluate", args, [Path(args.examples)], started)
     return 0
 
 
@@ -566,44 +546,36 @@ def cmd_prompts(args) -> int:
     _require(args, "corpus", "output")
     if args.kind in ("Answer", "Both") and not args.pairs:
         raise UsageError(f"kind {args.kind} needs --pairs")
-    _check_outputs(args, files=("output",))
-    started = time.time()
-    corpus_dir = Path(args.corpus)
-    corpus = load_corpus(corpus_dir)
+    corpus = load_corpus(args.corpus)
     pairs = load_pairs(args.pairs) if args.pairs else {}
-    out_lines = []
+    rosters = load_rosters(args.corpus) if args.kind == "Question" else {}
+    prompts = []  # (example_id, prompt)
     for meta, utterances in corpus:
-        by_id = {u.utterance_id: u for u in utterances}
-        if args.kind == "Question":
+        if args.kind == "Question":  # a member's question, the one kind of Question example
+            roster = rosters.get(meta.hearing_id)
+            people = roster.people_by_id if roster else {}
             for u in utterances:
-                if u.qa_label is QALabel.QUESTION:
-                    out_lines.append(
-                        json.dumps(
-                            {"example_id": u.utterance_id, "prompt": render_prompt("Question", question_text=u.text)},
-                            ensure_ascii=False,
-                        )
-                    )
-        else:
-            for pair in pairs.get(meta.hearing_id, []):
-                q = by_id.get(pair.question_utterance_id)
-                a = by_id.get(pair.answer_utterance_id)
-                if q is None or a is None:
-                    continue
-                if args.kind == "Answer":
-                    example_id, prompt = a.utterance_id, render_prompt("Answer", answer_text=a.text)
-                else:
-                    example_id, prompt = pair.pair_id, render_prompt("Both", question_text=q.text, answer_text=a.text)
-                out_lines.append(json.dumps({"example_id": example_id, "prompt": prompt}, ensure_ascii=False))
-    write_lines(args.output, out_lines)
-    _log(f"wrote {len(out_lines)} prompts")
-    inputs = [corpus_dir, Path(args.pairs)] if args.pairs else [corpus_dir]
-    write_manifest(Path(args.output).parent, "prompts", args, inputs, started)
+                person = people.get(u.speaker)
+                if u.qa_label is QALabel.QUESTION and person is not None and person.role is Role.MEMBER:
+                    prompts.append((u.utterance_id, render_prompt("Question", question_text=u.text)))
+            continue
+        by_id = {u.utterance_id: u for u in utterances}
+        for pair in pairs.get(meta.hearing_id, []):
+            q = by_id.get(pair.question_utterance_id)
+            a = by_id.get(pair.answer_utterance_id)
+            if q is None or a is None:
+                continue
+            if args.kind == "Answer":
+                prompts.append((a.utterance_id, render_prompt("Answer", answer_text=a.text)))
+            else:
+                prompts.append((pair.pair_id, render_prompt("Both", question_text=q.text, answer_text=a.text)))
+    write_lines(args.output, [json.dumps({"example_id": i, "prompt": p}, ensure_ascii=False) for i, p in prompts])
+    _log(f"wrote {len(prompts)} prompts")
     return 0
 
 
 def cmd_verify_sample(args) -> int:
     _use("segmenter")
-    started = time.time()
     if args.score:
         rows = read_verdict_file(args.score)
         summary = score_verdicts([v for _, v in rows])
@@ -622,14 +594,12 @@ def cmd_verify_sample(args) -> int:
         )
         return 0
     _require(args, "corpus", "output")
-    _check_outputs(args, files=("output",))
     corpus = load_corpus(Path(args.corpus))
     manifest = verify_sample(corpus, args.hearings_per_session, args.utterances_per_hearing, args.seed)
     for w in manifest.warnings:
         _log(f"warning: {w}")
     manifest.write(args.output)
     _log(f"wrote {len(manifest.rows)} manifest rows")
-    write_manifest(Path(args.output).parent, "verify-sample", args, [Path(args.corpus)], started)
     return 0
 
 
@@ -671,7 +641,7 @@ def build_parser() -> _Parser:
             p.add_mutually_exclusive_group()._group_actions += (actions[dest], actions[mode])
 
     def add_table_options(p):
-        p.add_argument("--examples", help="examples TSV from `features`")
+        p.add_argument("--examples", role=_INPUT, help="examples TSV from `features`")
         p.add_argument("--task", choices=("Affiliation", "Standing"), default="Affiliation")
         p.add_argument("--kind", choices=KINDS, default="Question")
         p.add_argument("--min-rows", dest="min_rows", type=int, default=50)
@@ -680,59 +650,60 @@ def build_parser() -> _Parser:
 
     p = add(sub, "fetch", cmd_fetch, help="download transcripts into the local cache")
     p.add_argument("--ids", default="", help="comma-separated hearing ids")
-    p.add_argument("--ids-file", dest="ids_file", help="file with one hearing id per line")
+    p.add_argument("--ids-file", dest="ids_file", role=_INPUT, help="file with one hearing id per line")
     p.add_argument("--endpoint", help="URL or URL template with {hearing_id}")
-    p.add_argument("--cache-dir", dest="cache_dir", default=os.environ.get("GAVEL_CACHE_DIR"),
+    p.add_argument("--cache-dir", dest="cache_dir", role=_DIR, default=os.environ.get("GAVEL_CACHE_DIR"),
                    help="transcript cache directory (or set GAVEL_CACHE_DIR)")
     p.add_argument("--min-delay", dest="min_delay", type=float, default=1.0, help="minimum seconds between requests")
     p.add_argument("--retries", type=int, default=3)
 
     p = add(sub, "segment", cmd_segment, help="split raw transcripts into speaker-attributed utterances")
-    p.add_argument("--input", help="directory of raw hearings (transcript.txt + meta.json + roster.json)")
-    p.add_argument("--output", help="corpus store directory to create")
-    p.add_argument("--rules", help="segmentation rules JSON file")
+    p.add_argument("--input", role=_INPUT, help="directory of raw hearings (transcript.txt + meta.json + roster.json)")
+    p.add_argument("--output", role=_NEW_DIR, help="corpus store directory to create")
+    p.add_argument("--rules", role=_INPUT, help="segmentation rules JSON file")
 
     qa = sub.add_parser("classify-qa", help="train or apply the question/answer classifier")
     modes = qa.add_subparsers(dest="mode", required=True)
     p = add(modes, "train", cmd_classify_qa_train, help="train the classifier on labeled files")
-    p.add_argument("--train", action=_AppendFlags, help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
-    p.add_argument("--model-out", dest="model_out", help="where to write the trained model")
+    p.add_argument("--train", action=_AppendFlags, role=_SPEC,
+                   help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
+    p.add_argument("--model-out", dest="model_out", role=_FILE, help="where to write the trained model")
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--l2", type=float, default=1e-4)
     p = add(modes, "apply", cmd_classify_qa_apply, help="label a corpus in place, or score a labeled file")
-    p.add_argument("--model", help="trained model file")
+    p.add_argument("--model", role=_INPUT, help="trained model file")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--corpus", help="corpus store to label in place")
-    mode.add_argument("--eval", help="labeled file PATH:FORMAT to score instead of labeling a corpus")
+    mode.add_argument("--corpus", role=_DIR, help="corpus store to label in place")
+    mode.add_argument("--eval", role=_SPEC, help="labeled file PATH:FORMAT to score instead of labeling a corpus")
     p.add_argument("--other-band", dest="other_band", type=_other_band,
                    help="probability margin around 0.5, in [0, 0.5], labeled Other")
     exclude(p, "eval", "other_band")
 
     p = add(sub, "pair", cmd_pair, help="pair member questions with witness answers")
-    p.add_argument("--corpus", help="labeled corpus store")
-    p.add_argument("--output", help="pairs JSONL file to write")
+    p.add_argument("--corpus", role=_INPUT, help="labeled corpus store")
+    p.add_argument("--output", role=_FILE, help="pairs JSONL file to write")
 
     p = add(sub, "features", cmd_features, help="extract the per-utterance feature table")
-    p.add_argument("--corpus", help="labeled corpus store")
-    p.add_argument("--pairs", help="pairs JSONL (enables Answer/Both rows)")
-    p.add_argument("--government", help="per-session government-control JSON config")
-    p.add_argument("--output", help="examples TSV to write")
-    p.add_argument("--lexicons", help="lexicon directory (defaults to the bundled lists)")
-    p.add_argument("--member-directory", dest="member_directory", help="extra name list for name removal")
+    p.add_argument("--corpus", role=_INPUT, help="labeled corpus store")
+    p.add_argument("--pairs", role=_INPUT, help="pairs JSONL (enables Answer/Both rows)")
+    p.add_argument("--government", role=_INPUT, help="per-session government-control JSON config")
+    p.add_argument("--output", role=_FILE, help="examples TSV to write")
+    p.add_argument("--lexicons", role=_INPUT, help="lexicon directory (defaults to the bundled lists)")
+    p.add_argument("--member-directory", dest="member_directory", role=_INPUT, help="extra name list for name removal")
     p.add_argument("--no-strip-names", dest="strip_names", action="store_false",
                    help="keep speaker names in text before feature extraction")
 
     p = add(sub, "kstest", cmd_kstest, help="two-sample distribution tests across group pairs")
-    p.add_argument("--examples", help="examples TSV from `features`")
+    p.add_argument("--examples", role=_INPUT, help="examples TSV from `features`")
     p.add_argument("--kind", choices=KINDS, default="Question")
-    p.add_argument("--out-matrix", dest="out_matrix", help="heatmap matrix TSV to write")
-    p.add_argument("--out-details", dest="out_details", help="long-format details TSV to write")
+    p.add_argument("--out-matrix", dest="out_matrix", role=_FILE, help="heatmap matrix TSV to write")
+    p.add_argument("--out-details", dest="out_details", role=_FILE, help="long-format details TSV to write")
 
     p = add(sub, "train", cmd_train, seeded=True, help="train a party-prediction model on the full example table")
     add_table_options(p)
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--importance-out", dest="importance_out")
+    p.add_argument("--model-out", dest="model_out", role=_FILE)
+    p.add_argument("--importance-out", dest="importance_out", role=_FILE)
 
     p = add(sub, "evaluate", cmd_evaluate, seeded=True, help="run the split-wise experiment grid with baselines")
     add_table_options(p)
@@ -740,24 +711,24 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--split-dims", dest="split_dims", default="",
                       help="comma list from: committee,session,hearing_type,government,presidency")
-    mode.add_argument("--predictions", help="score an external predictions TSV instead of training")
+    mode.add_argument("--predictions", role=_INPUT, help="score an external predictions TSV instead of training")
     p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", role=_DIR)
     exclude(p, "predictions", "seed", "model", "cv_folds", "test_fraction", "min_rows", "kind")
 
     p = add(sub, "prompts", cmd_prompts, help="render zero-shot prompts for external models")
-    p.add_argument("--corpus")
-    p.add_argument("--pairs")
+    p.add_argument("--corpus", role=_INPUT)
+    p.add_argument("--pairs", role=_INPUT)
     p.add_argument("--kind", choices=KINDS, default="Question")
-    p.add_argument("--output")
+    p.add_argument("--output", role=_FILE)
 
     p = add(sub, "verify-sample", cmd_verify_sample, seeded=True, help="draw or score the human-verification sample")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--corpus")
-    mode.add_argument("--score", help="verdict TSV (utterance_id, verdict) to summarize")
+    mode.add_argument("--corpus", role=_INPUT)
+    mode.add_argument("--score", role=_INPUT, help="verdict TSV (utterance_id, verdict) to summarize")
     p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
     p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
-    p.add_argument("--output", help="annotation manifest TSV to write")
+    p.add_argument("--output", role=_FILE, help="annotation manifest TSV to write")
     exclude(p, "score", "seed", "output", "hearings_per_session", "utterances_per_hearing")
 
     return parser
@@ -776,7 +747,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _apply_config(args, config)
             if config:
                 args = parser.parse_args(argv)
-            return args.fn(args)
+            manifest_dir = _check_outputs(args)
+            started = time.time()
+            code = args.fn(args)
+            if manifest_dir is not None:
+                write_manifest(manifest_dir, args, started)
+            return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -791,6 +767,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return code
     except Exception:
+        import traceback  # only a failure of the program itself prints one
         traceback.print_exc()
         return 2
 

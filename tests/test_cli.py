@@ -439,6 +439,58 @@ def test_analysis_of_a_synth_table_has_the_golden_bytes_on_one_cpu_and_two(synth
     assert {name: _sha256(tmp_path / name) for name in golden} == golden
 
 
+# On a 10-hearing synthetic tree of 20 exchanges each, labeled with the fixture pipeline's Q/A model:
+# (true label, label found) -> utterances, and (true pairs, pairs found, pairs found correctly).
+# Without --other-band nothing is labeled Other.
+QA_TRUTH_CONFUSION = {
+    ("Question", "Question"): 123, ("Question", "Answer"): 77,
+    ("Answer", "Question"): 44, ("Answer", "Answer"): 156,
+    ("Other", "Question"): 33, ("Other", "Answer"): 25,
+}
+QA_TRUTH_PAIRS = (200, 114, 97)
+
+
+def _score_against_truth(hearings, corpus, pairs):
+    """(label confusion, pair counts) of a labeled, paired store against the synthetic truth.
+
+    The confusion counts (true label, label found) over every utterance; the pair counts are
+    (true, found, found correctly), a true pair being a Question segment followed directly by an
+    Answer segment, compared by utterance id."""
+    from gavel.corpus import load_corpus
+    from gavel.qa import load_pairs
+
+    stored = dict(load_corpus(corpus))
+    found = {(p.question_utterance_id, p.answer_utterance_id) for ps in load_pairs(pairs).values() for p in ps}
+    confusion, true_pairs = {}, set()
+    for hearing in hearings:
+        utterances = stored[hearing.meta]
+        assert len(utterances) == len(hearing.segments), hearing.meta.hearing_id
+        for truth, u in zip(hearing.segments, utterances):
+            key = (truth.qa_label.value, u.qa_label.value)
+            confusion[key] = confusion.get(key, 0) + 1
+        for i in range(len(utterances) - 1):
+            if (hearing.segments[i].qa_label, hearing.segments[i + 1].qa_label) == (QALabel.QUESTION, QALabel.ANSWER):
+                true_pairs.add((utterances[i].utterance_id, utterances[i + 1].utterance_id))
+    return confusion, (len(true_pairs), len(found), len(true_pairs & found))
+
+
+def test_qa_labels_and_pairs_against_the_generator_truth(pipeline, tmp_path):
+    from gavel import synth
+
+    hearings = synth.synth_corpus(10, seed=101, n_exchanges=20)
+    synth.write_raw_tree(hearings, tmp_path / "raw")
+    corpus, pairs = tmp_path / "corpus", tmp_path / "pairs.jsonl"
+    for argv in (
+        ["segment", "--input", str(tmp_path / "raw"), "--output", str(corpus)],
+        ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(corpus)],
+        ["pair", "--corpus", str(corpus), "--output", str(pairs)],
+    ):
+        assert run(argv) == 0, argv
+    confusion, pair_counts = _score_against_truth(hearings, corpus, pairs)
+    assert confusion == QA_TRUTH_CONFUSION
+    assert pair_counts == QA_TRUTH_PAIRS
+
+
 # The synth table's grid search by session, whose split_grid.tsv has the bytes it had before each split's
 # cross-validation warnings were printed: the classes that warn, by session, with --cv-folds 5.
 SYNTH_SESSION_GRID_SHA256 = "0e1f3661bf7a8af82156b461c16c1fed6845c7d77d4b6d0e8e336f39c4566b7e"
@@ -654,6 +706,22 @@ def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path):
     assert _modules_loaded_by(prompts) == {"corpus", "qa", "linear"}
 
 
+def test_main_alone_checks_outputs_and_writes_manifests():
+    """Each path option's role is declared with it, so no command restates its outputs or inputs."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def called(function):
+        return [n.func for n in ast.walk(function) if isinstance(n, ast.Call)]
+
+    for name in (name for name in functions if name.startswith("cmd_")):
+        names = {f.id for f in called(functions[name]) if isinstance(f, ast.Name)}
+        assert not names & {"_check_outputs", "write_manifest"}, name
+        assert not any(isinstance(f, ast.Attribute) and f.attr == "time" for f in called(functions[name])), name
+    names = [f.id for f in called(functions["main"]) if isinstance(f, ast.Name)]
+    assert names.count("_check_outputs") == names.count("write_manifest") == 1
+
+
 def test_each_command_binds_the_modules_of_the_names_it_reads():
     """A name a command takes from another gavel module is bound by the command's `_use` line,
     or by `main` for `corpus`. Were it not, the command would fail with NameError in a fresh
@@ -744,6 +812,14 @@ def test_evaluate_predictions_mode(pipeline, tmp_path, capsys):
 def test_version_exits_zero(capsys):
     assert run(["--version"]) == 0
     assert "gavel" in capsys.readouterr().out
+
+
+def test_version_process_imports_neither_traceback_nor_dataclasses():
+    """`traceback` is imported only to report an internal error, `dataclasses` only by the modules
+    a command runs."""
+    code = "import sys\nfrom gavel.cli import main\nmain(['--version'])\n" \
+           "print(sorted(m for m in ('traceback', 'dataclasses') if m in sys.modules))"
+    assert run_fresh(code).splitlines()[-1] == "[]"
 
 
 def test_fetch_requires_endpoint_and_ids(capsys):
@@ -1225,6 +1301,20 @@ def test_a_model_file_that_records_a_seed_still_loads(pipeline, tmp_path, capsys
     assert scores[0] == scores[1]
 
 
+def test_question_prompts_are_the_question_rows_of_the_example_table(pipeline, tmp_path):
+    """A Question prompt is rendered for a member's question only, as `build_examples` takes one:
+    not for a witness's utterance labeled Question, whose party a model could not guess."""
+    out = tmp_path / "q" / "prompts.jsonl"
+    assert run(["prompts", "--corpus", str(pipeline / "corpus"), "--kind", "Question", "--output", str(out)]) == 0
+    prompted = [json.loads(line)["example_id"] for line in out.read_text().splitlines()]
+    table = read_examples(pipeline / "examples.tsv")
+    questions = [i for i, kind in zip(table.example_id, table.kind) if kind == "Question"]
+    assert sorted(prompted) == sorted(questions) and len(prompted) == len(set(prompted))
+    assert "synth-108-0000-u00002" not in prompted  # a witness: "I am happy to answer any questions ..."
+    manifest = json.loads((out.parent / "manifest.json").read_text())
+    assert list(manifest["input_checksums"]) == [str(pipeline / "corpus")]
+
+
 def test_prompts_manifest_checksums_the_pairs_file(pipeline, tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     lines = (pipeline / "pairs.jsonl").read_text().splitlines()
@@ -1277,9 +1367,12 @@ def test_segment_checksums_the_raw_tree_as_the_whole_tree_walk_did(tmp_path):
 
 def test_each_run_opens_each_input_once_and_its_manifest_hashes_those_bytes(pipeline, tmp_path, monkeypatch):
     """corpus opens every input with `_HashingFile`; any other reader would call `open`. No run opens
-    a file for reading twice. Each manifest checksum is the sha256 of the bytes on disk: a file's
+    a file for reading twice. Each file a run opens for reading is at or under one of its manifest's
+    input keys, but for the bundled lexicons (read when no --lexicons is given) and the store that
+    `classify-qa apply` rewrites. Each manifest checksum is the sha256 of the bytes on disk: a file's
     own, or a directory's over the files the run read under it."""
     from gavel import corpus as corpus_module
+    from gavel.lexicons import DEFAULT_DIR
 
     opened: list[Path] = []
     real_open, hashing_file = builtins.open, corpus_module._HashingFile
@@ -1295,21 +1388,47 @@ def test_each_run_opens_each_input_once_and_its_manifest_hashes_those_bytes(pipe
 
     corpus, pairs, examples = tmp_path / "corpus", tmp_path / "pairs" / "pairs.jsonl", tmp_path / "x" / "examples.tsv"
     model = pipeline / "qa_model.json"
+    rules, lexicons, members = tmp_path / "rules.json", tmp_path / "lexicons", tmp_path / "members.txt"
+    rules.write_text("{}")  # the default rules
+    shutil.copytree(DEFAULT_DIR, lexicons)
+    members.write_text("Smith\nJones\n")
+    ids, cache = tmp_path / "ids.txt", tmp_path / "cache"
+    ids.write_text("h-1\n")
+    cache.mkdir()
+    (cache / "h-1.txt").write_text("cached\n")  # so no request is made
+    predictions = tmp_path / "predictions.tsv"
     steps = [  # (argv, the directory it writes its manifest in, or None)
         (["segment", "--input", str(FIXTURES / "hearings"), "--output", str(corpus)], corpus),
+        (["segment", "--input", str(FIXTURES / "hearings"), "--rules", str(rules), "--output", str(tmp_path / "r")],
+         tmp_path / "r"),
         (["classify-qa", "apply", "--model", str(model), "--corpus", str(corpus)], corpus),
         (["classify-qa", "apply", "--model", str(model),
           "--eval", f"{FIXTURES / 'qa' / 'hand_labeled_test.tsv'}:HandLabeled"], None),
         (["pair", "--corpus", str(corpus), "--output", str(pairs)], pairs.parent),
         (["features", "--corpus", str(corpus), "--pairs", str(pairs), "--government",
           str(FIXTURES / "government_context.json"), "--output", str(examples)], examples.parent),
+        (["features", "--corpus", str(corpus), "--government", str(FIXTURES / "government_context.json"),
+          "--lexicons", str(lexicons), "--member-directory", str(members), "--output", str(tmp_path / "l" / "e.tsv")],
+         tmp_path / "l"),
+        (["fetch", "--ids-file", str(ids), "--endpoint", "https://x.test/{hearing_id}", "--cache-dir", str(cache)],
+         cache),
         (["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "ks" / "m.tsv")], tmp_path / "ks"),
         (["evaluate", "--examples", str(examples), "--min-rows", "10", "--out-dir", str(tmp_path / "eval")],
          tmp_path / "eval"),
+        (["evaluate", "--examples", str(examples), "--predictions", str(predictions),
+          "--out-dir", str(tmp_path / "ext")], tmp_path / "ext"),
+        (["train", "--examples", str(examples), "--min-rows", "4", "--model-out", str(tmp_path / "t" / "f.json"),
+          "--importance-out", str(tmp_path / "t" / "importances.tsv")], tmp_path / "t"),
         (["prompts", "--corpus", str(corpus), "--pairs", str(pairs), "--kind", "Both",
           "--output", str(tmp_path / "prompts" / "p.jsonl")], tmp_path / "prompts"),
+        (["verify-sample", "--corpus", str(corpus), "--hearings-per-session", "1", "--utterances-per-hearing", "4",
+          "--output", str(tmp_path / "v" / "sample.tsv")], tmp_path / "v"),
     ]
     for argv, manifest_dir in steps:
+        if "--predictions" in argv:  # each Question row predicted as its own party
+            header, *rows = (cell.split("\t") for cell in examples.read_text().splitlines())
+            kind, example_id, party = (header.index(c) for c in ("kind", "example_id", "party"))
+            predictions.write_text("".join(f"{r[example_id]}\t{r[party]}\n" for r in rows if r[kind] == "Question"))
         opened.clear()
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "open", spy_open)
@@ -1322,6 +1441,10 @@ def test_each_run_opens_each_input_once_and_its_manifest_hashes_those_bytes(pipe
             continue
         checksums = json.loads((manifest_dir / "manifest.json").read_text())["input_checksums"]
         assert checksums, argv
+        exempt = [DEFAULT_DIR] if "features" in argv and "--lexicons" not in argv else []
+        exempt += [corpus] if "apply" in argv else []
+        uncovered = [p for p in opened if not any(p.is_relative_to(root) for root in [*map(Path, checksums), *exempt])]
+        assert uncovered == [], argv
         for name, digest in checksums.items():
             path = Path(name)
             if path.is_file():
@@ -1714,6 +1837,11 @@ BAD_OUTPUTS = {
         ["train", "--examples", str(_bad_examples(t)), "--model-out", str(f / "model.json")], "--model-out", f),
     "segment-output-under-a-file": lambda p, t, f, d: (
         ["segment", "--input", str(t / "absent-input"), "--output", str(f / "corpus")], "--output", f),
+    "classify-qa-apply-corpus-is-a-file": lambda p, t, f, d: (  # the store it labels in place
+        ["classify-qa", "apply", "--model", str(_bad_examples(t)), "--corpus", str(f)], "--corpus", f),
+    "prompts-output-under-a-file-and-no-pairs": lambda p, t, f, d: (  # checked before the options are
+        ["prompts", "--corpus", str(t / "absent-input"), "--kind", "Answer", "--output", str(f / "p.jsonl")],
+        "--output", f),
 }
 
 
