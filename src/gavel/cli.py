@@ -24,12 +24,13 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import KINDS, GavelError, __version__, take
 
@@ -605,16 +606,21 @@ def cmd_verify_sample(args) -> int:
 
 # --- parser wiring -------------------------------------------------------------
 
-def _other_band(value: str) -> float:
-    """--other-band: a margin of probability around 0.5, so in [0, 0.5]; NaN or a
-    negative margin would label nothing Other, and one above 0.5 everything."""
-    try:
-        band = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if not 0.0 <= band <= 0.5:  # false for NaN too
-        raise argparse.ArgumentTypeError(f"must be in [0, 0.5], got {value}")
-    return band
+def _bounded(kind: type, low: float, high: float = math.inf) -> Callable[[str], float]:
+    """An argparse type: the text as a finite `kind` (int or float) in [low, high], so that a
+    count or delay no run can use is refused before any input is read."""
+    span = f"[{low}, {high}]" if high < math.inf else f"[{low}, inf)"
+
+    def value_of(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {'a whole' if kind is int else 'a'} number: {text!r}") from None
+        if not low <= value <= high or value == math.inf:  # NaN fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be in {span}, got {text}")
+        return value
+
+    return value_of
 
 
 def build_parser() -> _Parser:
@@ -654,8 +660,9 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", help="URL or URL template with {hearing_id}")
     p.add_argument("--cache-dir", dest="cache_dir", role=_DIR, default=os.environ.get("GAVEL_CACHE_DIR"),
                    help="transcript cache directory (or set GAVEL_CACHE_DIR)")
-    p.add_argument("--min-delay", dest="min_delay", type=float, default=1.0, help="minimum seconds between requests")
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--min-delay", dest="min_delay", type=_bounded(float, 0), default=1.0,
+                   help="minimum seconds between requests")
+    p.add_argument("--retries", type=_bounded(int, 0), default=3)
 
     p = add(sub, "segment", cmd_segment, help="split raw transcripts into speaker-attributed utterances")
     p.add_argument("--input", role=_INPUT, help="directory of raw hearings (transcript.txt + meta.json + roster.json)")
@@ -669,14 +676,14 @@ def build_parser() -> _Parser:
                    help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
     p.add_argument("--model-out", dest="model_out", role=_FILE, help="where to write the trained model")
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--epochs", type=_bounded(int, 0), default=60)
     p.add_argument("--l2", type=float, default=1e-4)
     p = add(modes, "apply", cmd_classify_qa_apply, help="label a corpus in place, or score a labeled file")
     p.add_argument("--model", role=_INPUT, help="trained model file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--corpus", role=_DIR, help="corpus store to label in place")
     mode.add_argument("--eval", role=_SPEC, help="labeled file PATH:FORMAT to score instead of labeling a corpus")
-    p.add_argument("--other-band", dest="other_band", type=_other_band,
+    p.add_argument("--other-band", dest="other_band", type=_bounded(float, 0, 0.5),
                    help="probability margin around 0.5, in [0, 0.5], labeled Other")
     exclude(p, "eval", "other_band")
 
@@ -726,8 +733,8 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--corpus", role=_INPUT)
     mode.add_argument("--score", role=_INPUT, help="verdict TSV (utterance_id, verdict) to summarize")
-    p.add_argument("--hearings-per-session", dest="hearings_per_session", type=int, default=50)
-    p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=int, default=10)
+    p.add_argument("--hearings-per-session", dest="hearings_per_session", type=_bounded(int, 1), default=50)
+    p.add_argument("--utterances-per-hearing", dest="utterances_per_hearing", type=_bounded(int, 1), default=10)
     p.add_argument("--output", role=_FILE, help="annotation manifest TSV to write")
     exclude(p, "score", "seed", "output", "hearings_per_session", "utterances_per_hearing")
 

@@ -8,12 +8,12 @@ A corpus lives under a root directory with one subdirectory per hearing:
 
 All types are immutable after construction and safe to share across threads.
 
-Every gavel artifact, the store included, reaches disk through `write_lines`
-or `write_tsv`. They overwrite the target in place: a run that dies while
-writing leaves a truncated file, and `store_corpus` leaves alone any hearing
-directory it is not given. `write_tsv` takes rows of values, not text, and
-turns each value into a cell by one rule (docs/formats.md, "Tables"), so no
-other module formats a cell.
+Every file gavel writes, the store and the fetch cache included, goes through
+`write_lines` (text, and `write_tsv` on it) or `write_raw` (bytes) to `_write`,
+which replaces the file whole (docs/formats.md, "Writing files"). `store_corpus`
+leaves alone any hearing directory it is not given. `write_tsv` takes rows of
+values, not text, and turns each value into a cell by one rule (docs/formats.md,
+"Tables"), so no other module formats a cell.
 
 A stored JSON record is `to_record` of its dataclass and is read back by
 `from_record`, one rule for every type (docs/formats.md, "JSON records").
@@ -394,14 +394,29 @@ def derive_standing(
     return Standing.MAJORITY if person.party == ctx.majority_of(chamber) else Standing.MINORITY
 
 
-def write_lines(path: Path | str, lines: Iterable[str]) -> None:
-    """Write each line followed by a newline as UTF-8, creating the parent directory."""
+def _write(path: Path | str, chunks: Iterable[bytes]) -> None:
+    """Replace `path` whole by `chunks`, creating the parent directory (docs/formats.md, "Writing files")."""
     path = Path(path)
     if _digests:
         _digests.pop(path, None)  # what this run read there is gone
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # beside it, so that the rename stays in one file system
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:  # gone after the replace; after any failure, an interrupt too, `path` keeps its previous bytes
+        tmp.unlink(missing_ok=True)
+
+
+def write_lines(path: Path | str, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline as UTF-8."""
+    _write(path, ((line + "\n").encode() for line in lines))
+
+
+def write_raw(path: Path | str, data: bytes) -> None:
+    """Write `data` as the whole file, byte for byte."""
+    _write(path, [data])
 
 
 def _cell(value: Any) -> str:

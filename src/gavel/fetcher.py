@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import GavelError
-from .corpus import HEARING_ID_RE
+from .corpus import HEARING_ID_RE, write_raw
 
 
 class FetchError(GavelError):
@@ -74,11 +74,7 @@ class Fetcher:
         """The cache path of `hearing_id`'s transcript, downloaded first unless it is cached there."""
         cached = self.cache_path(hearing_id)
         if not cached.is_file():
-            data = self._download(hearing_id)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = cached.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(cached)  # readers never see partial files
+            write_raw(cached, self._download(hearing_id))
         return cached
 
     def _download(self, hearing_id: str) -> bytes:

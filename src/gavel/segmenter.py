@@ -489,5 +489,8 @@ def read_verdict_file(path: Path | str) -> list[tuple[str, str]]:
             continue
         if len(cols) < 2:
             raise RecordError("expected (utterance_id, verdict)", path=str(path), line_no=line_no)
+        if cols[-1].strip().lower() not in VERDICTS:  # blank in a manifest row not yet annotated
+            raise RecordError(f"unknown verdict {cols[-1]!r}; expected one of {VERDICTS}", path=str(path),
+                              line_no=line_no, field_name="verdict")
         out.append((cols[0], cols[-1]))
     return out

@@ -1270,6 +1270,42 @@ def test_other_band_outside_zero_to_half_exits_one_before_reading_input(tmp_path
     assert "absent" not in err
 
 
+# (argv of a command, an option it takes, a value that option cannot use); ABSENT is an input never read
+UNUSABLE_VALUES = {
+    **{
+        f"{flag[2:]}={value}": (["verify-sample", "--corpus", "ABSENT", "--output", "OUT/sample.tsv"], flag, value)
+        for flag in ("--hearings-per-session", "--utterances-per-hearing")
+        for value in (0, -1)
+    },
+    **{
+        f"min-delay={value}": (["fetch", "--ids-file", "ABSENT", "--endpoint", "https://example.test/{hearing_id}",
+                                "--cache-dir", "OUT"], "--min-delay", value)
+        for value in (-0.5, float("inf"), float("nan"))
+    },
+    "retries=-1": (["fetch", "--ids-file", "ABSENT", "--endpoint", "https://example.test/{hearing_id}",
+                    "--cache-dir", "OUT"], "--retries", -1),
+    "epochs=-1": (["classify-qa", "train", "--train", "ABSENT:AMA", "--model-out", "OUT/model.json"], "--epochs", -1),
+}
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_VALUES))
+def test_a_count_or_delay_it_cannot_use_exits_one_before_reading_input(tmp_path, capsys, case, given):
+    argv, flag, value = UNUSABLE_VALUES[case]
+    argv = [a.replace("ABSENT", str(tmp_path / "absent")).replace("OUT", str(tmp_path / "out")) for a in argv]
+    if given == "flag":
+        argv += [flag, str(value)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))  # inf and nan as Infinity and NaN
+        argv += ["--config", str(config)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith("error: ") and "must be in [" in err
+    assert (flag if given == "flag" else repr(flag[2:].replace("-", "_"))) in err
+    assert "absent" not in err and not (tmp_path / "out").exists()
+
+
 def test_apply_relabels_the_store_without_touching_rosters(pipeline, tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus)
@@ -1528,6 +1564,17 @@ def _pair_utterance_label(pipeline, tmp_path):
     return argv, f"unknown qa_label 'Maybe' ({path}:2 field 'qa_label')"
 
 
+def _verdict_file(verdict):
+    """Verdicts to score; a blank verdict is a row of the sample manifest not yet annotated."""
+    def case(pipeline, tmp_path):
+        verdicts = tmp_path / "verdicts.tsv"
+        sample = (pipeline / "sample.tsv").read_text().splitlines()
+        verdicts.write_text("\n".join([sample[0], sample[1] + "correct", sample[2] + verdict]) + "\n")
+        where = f"unknown verdict {verdict!r}; expected one of ('correct', 'clubbed', 'broken') ({verdicts}:3 field 'verdict')"
+        return ["verify-sample", "--score", str(verdicts)], where
+    return case
+
+
 def _segment_rules(content):
     def case(pipeline, tmp_path):
         rules = tmp_path / "rules.json"
@@ -1724,6 +1771,8 @@ MALFORMED_INPUTS = {
     "pair-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("pair"),
     "features-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("features"),
     "transcript-matching-no-marker": _segment_matching_no_marker,
+    "verdict-blank": _verdict_file(""),
+    "verdict-unknown": _verdict_file("mangled"),
 }
 
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -51,6 +52,22 @@ def test_cache_hit_makes_no_network_calls(tmp_path):
     assert fetcher.fetch("h-1") == tmp_path / "cache" / "h-1.txt"
     assert len(calls) == 1
     assert (tmp_path / "cache" / "h-1.txt").read_text() == "the transcript"
+
+
+def test_a_failed_cache_write_leaves_no_file_and_the_id_is_downloaded_again(tmp_path, monkeypatch):
+    calls = []
+    fetcher, _ = make_fetcher(tmp_path, lambda url: calls.append(url) or b"the transcript")
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            fetcher.fetch("h-1")
+    assert list((tmp_path / "cache").iterdir()) == []
+    assert fetcher.fetch("h-1").read_bytes() == b"the transcript"
+    assert len(calls) == 2
 
 
 def test_404_raises_not_found_with_hearing_id(tmp_path):
