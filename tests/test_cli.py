@@ -1570,7 +1570,8 @@ def _verdict_file(verdict):
         verdicts = tmp_path / "verdicts.tsv"
         sample = (pipeline / "sample.tsv").read_text().splitlines()
         verdicts.write_text("\n".join([sample[0], sample[1] + "correct", sample[2] + verdict]) + "\n")
-        where = f"unknown verdict {verdict!r}; expected one of ('correct', 'clubbed', 'broken') ({verdicts}:3 field 'verdict')"
+        where = (f"unknown verdict {verdict!r}; expected one of ('correct', 'clubbed', 'broken')"
+                 f" ({verdicts}:3 field 'verdict')")
         return ["verify-sample", "--score", str(verdicts)], where
     return case
 

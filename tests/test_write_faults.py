@@ -99,7 +99,8 @@ def stages(tmp_path_factory) -> Path:
 
 
 def prepared(stages: Path, index: int, tmp_path: Path, monkeypatch) -> tuple[Path, dict, dict, list[str]]:
-    """The tree the command at `index` starts from, the same as bytes and after a run, and what it writes.
+    """For the command at `index`: the tree it starts from, that tree's files, its files after a clean
+    run, and the file each of its writes puts in place, in order.
 
     A file the command writes is given other bytes first where it is absent,
     so that a file left as it was can be told from one written again; a new
