@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -39,10 +38,10 @@ from . import KINDS, GavelError, __version__, take
 # process imports only those; `--version` and the parser import none of them.
 _IMPORTS = {
     "corpus": (
-        "HearingMeta", "Party", "QALabel", "RecordError", "Role", "Standing", "Task", "from_record",
-        "input_checksum", "load_corpus", "load_government_config", "load_roster", "load_rosters", "read_json",
-        "read_lines", "read_text", "recording_reads", "render_prompt", "store_corpus", "to_record", "write_lines",
-        "write_tsv", "write_utterances",
+        "Party", "Standing", "Task", "hearing_dirs", "hearing_examples", "input_checksum", "load_corpus",
+        "load_government_config", "load_roster", "load_rosters", "read_json", "read_lines", "read_text",
+        "recording_reads", "render_prompt", "store_corpus", "to_record", "write_lines", "write_tsv",
+        "write_utterances",
     ),
     "features": ("SCHEMA", "read_examples", "write_examples"),
     "fetcher": ("Fetcher",),
@@ -249,15 +248,6 @@ def _listed(path: str) -> list[str]:
     return [entry for entry in (line.strip() for _, line in read_lines(path)) if entry]
 
 
-def _raw_hearing_dirs(input_dir: Path) -> list[Path]:
-    if not input_dir.is_dir():
-        raise UsageError(f"input directory not found: {input_dir}")
-    dirs = sorted(p for p in input_dir.iterdir() if p.is_dir() and (p / "transcript.txt").is_file())
-    if not dirs:
-        raise UsageError(f"no hearing directories (with transcript.txt) under {input_dir}")
-    return dirs
-
-
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_fetch(args) -> int:
@@ -282,16 +272,10 @@ def cmd_segment(args) -> int:
     _require(args, "input", "output")
     rules = SegmenterRules.from_file(args.rules) if args.rules else SegmenterRules()
     # every hearing's meta and roster are checked before any hearing is segmented
-    hearings = []
-    meta_paths: dict[str, Path] = {}
-    for hdir in _raw_hearing_dirs(Path(args.input)):
-        meta_path = hdir / "meta.json"
-        meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
-        if meta.hearing_id in meta_paths:
-            raise RecordError(f"hearing_id {meta.hearing_id!r} is also the id in {meta_paths[meta.hearing_id]}",
-                              path=str(meta_path), field_name="hearing_id")
-        meta_paths[meta.hearing_id] = meta_path
-        hearings.append((hdir, meta, load_roster(hdir / "roster.json", meta.hearing_id)))
+    hearings = [(hdir, meta, load_roster(hdir / "roster.json", meta.hearing_id))
+                for hdir, meta in hearing_dirs(args.input, "transcript.txt")]
+    if not hearings:
+        raise UsageError(f"no hearing directories (with transcript.txt) under {args.input}")
     results = []
     for hdir, meta, roster in hearings:
         transcript = hdir / "transcript.txt"
@@ -300,13 +284,9 @@ def cmd_segment(args) -> int:
         except SegmentationFailed as exc:
             raise SegmentationFailed(f"hearing {meta.hearing_id}: {exc} ({transcript})") from None
         results.append((meta, utterances, roster, report))
-    results.sort(key=lambda t: t[0].hearing_id)
     out = Path(args.output)
-    store_corpus(
-        [(meta, utts) for meta, utts, _, _ in results],
-        out,
-        rosters={meta.hearing_id: roster for meta, _, roster, _ in results},
-    )
+    store_corpus([(meta, utts) for meta, utts, _, _ in results], out,
+                 rosters={meta.hearing_id: roster for meta, _, roster, _ in results})
     for meta, utterances, _, report in results:
         empty = sum(1 for u in utterances if not u.raw_marker)
         _log(
@@ -548,28 +528,17 @@ def cmd_prompts(args) -> int:
     if args.kind in ("Answer", "Both") and not args.pairs:
         raise UsageError(f"kind {args.kind} needs --pairs")
     corpus = load_corpus(args.corpus)
+    rosters = load_rosters(args.corpus)
     pairs = load_pairs(args.pairs) if args.pairs else {}
-    rosters = load_rosters(args.corpus) if args.kind == "Question" else {}
-    prompts = []  # (example_id, prompt)
+    prompts, warnings = [], []  # prompts as (example_id, prompt)
     for meta, utterances in corpus:
-        if args.kind == "Question":  # a member's question, the one kind of Question example
-            roster = rosters.get(meta.hearing_id)
-            people = roster.people_by_id if roster else {}
-            for u in utterances:
-                person = people.get(u.speaker)
-                if u.qa_label is QALabel.QUESTION and person is not None and person.role is Role.MEMBER:
-                    prompts.append((u.utterance_id, render_prompt("Question", question_text=u.text)))
-            continue
-        by_id = {u.utterance_id: u for u in utterances}
-        for pair in pairs.get(meta.hearing_id, []):
-            q = by_id.get(pair.question_utterance_id)
-            a = by_id.get(pair.answer_utterance_id)
-            if q is None or a is None:
-                continue
-            if args.kind == "Answer":
-                prompts.append((a.utterance_id, render_prompt("Answer", answer_text=a.text)))
-            else:
-                prompts.append((pair.pair_id, render_prompt("Both", question_text=q.text, answer_text=a.text)))
+        people = rosters[meta.hearing_id].people_by_id if meta.hearing_id in rosters else {}
+        for example_id, kind, _, question, answer in hearing_examples(
+                meta.hearing_id, utterances, people, pairs.get(meta.hearing_id, ()), warnings):
+            if kind == args.kind:
+                prompts.append((example_id, render_prompt(kind, question_text=question, answer_text=answer)))
+    for w in warnings:
+        _log(f"warning: {w}")
     write_lines(args.output, [json.dumps({"example_id": i, "prompt": p}, ensure_ascii=False) for i, p in prompts])
     _log(f"wrote {len(prompts)} prompts")
     return 0
@@ -606,17 +575,18 @@ def cmd_verify_sample(args) -> int:
 
 # --- parser wiring -------------------------------------------------------------
 
-def _bounded(kind: type, low: float, high: float = math.inf) -> Callable[[str], float]:
-    """An argparse type: the text as a finite `kind` (int or float) in [low, high], so that a
-    count or delay no run can use is refused before any input is read."""
-    span = f"[{low}, {high}]" if high < math.inf else f"[{low}, inf)"
+def _bounded(kind: type, low: float, high: float = math.inf, exclusive: bool = False) -> Callable[[str], float]:
+    """An argparse type: the text as a finite `kind` (int or float) in [low, high], or in (low, high) if
+    `exclusive`, so that a setting no run can use is refused before any input is read."""
+    span = f"({low}, {high})" if exclusive else f"[{low}, {high}]" if high < math.inf else f"[{low}, inf)"
 
     def value_of(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not {'a whole' if kind is int else 'a'} number: {text!r}") from None
-        if not low <= value <= high or value == math.inf:  # NaN fails both comparisons
+        inside = low < value < high if exclusive else low <= value <= high  # NaN is inside neither
+        if not inside or value == math.inf:
             raise argparse.ArgumentTypeError(f"must be in {span}, got {text}")
         return value
 
@@ -650,8 +620,8 @@ def build_parser() -> _Parser:
         p.add_argument("--examples", role=_INPUT, help="examples TSV from `features`")
         p.add_argument("--task", choices=("Affiliation", "Standing"), default="Affiliation")
         p.add_argument("--kind", choices=KINDS, default="Question")
-        p.add_argument("--min-rows", dest="min_rows", type=int, default=50)
-        p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
+        p.add_argument("--min-rows", dest="min_rows", type=_bounded(int, 2), default=50)
+        p.add_argument("--cv-folds", dest="cv_folds", type=_bounded(int, 2), default=5)
         p.set_defaults(grid=None)  # forest grid: config file only
 
     p = add(sub, "fetch", cmd_fetch, help="download transcripts into the local cache")
@@ -675,9 +645,9 @@ def build_parser() -> _Parser:
     p.add_argument("--train", action=_AppendFlags, role=_SPEC,
                    help="training file as PATH:FORMAT (AMA|UKParl|HandLabeled); repeatable")
     p.add_argument("--model-out", dest="model_out", role=_FILE, help="where to write the trained model")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
+    p.add_argument("--learning-rate", dest="learning_rate", type=_bounded(float, 0, exclusive=True), default=0.5)
     p.add_argument("--epochs", type=_bounded(int, 0), default=60)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--l2", type=_bounded(float, 0), default=1e-4)
     p = add(modes, "apply", cmd_classify_qa_apply, help="label a corpus in place, or score a labeled file")
     p.add_argument("--model", role=_INPUT, help="trained model file")
     mode = p.add_mutually_exclusive_group()
@@ -719,7 +689,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--split-dims", dest="split_dims", default="",
                       help="comma list from: committee,session,hearing_type,government,presidency")
     mode.add_argument("--predictions", role=_INPUT, help="score an external predictions TSV instead of training")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", dest="test_fraction", type=_bounded(float, 0, 1, exclusive=True), default=0.2)
     p.add_argument("--out-dir", dest="out_dir", role=_DIR)
     exclude(p, "predictions", "seed", "model", "cv_folds", "test_fraction", "min_rows", "kind")
 

@@ -26,8 +26,9 @@ formats. Each reader hashes the bytes it reads: within `recording_reads` (one
 run) the digest of each file read to its end is kept, `write_lines` drops
 that of a file it writes, and `input_checksum` answers from what is kept.
 
-`render_prompt` turns a question, an answer or a pair into the fixed
-zero-shot prompt that `gavel prompts` writes for external models.
+`hearing_dirs` alone decides what is a hearing directory, `hearing_examples`
+which utterances and pairs are examples, and `render_prompt` turns an
+example into the zero-shot prompt that `gavel prompts` writes.
 """
 
 from __future__ import annotations
@@ -609,20 +610,31 @@ def write_utterances(path: Path | str, utterances: Iterable[Utterance]) -> None:
     write_lines(path, (json.dumps(to_record(u), ensure_ascii=False) for u in utterances))
 
 
-def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
-    """Read back every hearing under `path`, ordered by hearing_id then sequence_no."""
-    root = Path(path)
+def _subdirs(root: Path) -> list[Path]:
+    """The subdirectories of `root`, in name order."""
     if not root.is_dir():
-        raise CorpusError(f"corpus root {root} is not a directory")
-    out: list[tuple[HearingMeta, list[Utterance]]] = []
-    for hdir in sorted(p for p in root.iterdir() if p.is_dir()):
+        raise CorpusError(f"{root} is not a directory")
+    return sorted(p for p in root.iterdir() if p.is_dir())
+
+
+def hearing_dirs(root: Path | str, holding: str) -> Iterator[tuple[Path, HearingMeta]]:
+    """(directory, meta) for each subdirectory of `root` holding the file `holding`, in name order
+    (docs/formats.md, "Hearing directories"); a `meta.json` not naming its directory raises RecordError."""
+    for hdir in _subdirs(Path(root)):
+        if not (hdir / holding).is_file():
+            continue
         meta_path = hdir / "meta.json"
-        if not meta_path.is_file():
-            continue  # not a hearing directory
         meta = read_json(meta_path, dict, partial(from_record, HearingMeta))
         if meta.hearing_id != hdir.name:
             raise RecordError(f"hearing {meta.hearing_id!r} stored under {hdir.name!r}", path=str(meta_path),
                               field_name="hearing_id")
+        yield hdir, meta
+
+
+def load_corpus(path: Path | str) -> list[tuple[HearingMeta, list[Utterance]]]:
+    """Read back every hearing under `path`, ordered by hearing_id then sequence_no."""
+    out: list[tuple[HearingMeta, list[Utterance]]] = []
+    for hdir, meta in hearing_dirs(path, "meta.json"):
         utterances_path = hdir / "utterances.jsonl"
         utterances = sorted(read_records(utterances_path, partial(from_record, Utterance)), key=lambda u: u.sequence_no)
         try:
@@ -644,13 +656,44 @@ def load_roster(path: Path | str, hearing_id: str) -> Roster:
 
 def load_rosters(corpus_root: Path | str) -> dict[str, Roster]:
     """Each stored roster by the hearing directory it sits in; one naming another hearing is an error."""
-    root = Path(corpus_root)
-    out = {}
-    for hdir in sorted(p for p in root.iterdir() if p.is_dir()):
-        rpath = hdir / "roster.json"
-        if rpath.is_file():
-            out[hdir.name] = load_roster(rpath, hdir.name)
-    return out
+    return {hdir.name: load_roster(hdir / "roster.json", hdir.name)
+            for hdir in _subdirs(Path(corpus_root)) if (hdir / "roster.json").is_file()}
+
+
+# --- examples ----------------------------------------------------------------
+
+def role_of(people: Mapping[str, Person], person_id: str) -> Role:
+    """The role `people` (a roster's `people_by_id`) gives `person_id`; Unknown for one it does not list."""
+    person = people.get(person_id)
+    return person.role if person is not None else Role.UNKNOWN
+
+
+def is_member_question(utterance: Utterance, people: Mapping[str, Person]) -> bool:
+    """A member's question: labeled Question, and spoken by someone `people` lists as a Member."""
+    return utterance.qa_label is QALabel.QUESTION and role_of(people, utterance.speaker) is Role.MEMBER
+
+
+def hearing_examples(
+    hearing_id: str, utterances: Sequence[Utterance], people: Mapping[str, Person], pairs: Sequence[QAPair],
+    warnings: list[str],
+) -> Iterator[tuple[str, str, str, str, Optional[str]]]:
+    """(example_id, kind, questioner, question text, answer text) of each example of one hearing
+    (docs/formats.md, "Examples"): a Question example for each member's question, in utterance order;
+    then an Answer and a Both example for each pair a Member asked, in pair order. A pair naming an
+    utterance the hearing lacks gives none, and a line in `warnings`."""
+    for u in utterances:
+        if is_member_question(u, people):
+            yield u.utterance_id, "Question", u.speaker, u.text, None
+    by_id = {u.utterance_id: u for u in utterances} if pairs else {}
+    for pair in pairs:
+        if role_of(people, pair.questioner) is not Role.MEMBER:
+            continue
+        question, answer = by_id.get(pair.question_utterance_id), by_id.get(pair.answer_utterance_id)
+        if question is None or answer is None:
+            warnings.append(f"{hearing_id}/{pair.pair_id}: pair references unknown utterances")
+            continue
+        yield answer.utterance_id, "Answer", pair.questioner, question.text, answer.text
+        yield pair.pair_id, "Both", pair.questioner, question.text, answer.text
 
 
 # --- zero-shot prompt rendering ----------------------------------------------

@@ -1,9 +1,9 @@
 """Experiment grid: dataset assembly, split-wise evaluation, table emission.
 
-Examples are built per question-answer exchange: the Question row carries
-the question utterance's features, the Answer row the paired answer's, and
-the Both row the concatenated pair; every row is labeled with the
-questioner's party and standing. `build_datasets` then partitions them
+`build_examples` featurizes the examples of `corpus.hearing_examples`: the
+Question row carries the question's features, the Answer row the paired
+answer's, and the Both row the concatenated pair; every row is labeled with
+the questioner's party and standing. `build_datasets` then partitions them
 into one `Dataset` per split along any subset of five dimensions
 (committee, session, hearing type, unified/divided government,
 presidency): the example table's columns plus the split's row indices.
@@ -31,22 +31,21 @@ from . import KINDS, map_ordered, take
 from .corpus import (
     GovernmentContext,
     HearingMeta,
-    QALabel,
     QAPair,
     RecordError,
-    Role,
     Roster,
     Task,
     Utterance,
     derive_standing,
+    hearing_examples,
     read_tsv,
-    render_prompt,  # not called here; perfbench/tracing.py wraps it under this module's name
+    render_prompt,  # not called here: perfbench/tracing.py wraps gavel.cli's binding, naming its span after this module
     write_tsv,
 )
 from .features import (
     ExampleTable,
     extract_features,
-    read_examples,  # not called here; perfbench/tracing.py wraps it under this module's name
+    read_examples,  # likewise, and tests/test_trace_points.py checks it resolves here
     write_examples,  # likewise
 )
 from .forest import ForestHyper, ForestModel, derive_seed, predict_forest, train_forest
@@ -92,18 +91,10 @@ def build_examples(
             continue
         hearing = (meta.hearing_id, meta.session, meta.committee, meta.chamber.value, meta.hearing_type.value,
                    "Unified" if ctx.unified else "Divided", ctx.president_party.value)
-        by_id = {u.utterance_id: u for u in utterances}
-
-        def featurize(text: str) -> tuple[Optional[float], ...]:
-            if strip_names:
-                text = strip_speaker_names(text, roster, directory)
-            return extract_features(text, lexicons).values
 
         def columns_for(member_id: str) -> Optional[tuple]:
-            """The cells after `kind` of the examples `member_id` asks; None unless a member with a standing."""
-            person = roster.people_by_id.get(member_id)
-            if person is None or person.role is not Role.MEMBER:
-                return None
+            """The cells after `kind` of the examples `member_id` asks; None for a member with no standing."""
+            person = roster.people_by_id[member_id]
             try:
                 standing = derive_standing(person, meta, ctx)
             except Exception as exc:
@@ -111,25 +102,15 @@ def build_examples(
                 return None
             return (*hearing, person.party.value, standing.value)
 
-        for u in utterances:
-            if u.qa_label is not QALabel.QUESTION:
-                continue
-            columns = columns_for(u.speaker)
-            if columns is None:
-                continue
-            rows.append((u.utterance_id, "Question", *columns, *featurize(u.text)))
         hearing_pairs = (pairs or {}).get(meta.hearing_id, ())
-        for pair in hearing_pairs:
-            columns = columns_for(pair.questioner)
-            if columns is None:
-                continue
-            question = by_id.get(pair.question_utterance_id)
-            answer = by_id.get(pair.answer_utterance_id)
-            if question is None or answer is None:
-                warnings.append(f"{meta.hearing_id}/{pair.pair_id}: pair references unknown utterances")
-                continue
-            rows.append((answer.utterance_id, "Answer", *columns, *featurize(answer.text)))
-            rows.append((pair.pair_id, "Both", *columns, *featurize(question.text + "\n" + answer.text)))
+        walk = hearing_examples(meta.hearing_id, utterances, roster.people_by_id, hearing_pairs, warnings)
+        for example_id, kind, questioner, question, answer in walk:
+            columns = columns_for(questioner)
+            if columns is not None:
+                text = question if kind == "Question" else answer if kind == "Answer" else question + "\n" + answer
+                if strip_names:
+                    text = strip_speaker_names(text, roster, directory)
+                rows.append((example_id, kind, *columns, *extract_features(text, lexicons).values))
     rows.sort(key=itemgetter(1, 0))  # by kind, then example_id
     return rows, warnings
 
@@ -462,15 +443,18 @@ def _ht_gov_table(scored: Sequence[tuple[dict, EvalReport]]) -> tuple[list[str],
 # --- external-prediction ingestion -------------------------------------------
 
 def read_predictions_file(path: Path | str) -> list[tuple[str, str]]:
-    """Rows of (example_id, predicted_label); header line allowed."""
-    out = []
+    """Rows of (example_id, predicted_label); header line allowed. An id listed twice is an error."""
+    out: dict[str, str] = {}
     for line_no, cols in read_tsv(path):
         if line_no == 1 and cols[0] in ("example_id", "utterance_id", "pair_id"):
             continue
         if len(cols) < 2:
             raise RecordError("expected (example_id, predicted_label)", path=str(path), line_no=line_no)
-        out.append((cols[0], cols[1]))
-    return out
+        if cols[0] in out:
+            raise RecordError(f"example {cols[0]!r} is predicted twice", path=str(path), line_no=line_no,
+                              field_name="example_id")
+        out[cols[0]] = cols[1]
+    return list(out.items())
 
 
 _LABEL_ALIASES = {

@@ -165,6 +165,8 @@ def train_binary_logistic(
         raise ValueError("labels must be 0 or 1")
     if len(present) < 2:
         raise ValueError("training set contains a single class")
+    if not 0 < learning_rate < math.inf:  # the step halving below would never end
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
 
     weights = [0.0] * matrix.n_features
     bias = 0.0

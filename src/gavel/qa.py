@@ -30,9 +30,11 @@ from .corpus import (
     Role,
     Utterance,
     from_record,
+    is_member_question,
     read_json,
     read_records,
     read_tsv,
+    role_of,
     to_record,
     write_lines,
 )
@@ -362,13 +364,11 @@ def pair_qa(
     orphans: list[str] = []
     pending: Optional[Utterance] = None
     for utt in sorted(utterances, key=lambda u: u.sequence_no):
-        person = people.get(utt.speaker)
-        role = person.role if person else Role.UNKNOWN
-        if utt.qa_label is QALabel.QUESTION and role is Role.MEMBER:
+        if is_member_question(utt, people):
             if pending is not None:
                 unpaired.append(pending.utterance_id)
             pending = utt
-        elif utt.qa_label is QALabel.ANSWER and role is Role.WITNESS:
+        elif utt.qa_label is QALabel.ANSWER and role_of(people, utt.speaker) is Role.WITNESS:
             if pending is None:
                 orphans.append(utt.utterance_id)
             else:

@@ -1104,7 +1104,7 @@ def test_config_value_checked_like_its_flag(tmp_path, capsys):
 def test_evaluate_checks_settings_before_reading_input(tmp_path, capsys):
     argv = ["evaluate", "--examples", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path / "eval")]
     assert run(argv + ["--test-fraction", "1.5"]) == 1
-    assert "test_fraction" in capsys.readouterr().err
+    assert "--test-fraction" in capsys.readouterr().err
     assert run(argv + ["--split-dims", "party"]) == 1
     assert "unknown split dimensions" in capsys.readouterr().err
 
@@ -1285,6 +1285,24 @@ UNUSABLE_VALUES = {
     "retries=-1": (["fetch", "--ids-file", "ABSENT", "--endpoint", "https://example.test/{hearing_id}",
                     "--cache-dir", "OUT"], "--retries", -1),
     "epochs=-1": (["classify-qa", "train", "--train", "ABSENT:AMA", "--model-out", "OUT/model.json"], "--epochs", -1),
+    **{
+        f"{flag[2:]}={value}": (["classify-qa", "train", "--train", "ABSENT:AMA", "--model-out", "OUT/model.json"],
+                                flag, value)
+        for flag, values in (("--learning-rate", (0, -0.5, float("inf"), float("nan"))),
+                             ("--l2", (-1, float("inf"), float("nan"))))
+        for value in values
+    },
+    **{
+        f"train-{flag[2:]}={value}": (["train", "--examples", "ABSENT", "--model-out", "OUT/model.json"], flag, value)
+        for flag, values in (("--cv-folds", (0, 1)), ("--min-rows", (1,)))
+        for value in values
+    },
+    **{
+        f"evaluate-{flag[2:]}={value}": (["evaluate", "--examples", "ABSENT", "--out-dir", "OUT"], flag, value)
+        for flag, values in (("--test-fraction", (0, 1, 1.5, float("nan"))), ("--min-rows", (1,)),
+                             ("--cv-folds", (1,)))
+        for value in values
+    },
 }
 
 
@@ -1301,7 +1319,7 @@ def test_a_count_or_delay_it_cannot_use_exits_one_before_reading_input(tmp_path,
         argv += ["--config", str(config)]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()[0]
-    assert err.startswith("error: ") and "must be in [" in err
+    assert err.startswith("error: ") and re.search(r"must be in [\[(]", err)
     assert (flag if given == "flag" else repr(flag[2:].replace("-", "_"))) in err
     assert "absent" not in err and not (tmp_path / "out").exists()
 
@@ -1349,6 +1367,88 @@ def test_question_prompts_are_the_question_rows_of_the_example_table(pipeline, t
     assert "synth-108-0000-u00002" not in prompted  # a witness: "I am happy to answer any questions ..."
     manifest = json.loads((out.parent / "manifest.json").read_text())
     assert list(manifest["input_checksums"]) == [str(pipeline / "corpus")]
+
+
+def _kind_ids(table, kind):
+    return sorted(i for i, k in zip(table.example_id, table.kind) if k == kind)
+
+
+def _prompt_ids(path):
+    return sorted(json.loads(line)["example_id"] for line in path.read_text().splitlines())
+
+
+def test_prompts_are_the_table_examples_of_their_kind(pipeline, tmp_path, capsys):
+    """With a government context for every session, the prompts of each kind are the table's examples
+    of that kind, drawn from the same files of the store, and predictions made from them all score."""
+    from gavel import synth
+
+    raw, store, pairs, gov = tmp_path / "raw", tmp_path / "store", tmp_path / "pairs.jsonl", tmp_path / "gov.json"
+    synth.write_raw_tree(synth.synth_corpus(12, seed=101), raw)
+    synth.write_government_config(gov)
+    examples = tmp_path / "features" / "examples.tsv"
+    for argv in (
+        ["segment", "--input", str(raw), "--output", str(store)],
+        ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus", str(store)],
+        ["pair", "--corpus", str(store), "--output", str(pairs)],
+        ["features", "--corpus", str(store), "--pairs", str(pairs), "--government", str(gov),
+         "--output", str(examples)],
+    ):
+        assert run(argv) == 0, argv
+
+    def store_checksum(manifest_dir):
+        return json.loads((manifest_dir / "manifest.json").read_text())["input_checksums"][str(store)]
+
+    table = read_examples(examples)
+    for kind in KINDS:
+        prompts = tmp_path / kind / "prompts.jsonl"
+        assert run(["prompts", "--corpus", str(store), "--pairs", str(pairs), "--kind", kind,
+                    "--output", str(prompts)]) == 0
+        assert _prompt_ids(prompts) == _kind_ids(table, kind) != []
+        assert store_checksum(prompts.parent) == store_checksum(examples.parent), kind
+        predictions = tmp_path / kind / "predictions.tsv"
+        predictions.write_text("".join(f"{i}\tD\n" for i in _prompt_ids(prompts)))
+        capsys.readouterr()
+        assert run(["evaluate", "--examples", str(examples), "--predictions", str(predictions),
+                    "--out-dir", str(tmp_path / kind / "eval")]) == 0
+        assert "no labeled example" not in capsys.readouterr().err
+
+
+def test_features_and_prompts_take_the_same_examples_from_an_edited_store(pipeline, tmp_path, capsys):
+    """A pair that names a missing utterance gives the same warning from `features` and `prompts`; a
+    pair whose questioner is a witness, and a witness's utterance labeled Question, give neither a row
+    nor a prompt."""
+    corpus, pairs = tmp_path / "corpus", tmp_path / "pairs.jsonl"
+    shutil.copytree(pipeline / "corpus", corpus)
+    hearing = corpus / "synth-108-0000"
+    roster = json.loads((hearing / "roster.json").read_text())
+    witnesses = {p["person_id"] for p in roster["people"] if p["role"] == "Witness"}
+    kept = [json.loads(line) for line in (pipeline / "pairs.jsonl").read_text().splitlines()]
+    answers = {pair["answer_utterance_id"] for pair in kept}
+    records = [json.loads(line) for line in (hearing / "utterances.jsonl").read_text().splitlines()]
+    witness_utterances = [r for r in records if r["speaker"] in witnesses and r["utterance_id"] not in answers]
+    asked, answered = witness_utterances[-2:]  # neither is an example
+    asked["qa_label"] = "Question"
+    (hearing / "utterances.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    first = next(pair for pair in kept if pair["hearing_id"] == "synth-108-0000")
+    missing = {**first, "pair_id": "synth-108-0000-p90000", "answer_utterance_id": "synth-108-0000-u99999"}
+    by_witness = {**first, "pair_id": "synth-108-0000-p90001", "questioner": asked["speaker"],
+                  "question_utterance_id": asked["utterance_id"], "answer_utterance_id": answered["utterance_id"]}
+    pairs.write_text("".join(json.dumps(pair) + "\n" for pair in [*kept, missing, by_witness]))
+    warning = "warning: synth-108-0000/synth-108-0000-p90000: pair references unknown utterances"
+    examples = tmp_path / "x" / "examples.tsv"
+    capsys.readouterr()
+    assert run(["features", "--corpus", str(corpus), "--pairs", str(pairs), "--government",
+                str(FIXTURES / "government_context.json"), "--output", str(examples)]) == 0
+    assert warning in capsys.readouterr().err.splitlines()
+    table = read_examples(examples)
+    excluded = {asked["utterance_id"], answered["utterance_id"], missing["pair_id"], by_witness["pair_id"]}
+    assert excluded.isdisjoint(table.example_id)
+    for kind in KINDS:
+        prompts = tmp_path / kind / "prompts.jsonl"
+        assert run(["prompts", "--corpus", str(corpus), "--pairs", str(pairs), "--kind", kind,
+                    "--output", str(prompts)]) == 0
+        assert warning in capsys.readouterr().err.splitlines(), kind
+        assert _prompt_ids(prompts) == _kind_ids(table, kind) != [], kind
 
 
 def test_prompts_manifest_checksums_the_pairs_file(pipeline, tmp_path):
@@ -1716,19 +1816,34 @@ def _pair_sequence_gap(pipeline, tmp_path):
 
 
 def _store_dir_not_named_for_its_hearing(subcommand):
+    """A store, or for `segment` a raw tree, one of whose hearing directories is renamed."""
     def case(pipeline, tmp_path):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(pipeline / "corpus", corpus)
+        if subcommand == "segment":
+            corpus, _ = _raw_hearings(tmp_path)
+        else:
+            corpus = tmp_path / "corpus"
+            shutil.copytree(pipeline / "corpus", corpus)
         (corpus / "synth-108-0000").rename(corpus / "renamed")
         argv = {
-            "classify-qa": ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json")],
-            "pair": ["pair", "--output", str(tmp_path / "pairs.jsonl")],
+            "segment": ["segment", "--output", str(tmp_path / "s"), "--input"],
+            "classify-qa": ["classify-qa", "apply", "--model", str(pipeline / "qa_model.json"), "--corpus"],
+            "pair": ["pair", "--output", str(tmp_path / "pairs.jsonl"), "--corpus"],
             "features": ["features", "--government", str(FIXTURES / "government_context.json"),
-                         "--output", str(tmp_path / "ex.tsv")],
+                         "--output", str(tmp_path / "ex.tsv"), "--corpus"],
         }[subcommand]
         meta = corpus / "renamed" / "meta.json"
-        return argv + ["--corpus", str(corpus)], f"'synth-108-0000' stored under 'renamed' ({meta} field 'hearing_id')"
+        return argv + [str(corpus)], f"'synth-108-0000' stored under 'renamed' ({meta} field 'hearing_id')"
     return case
+
+
+def _predictions_repeated_id(pipeline, tmp_path):
+    predictions = tmp_path / "predictions.tsv"
+    header, *rows = (pipeline / "examples.tsv").read_text().splitlines()
+    example_ids = [row.split("\t")[0] for row in rows]
+    predictions.write_text(f"example_id\tlabel\n{example_ids[0]}\tD\n{example_ids[1]}\tR\n{example_ids[0]}\tD\n")
+    argv = ["evaluate", "--examples", str(pipeline / "examples.tsv"), "--predictions", str(predictions),
+            "--out-dir", str(tmp_path / "out")]
+    return argv, f"{predictions}:4 field 'example_id'"
 
 
 def _segment_matching_no_marker(pipeline, tmp_path):
@@ -1771,6 +1886,8 @@ MALFORMED_INPUTS = {
     "apply-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("classify-qa"),
     "pair-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("pair"),
     "features-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("features"),
+    "segment-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("segment"),
+    "predictions-repeated-id": _predictions_repeated_id,
     "transcript-matching-no-marker": _segment_matching_no_marker,
     "verdict-blank": _verdict_file(""),
     "verdict-unknown": _verdict_file("mangled"),

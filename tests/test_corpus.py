@@ -495,6 +495,33 @@ def test_file_reads_go_through_corpus_readers():
     assert offenders == []
 
 
+def _directory_listings(source: str) -> list[tuple[str, str]]:
+    """(top-level function, call) for each call of iterdir, glob, rglob, os.listdir, os.scandir or os.walk."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if not isinstance(func, ast.Attribute):
+                continue
+            if func.attr in ("iterdir", "glob", "rglob") or (
+                func.attr in ("listdir", "scandir", "walk") and getattr(func.value, "id", "") == "os"
+            ):
+                found.append((getattr(top, "name", "<module>"), func.attr))
+    return found
+
+
+def test_only_corpus_lists_a_directory():
+    """Which directories hold hearings is decided in `corpus` alone. The one listing elsewhere is
+    `cli._check_outputs`'s check that a new output directory is empty."""
+    listings = [
+        (path.name, *listing)
+        for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
+        if path.name != "corpus.py"
+        for listing in _directory_listings(path.read_text(encoding="utf-8"))
+    ]
+    assert listings in ([], [("cli.py", "_check_outputs", "iterdir")])
+
+
 def test_read_json_reports_shape_and_decode_errors(tmp_path):
     path = tmp_path / "v.json"
     path.write_text('{"a": 1}')

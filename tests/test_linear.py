@@ -130,3 +130,10 @@ def test_packed_training_has_the_bits_of_the_row_by_row_trainer(monkeypatch):
         assert _hex([bias, *weights]) == _hex([ref_bias, *ref_weights])
         assert _hex(trace) == _hex(ref_trace)
         assert len(passes) == len(trace) + halvings  # a rejected step costs one loss pass
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.5, math.inf, math.nan])
+def test_a_learning_rate_that_is_not_finite_and_positive_is_refused(lr):
+    """`inf / 2` is `inf`, so the step halving would never end on an infinite rate."""
+    with pytest.raises(ValueError, match="learning_rate"):
+        train_binary_logistic(PackedRows(HOSTILE_ROWS, N_FEATURES), HOSTILE_LABELS, lr, 5, 0.0)
