@@ -8,8 +8,10 @@ into one `Dataset` per split along any subset of five dimensions
 (committee, session, hearing type, unified/divided government,
 presidency): the example table's columns plus the split's row indices.
 Each split hands its learners imputed feature columns and labels for
-training and rows for prediction, is scored against its own majority-class
-baseline, and lands in stable, byte-reproducible tab-separated tables.
+training and rows for prediction. Its `EvalReport` keeps only the test
+rows' (true, predicted) counts, reads accuracy and the majority-class
+baseline off them, and lands in stable, byte-reproducible tab-separated
+tables.
 
 The example table's column form and file codec live in `features`, and the
 zero-shot prompt renderer in `corpus`, so `kstest` and `prompts` run
@@ -51,17 +53,20 @@ from .features import (
 from .forest import ForestHyper, ForestModel, derive_seed, predict_forest, train_forest
 from .lexicons import Lexicons
 from .party_models import (
-    EvalReport,
-    TASK_LABEL_ORDER,
     cross_validate_grid,
     feature_importance,  # not called here; perfbench/tracing.py wraps it under this module's name
     impute,
-    majority_baseline,
     strip_speaker_names,
     train_logistic,
 )
 
 DIMENSIONS = ("committee", "session", "hearing_type", "government", "presidency")
+
+TASK_LABEL_ORDER: dict[Task, tuple[str, ...]] = {
+    Task.AFFILIATION: ("Democrat", "Republican", "Independent"),
+    Task.STANDING: ("Majority", "Minority"),
+}
+
 
 def build_examples(
     corpus: Sequence[tuple[HearingMeta, Sequence[Utterance]]],
@@ -247,6 +252,59 @@ def fit_forest(
     return train_forest(x, y, classes, replace(best, seed=seed)), warnings
 
 
+@dataclass(frozen=True)
+class EvalReport:
+    """One split's evaluation: its (true, predicted, count) cells, and the rates read off them.
+
+    Accuracy and the majority-class baseline both come from `confusion`, so
+    they are scored on the same test rows and cannot disagree with it. A
+    degenerate split (single-class train or test) is reported with the flag
+    set, never suppressed; a split that could not be scored has an `error`
+    and no cells, which read as 0 test rows, accuracy 0.0 and no baseline.
+    """
+
+    split_key: tuple[tuple[str, str], ...]  # ((dimension, value), ...) in canonical order
+    task: Task
+    confusion: tuple[tuple[str, str, int], ...]  # (true, predicted, count), sorted
+    n_train: int
+    degenerate: bool = False
+    error: Optional[str] = None
+    warnings: tuple[str, ...] = ()  # what fitting the split's model warned of
+
+    @property
+    def split_label(self) -> str:
+        if not self.split_key:
+            return "all"
+        return "|".join(f"{dim}={value}" for dim, value in self.split_key)
+
+    @property
+    def n_test(self) -> int:
+        return sum(n for _, _, n in self.confusion)
+
+    @property
+    def accuracy(self) -> float:
+        return sum(n for t, p, n in self.confusion if t == p) / self.n_test if self.confusion else 0.0
+
+    def _true_counts(self) -> Counter:
+        counts: Counter = Counter()
+        for t, _, n in self.confusion:
+            counts[t] += n
+        return counts
+
+    @property
+    def baseline_class(self) -> str:
+        """The most frequent true class, a tie going to the first in the task's label order; "" with no cells."""
+        return max(TASK_LABEL_ORDER[self.task], key=self._true_counts().__getitem__) if self.confusion else ""
+
+    @property
+    def baseline_accuracy(self) -> float:
+        return self._true_counts()[self.baseline_class] / self.n_test if self.confusion else 0.0
+
+    @property
+    def beats_baseline(self) -> bool:
+        return self.accuracy > self.baseline_accuracy
+
+
 def _eval_report(
     key: tuple[tuple[str, str], ...],
     task: Task,
@@ -256,23 +314,9 @@ def _eval_report(
     degenerate: bool = False,
     warnings: Sequence[str] = (),
 ) -> EvalReport:
-    """Score predictions against truth and the truth's own majority-class baseline."""
-    confusion = Counter(zip(y_true, y_pred))
-    accuracy = sum(n for (t, p), n in confusion.items() if t == p) / len(y_true)
-    base_class, base_acc = majority_baseline(y_true, TASK_LABEL_ORDER[task])
-    return EvalReport(
-        split_key=key,
-        task=task,
-        accuracy=accuracy,
-        baseline_accuracy=base_acc,
-        baseline_class=base_class,
-        confusion=tuple(sorted((t, p, n) for (t, p), n in confusion.items())),
-        n_train=n_train,
-        n_test=len(y_true),
-        degenerate=degenerate,
-        beats_baseline=accuracy > base_acc,
-        warnings=tuple(warnings),
-    )
+    """Score predictions against truth."""
+    confusion = tuple(sorted((t, p, n) for (t, p), n in Counter(zip(y_true, y_pred)).items()))
+    return EvalReport(key, task, confusion, n_train, degenerate, warnings=tuple(warnings))
 
 
 def run_experiment(
@@ -295,17 +339,7 @@ def run_experiment(
         try:
             return _run_split(key, dataset, config, derive_seed(config.seed, split_no))
         except ValueError as exc:
-            return EvalReport(
-                split_key=key,
-                task=dataset.task,
-                accuracy=0.0,
-                baseline_accuracy=0.0,
-                baseline_class="",
-                confusion=(),
-                n_train=0,
-                n_test=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return EvalReport(key, dataset.task, (), 0, error=f"{type(exc).__name__}: {exc}")
 
     return map_ordered(run_split, enumerate(datasets))
 

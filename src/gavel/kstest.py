@@ -51,8 +51,14 @@ class KSResult:
     lam: float
     mean_a: float
     mean_b: float
-    stars: Stars
-    significant: bool
+
+    @property
+    def stars(self) -> Stars:
+        return star_level(self.p_value)
+
+    @property
+    def significant(self) -> bool:
+        return self.stars is not Stars.NONE
 
 
 def star_level(p: float) -> Stars:
@@ -126,18 +132,14 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
     d = ks_statistic(a, b)
     ne = na * nb / (na + nb)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-    p = ks_series_p(lam)
-    stars = star_level(p)
     return KSResult(
         statistic_d=d,
-        p_value=p,
+        p_value=ks_series_p(lam),
         n_a=na,
         n_b=nb,
         lam=lam,
         mean_a=sum_floats(a) / na,
         mean_b=sum_floats(b) / nb,
-        stars=stars,
-        significant=stars is not Stars.NONE,
     )
 
 
@@ -165,7 +167,11 @@ class GroupComparison:
     right_group: str
     feature_name: str
     result: KSResult
-    direction: float  # mean_left - mean_right; positive = left larger
+
+    @property
+    def direction(self) -> float:
+        """mean_left - mean_right; positive = left larger."""
+        return self.result.mean_a - self.result.mean_b
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,7 @@ def compare_groups(
                     ComparisonSkip(left, right, name, f"need >= 2 usable values per group, got {len(a)}/{len(b)}")
                 )
                 continue
-            result = ks_two_sample(a, b)
-            comparisons.append(
-                GroupComparison(left, right, name, result, direction=result.mean_a - result.mean_b)
-            )
+            comparisons.append(GroupComparison(left, right, name, ks_two_sample(a, b)))
     return comparisons, skips
 
 

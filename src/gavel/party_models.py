@@ -10,7 +10,8 @@ Speaker-name removal happens on text before feature extraction so names
 cannot leak the label. Every randomized step derives its stream from the
 root seed, and all tie-breaks are by class/lexicographic order, so repeat
 runs are identical. The models take plain columns and labels; the per-split
-`Dataset` they are cut from lives in `harness`, next to `build_datasets`.
+`Dataset` they are cut from, and the `EvalReport` that scores their
+predictions, live in `harness`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import map_ordered, sum_floats, take
-from .corpus import Roster, Task
+from .corpus import Roster
 from .forest import ForestHyper, ForestModel, derive_seed, forest_accuracy, train_forest
 from .linear import PackedRows, predict_proba, train_binary_logistic
 
@@ -34,47 +35,6 @@ _NAME_TOKEN_RE = re.compile(r"[A-Za-z0-9']+")
 # the letters they match; after this and lower(), text tokens are runs of [a-z0-9'].
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 _FOLDED_TOKEN_RE = re.compile(r"[a-z0-9']+")
-
-
-TASK_LABEL_ORDER: dict[Task, tuple[str, ...]] = {
-    Task.AFFILIATION: ("Democrat", "Republican", "Independent"),
-    Task.STANDING: ("Majority", "Minority"),
-}
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One split's evaluation: model accuracy against the majority baseline.
-
-    Accuracy and baseline are computed on the same test split; the baseline
-    is recomputable from the confusion matrix row sums. Degenerate splits
-    (single-class train or test) are reported with the flag set, never
-    suppressed.
-    """
-
-    split_key: tuple[tuple[str, str], ...]  # ((dimension, value), ...) in canonical order
-    task: Task
-    accuracy: float
-    baseline_accuracy: float
-    baseline_class: str
-    confusion: tuple[tuple[str, str, int], ...]  # (true, predicted, count)
-    n_train: int
-    n_test: int
-    degenerate: bool = False
-    beats_baseline: bool = False
-    error: Optional[str] = None
-    warnings: tuple[str, ...] = ()  # what fitting the split's model warned of
-
-    def __post_init__(self):
-        if self.error is None:
-            if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.baseline_accuracy <= 1.0):
-                raise ValueError("accuracy and baseline must lie in [0, 1]")
-
-    @property
-    def split_label(self) -> str:
-        if not self.split_key:
-            return "all"
-        return "|".join(f"{dim}={value}" for dim, value in self.split_key)
 
 
 def _name_variants(names: Iterable[str]) -> list[tuple[str, ...]]:
@@ -138,18 +98,6 @@ def strip_speaker_names(
         else:
             i += 1
     return "".join(pieces) + text[last:]
-
-
-def majority_baseline(labels: Sequence[str], order: Sequence[str]) -> tuple[str, float]:
-    """Most frequent label and its share; ties break by `order` position."""
-    if not labels:
-        raise ValueError("empty label list")
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    rank = {lab: i for i, lab in enumerate(order)}
-    best = min(counts, key=lambda lab: (-counts[lab], rank.get(lab, len(rank))))
-    return best, counts[best] / len(labels)
 
 
 def impute(

@@ -450,10 +450,13 @@ VERDICTS = ("correct", "clubbed", "broken")
 
 @dataclass(frozen=True)
 class VerdictSummary:
-    n_total: int
     n_correct: int
     n_clubbed: int
     n_broken: int
+
+    @property
+    def n_total(self) -> int:
+        return self.n_correct + self.n_incorrect
 
     @property
     def n_incorrect(self) -> int:
@@ -473,12 +476,7 @@ def score_verdicts(verdicts: Sequence[str]) -> VerdictSummary:
         if key not in counts:
             raise ValueError(f"unknown verdict {v!r}; expected one of {VERDICTS}")
         counts[key] += 1
-    return VerdictSummary(
-        n_total=len(verdicts),
-        n_correct=counts["correct"],
-        n_clubbed=counts["clubbed"],
-        n_broken=counts["broken"],
-    )
+    return VerdictSummary(n_correct=counts["correct"], n_clubbed=counts["clubbed"], n_broken=counts["broken"])
 
 
 def read_verdict_file(path: Path | str) -> list[tuple[str, str]]:

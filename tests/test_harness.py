@@ -7,6 +7,7 @@ import pytest
 
 from gavel import harness, party_models
 from gavel.corpus import (
+    Task,
     Chamber,
     GovernmentContext,
     HearingMeta,
@@ -22,6 +23,7 @@ from gavel.corpus import (
 from gavel.features import COLUMNS, META_COLUMNS, SCHEMA
 from gavel.forest import ForestHyper
 from gavel.harness import (
+    EvalReport,
     ExperimentConfig,
     SplitSpec,
     build_datasets,
@@ -34,7 +36,6 @@ from gavel.harness import (
     write_examples,
 )
 from gavel.lexicons import load_lexicons
-from gavel.party_models import Task
 
 LEX = load_lexicons()
 
@@ -304,6 +305,50 @@ def test_every_report_baseline_recomputable_from_confusion():
         assert confusion_accuracy == pytest.approx(report.accuracy)
 
 
+def test_baseline_is_the_majority_share_of_the_true_classes():
+    cells = (("Democrat", "Democrat", 1), ("Democrat", "Republican", 1), ("Republican", "Democrat", 1))
+    report = EvalReport((), Task.AFFILIATION, cells, n_train=6)
+    assert (report.n_test, report.baseline_class) == (3, "Democrat")
+    assert report.baseline_accuracy == pytest.approx(2 / 3)
+    assert report.accuracy == pytest.approx(1 / 3) and not report.beats_baseline
+
+
+def test_baseline_of_a_hand_label_distribution():
+    # 379 Democrat and 421 Republican test rows, whatever the model predicted for them
+    cells = (("Democrat", "Democrat", 300), ("Democrat", "Republican", 79),
+             ("Republican", "Democrat", 121), ("Republican", "Republican", 300))
+    report = EvalReport((), Task.AFFILIATION, cells, n_train=3200)
+    assert (report.n_test, report.baseline_class) == (800, "Republican")
+    assert report.baseline_accuracy == pytest.approx(0.52625, abs=1e-12)
+    assert report.accuracy == 0.75 and report.beats_baseline
+
+
+@pytest.mark.parametrize("task, cells, first", [
+    (Task.AFFILIATION, (("Democrat", "Republican", 1), ("Republican", "Democrat", 1)), "Democrat"),
+    (Task.AFFILIATION, (("Independent", "Independent", 2), ("Republican", "Independent", 2)), "Republican"),
+    (Task.STANDING, (("Majority", "Minority", 3), ("Minority", "Majority", 3)), "Majority"),
+])
+def test_a_baseline_tie_goes_to_the_first_class_in_the_label_order(task, cells, first):
+    report = EvalReport((), task, cells, n_train=4)
+    assert (report.baseline_class, report.baseline_accuracy) == (first, 0.5)
+
+
+def test_baseline_of_a_single_class():
+    report = EvalReport((), Task.STANDING, (("Majority", "Majority", 7),), n_train=20)
+    assert (report.n_test, report.baseline_class, report.baseline_accuracy) == (7, "Majority", 1.0)
+    assert report.accuracy == 1.0 and not report.beats_baseline
+
+
+def test_a_report_without_cells_is_an_error_report_with_no_scores(tmp_path):
+    report = EvalReport((("session", "108"),), Task.AFFILIATION, (), n_train=0, error="ValueError: boom")
+    assert (report.n_test, report.accuracy, report.baseline_class, report.baseline_accuracy) == (0, 0.0, "", 0.0)
+    assert not report.beats_baseline  # no `*` on the stderr line
+    emit_tables([report], "split_grid", tmp_path / "split_grid.tsv")
+    row = (tmp_path / "split_grid.tsv").read_text().splitlines()[1].split("\t")
+    assert row == ["session=108", "Affiliation", "0", "0", "0.0", "0.00", "0.0", "0.00", "", "false", "false", "",
+                   "ValueError: boom"]
+
+
 def test_single_class_split_reported_degenerate():
     rows = [(*r[:9], "Republican", "Minority", *r[11:]) for r in synthetic_rows(60, signal=False)]
     datasets, _ = build_datasets(table_of(rows), SplitSpec(min_rows=10, task=Task.STANDING))
@@ -348,8 +393,7 @@ def test_emit_tables_empty_reports_header_only(tmp_path):
     ("hearing_type_government", (("committee", "Armed"), ("hearing_type", "General"), ("government", "Unified"))),
 ])
 def test_a_pivot_refuses_a_report_split_by_other_dimensions(tmp_path, layout, key):
-    report = party_models.EvalReport(split_key=key, task=Task.AFFILIATION, accuracy=1.0, baseline_accuracy=0.5,
-                                     baseline_class="Democrat", confusion=(), n_train=4, n_test=2)
+    report = EvalReport(key, Task.AFFILIATION, (("Democrat", "Democrat", 1), ("Republican", "Republican", 1)), n_train=4)
     with pytest.raises(ValueError, match=f"{layout} is not keyed by"):
         emit_tables([report], layout, tmp_path / "pivot.tsv")
     assert not (tmp_path / "pivot.tsv").exists()

@@ -8,6 +8,7 @@ from gavel.corpus import Party, Standing
 from gavel.features import SCHEMA
 from gavel.kstest import (
     GROUP_PAIRS,
+    KSResult,
     Stars,
     compare_groups,
     emit_comparison_details,
@@ -119,6 +120,19 @@ def test_star_levels():
     assert star_level(0.05) is Stars.NONE
     assert star_level(0.5) is Stars.NONE
     assert Stars.THREE.glyph == "***"
+
+
+@pytest.mark.parametrize("p, stars, significant", [
+    (math.nextafter(0.001, 0.0), Stars.THREE, True),
+    (0.001, Stars.TWO, True),
+    (math.nextafter(0.01, 0.0), Stars.TWO, True),
+    (0.01, Stars.ONE, True),
+    (math.nextafter(0.05, 0.0), Stars.ONE, True),
+    (0.05, Stars.NONE, False),
+])
+def test_a_results_stars_and_significance_are_read_off_its_p_value(p, stars, significant):
+    result = KSResult(statistic_d=0.5, p_value=p, n_a=10, n_b=10, lam=1.0, mean_a=1.0, mean_b=2.0)
+    assert (result.stars, result.significant) == (stars, significant)
 
 
 def _fv(value: float) -> list:

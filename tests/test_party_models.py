@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gavel import KINDS, take
-from gavel.corpus import Chamber, Party, Person, Role, Roster, Utterance, load_roster
+from gavel.corpus import Chamber, Party, Person, Role, Roster, Task, Utterance, load_roster
 from gavel.forest import (
     ForestHyper,
     _leaf_for,
@@ -25,11 +25,9 @@ from gavel.linear import PackedRows, train_binary_logistic
 from gavel.party_models import (
     NAME_PLACEHOLDER,
     LinearModel,
-    Task,
     cross_validate_grid,
     fit_standardizer,
     impute,
-    majority_baseline,
     strip_speaker_names,
     stratified_folds,
     train_logistic,
@@ -172,26 +170,6 @@ def test_strip_names_matches_regex_oracle_on_fixture_transcripts(hearing):
     assert strip_speaker_names(transcript, roster) == expected
     for line in transcript.splitlines():
         assert strip_speaker_names(line, roster, HOSTILE_DIRECTORY) == oracle_strip(line, roster, HOSTILE_DIRECTORY)
-
-
-def test_majority_baseline_simple():
-    label, acc = majority_baseline(["D", "D", "R"], order=("R", "D"))
-    assert (label, acc) == ("D", pytest.approx(2 / 3))
-
-
-def test_majority_baseline_hand_label_distribution():
-    labels = ["Question"] * 379 + ["Answer"] * 421
-    label, acc = majority_baseline(labels, order=("Question", "Answer"))
-    assert label == "Answer"
-    assert acc == pytest.approx(0.52625, abs=1e-12)
-
-
-def test_majority_baseline_single_class_and_ties():
-    assert majority_baseline(["M"] * 7, order=("M", "m")) == ("M", 1.0)
-    label, acc = majority_baseline(["R", "D"], order=("D", "R"))
-    assert label == "D" and acc == 0.5
-    with pytest.raises(ValueError):
-        majority_baseline([], order=("D", "R"))
 
 
 def columns(rows):
