@@ -469,6 +469,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _use("features", "harness", "forest")
+    if args.predictions and args.grid is not None:  # `grid` is config-only, so `exclude` cannot refuse it
+        mode = "--predictions" if "predictions" in args.given else "config key 'predictions'"
+        raise UsageError(f"{mode} and config key 'grid' cannot be used together")
     _require(args, "examples", "out_dir")
     out_dir = Path(args.out_dir)
     task = Task(args.task)

@@ -669,7 +669,13 @@ def role_of(people: Mapping[str, Person], person_id: str) -> Role:
 
 
 def is_member_question(utterance: Utterance, people: Mapping[str, Person]) -> bool:
-    """A member's question: labeled Question, and spoken by someone `people` lists as a Member."""
+    """A member's question: labeled Question, and spoken by someone `people` lists as a Member.
+
+    Pairs and examples are taken from a labeled store, so an unlabeled utterance is a `CorpusError`.
+    """
+    if utterance.qa_label is QALabel.UNLABELED:
+        raise CorpusError(f"hearing {utterance.hearing_id}: utterance {utterance.utterance_id} is Unlabeled;"
+                          " run `classify-qa apply` on the store first")
     return utterance.qa_label is QALabel.QUESTION and role_of(people, utterance.speaker) is Role.MEMBER
 
 

@@ -394,22 +394,27 @@ def read_examples(path: Path | str) -> ExampleTable:
             f"unexpected header (schema version mismatch?): {header[:4]}...", path=str(path), line_no=line_no
         )
     columns = [[] for _ in META_COLUMNS] + [array("d") for _ in SCHEMA]
+    lines_of: dict[str, int] = {}
     while block := list(islice(lines, _BLOCK_LINES)):
-        _add_block(path, block, columns)
+        _add_block(path, block, columns, lines_of)
     return ExampleTable(*columns[: len(META_COLUMNS)], features=tuple(columns[len(META_COLUMNS) :]))
 
 
-def _add_block(path, block: Sequence[tuple[int, list[str]]], columns: list) -> None:
-    """Append a block of (line_no, cells) rows to the columns.
+def _add_block(path, block: Sequence[tuple[int, list[str]]], columns: list, lines_of: dict[str, int]) -> None:
+    """Append a block of (line_no, cells) rows to the columns; `lines_of` maps each example id read to its line.
 
     A block with a faulty line is added again a line at a time, so that the
     error names the first such line and, in it, the first faulty column.
     """
     for i, (line_no, cells) in enumerate(block):
         if len(cells) != len(COLUMNS):
-            _add_block(path, block[:i], columns)  # a fault on an earlier line is reported first
-            raise RecordError(f"expected {len(COLUMNS)} columns, got {len(cells)}", path=str(path),
-                              line_no=line_no, field_name=COLUMNS[min(len(cells), len(COLUMNS) - 1)])
+            fault = f"expected {len(COLUMNS)} columns, got {len(cells)}", COLUMNS[min(len(cells), len(COLUMNS) - 1)]
+        elif lines_of.setdefault(cells[0], line_no) != line_no:
+            fault = f"example {cells[0]!r} is also on line {lines_of[cells[0]]}", "example_id"
+        else:
+            continue
+        _add_block(path, block[:i], columns, lines_of)  # a fault on an earlier line is reported first
+        raise RecordError(fault[0], path=str(path), line_no=line_no, field_name=fault[1])
     for j, cells in enumerate(zip(*(cells for _, cells in block))):
         try:
             if j >= len(META_COLUMNS):
@@ -421,7 +426,7 @@ def _add_block(path, block: Sequence[tuple[int, list[str]]], columns: list) -> N
         except ValueError:
             if len(block) > 1:
                 for line in block:
-                    _add_block(path, [line], columns)
+                    _add_block(path, [line], columns, lines_of)
             what = "not an integer" if j == _SESSION else "non-finite or not a number"
             raise RecordError(f"{cells[0]!r} is {what}", path=str(path), line_no=block[0][0],
                               field_name=COLUMNS[j]) from None

@@ -33,6 +33,7 @@ from . import KINDS, map_ordered, take
 from .corpus import (
     GovernmentContext,
     HearingMeta,
+    InvariantError,
     QAPair,
     RecordError,
     Roster,
@@ -102,7 +103,7 @@ def build_examples(
             person = roster.people_by_id[member_id]
             try:
                 standing = derive_standing(person, meta, ctx)
-            except Exception as exc:
+            except InvariantError as exc:  # a Joint hearing's member without a chamber
                 warnings.append(f"{meta.hearing_id}/{member_id}: standing unresolved ({exc})")
                 return None
             return (*hearing, person.party.value, standing.value)

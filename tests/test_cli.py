@@ -1413,6 +1413,24 @@ def test_prompts_are_the_table_examples_of_their_kind(pipeline, tmp_path, capsys
         assert "no labeled example" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["pair", "features", "prompts"])
+def test_a_command_taking_examples_refuses_an_unlabeled_store(tmp_path, capsys, subcommand):
+    store, output = tmp_path / "store", tmp_path / "out" / "output"
+    assert run(["segment", "--input", str(FIXTURES / "hearings"), "--output", str(store)]) == 0
+    argv = {
+        "pair": ["pair", "--corpus", str(store), "--output", str(output)],
+        "features": ["features", "--corpus", str(store), "--government", str(FIXTURES / "government_context.json"),
+                     "--output", str(output)],
+        "prompts": ["prompts", "--corpus", str(store), "--kind", "Question", "--output", str(output)],
+    }[subcommand]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: hearing synth-108-0000: utterance synth-108-0000-u00000 is Unlabeled;" in err
+    assert "run `classify-qa apply` on the store first" in err
+    assert not output.parent.exists()
+
+
 def test_features_and_prompts_take_the_same_examples_from_an_edited_store(pipeline, tmp_path, capsys):
     """A pair that names a missing utterance gives the same warning from `features` and `prompts`; a
     pair whose questioner is a witness, and a witness's utterance labeled Question, give neither a row
@@ -1805,6 +1823,27 @@ def _kstest_bad_session(pipeline, tmp_path):
     return ["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "m.tsv")], f"{examples}:3"
 
 
+def _features_repeated_pair(field):
+    """`features` over a pairs file whose second line repeats the first pair, or pairs the first's answer again."""
+    def case(pipeline, tmp_path):
+        first = json.loads((pipeline / "pairs.jsonl").read_text().splitlines()[0])
+        again = first if field == "pair_id" else {**first, "pair_id": first["pair_id"] + "-again"}
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(f"{json.dumps(first)}\n{json.dumps(again)}\n")
+        argv = ["features", "--corpus", str(pipeline / "corpus"), "--pairs", str(pairs),
+                "--government", str(FIXTURES / "government_context.json"), "--output", str(tmp_path / "ex.tsv")]
+        return argv, f"{pairs}:2 field '{field}'"
+    return case
+
+
+def _kstest_repeated_example_id(pipeline, tmp_path):
+    examples = tmp_path / "examples.tsv"
+    lines = (pipeline / "examples.tsv").read_text().splitlines()
+    lines.insert(3, lines[1])
+    examples.write_text("\n".join(lines) + "\n")
+    return ["kstest", "--examples", str(examples), "--out-matrix", str(tmp_path / "m.tsv")], f"{examples}:4 field 'example_id'"
+
+
 def _pair_sequence_gap(pipeline, tmp_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus)
@@ -1882,6 +1921,9 @@ MALFORMED_INPUTS = {
     "meta-duplicate-hearing-id": _segment_duplicate_hearing_id,
     "stored-roster-of-another-hearing": _pair_roster_of_another_hearing,
     "examples-bad-session": _kstest_bad_session,
+    "examples-repeated-id": _kstest_repeated_example_id,
+    "pairs-repeated-pair-id": _features_repeated_pair("pair_id"),
+    "pairs-answer-paired-twice": _features_repeated_pair("answer_utterance_id"),
     "utterances-sequence-gap": _pair_sequence_gap,
     "apply-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("classify-qa"),
     "pair-store-dir-not-named-for-its-hearing": _store_dir_not_named_for_its_hearing("pair"),
@@ -2130,6 +2172,9 @@ IGNORED_SETTINGS = {
             ("--kind", "Answer", "kind", "Answer"),
         )
     },
+    "evaluate-predictions-grid": (  # config only: it has no flag
+        ["evaluate", "--examples", "absent.tsv", "--out-dir", "OUT", "--predictions", "absent-predictions.tsv"],
+        "--predictions", [], {"grid": [{"n_estimators": 2}, {"n_estimators": 3}]}),
     **{
         f"verify-sample-score-{flag[2:]}": (
             ["verify-sample", "--score", "absent.tsv"], "--score", [flag, value], {key: config})
@@ -2153,8 +2198,10 @@ IGNORED_SETTINGS.update({
 })
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("case", sorted(IGNORED_SETTINGS))
+@pytest.mark.parametrize("case, source", [
+    (case, source) for source in ("flag", "config") for case in sorted(IGNORED_SETTINGS)
+    if IGNORED_SETTINGS[case][2] or source == "config"
+])
 def test_mode_refuses_settings_it_ignores(tmp_path, capsys, case, source):
     argv, mode, flag, config = IGNORED_SETTINGS[case]
     out = tmp_path / "out"

@@ -522,6 +522,30 @@ def test_only_corpus_lists_a_directory():
     assert listings in ([], [("cli.py", "_check_outputs", "iterdir")])
 
 
+def _broad_handlers(source: str) -> list[tuple[str, str]]:
+    """(top-level function, caught) for each handler of Exception, of BaseException or of everything."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} if node.type else {"everything"}
+            found += [(getattr(top, "name", "<module>"), name)
+                      for name in sorted(caught & {"Exception", "BaseException", "everything"})]
+    return found
+
+
+def test_only_cli_main_catches_every_exception():
+    """A handler that catches any exception would turn a bug into a warning or a skipped row. The one
+    such handler is `cli.main`'s, which prints the traceback and exits 2."""
+    handlers = [
+        (path.name, *handler)
+        for path in sorted(Path(gavel.__file__).parent.rglob("*.py"))
+        for handler in _broad_handlers(path.read_text(encoding="utf-8"))
+    ]
+    assert handlers == [("cli.py", "main", "Exception")]
+
+
 def test_read_json_reports_shape_and_decode_errors(tmp_path):
     path = tmp_path / "v.json"
     path.write_text('{"a": 1}')

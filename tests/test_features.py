@@ -638,3 +638,26 @@ def test_read_examples_holds_at_most_600_bytes_per_row(tmp_path):
     n_rows = len(table.example_id)
     assert n_rows >= 1000
     assert held / n_rows <= 600, f"{held / n_rows:.0f} bytes per row"
+
+
+def test_read_examples_refuses_a_repeated_example_id_on_the_line_that_repeats_it(tmp_path):
+    """Across blocks, and after any fault on an earlier line."""
+    from test_party_models import synth_rows
+
+    from gavel.corpus import RecordError
+    from gavel.features import _BLOCK_LINES, _SESSION, read_examples, write_examples
+
+    rows = synth_rows(20, seed=7)
+    assert len(rows) > _BLOCK_LINES + 3
+    path = tmp_path / "examples.tsv"
+    write_examples([*rows, rows[3]], path)
+    with pytest.raises(RecordError) as info:
+        read_examples(path)
+    assert (info.value.line_no, info.value.field_name) == (len(rows) + 2, "example_id")
+    assert info.value.message == f"example {rows[3][0]!r} is also on line 5"
+    bad = [*rows[:10], rows[3]]
+    bad[6] = (*bad[6][:_SESSION], "abc", *bad[6][_SESSION + 1 :])
+    write_examples(bad, path)
+    with pytest.raises(RecordError) as info:
+        read_examples(path)
+    assert (info.value.line_no, info.value.field_name) == (8, "session")

@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,25 @@ def test_build_examples_name_stripping_changes_features():
     row_k = next(r for r in records(kept) if r["example_id"] == "h-1-u00000")
     # "Carolyn Maloney" collapses to one placeholder token
     assert row_s["wCount"] == row_k["wCount"] - 1
+
+
+def test_a_joint_hearing_member_without_a_chamber_gives_a_warning_and_no_row():
+    [(meta, utterances)], rosters, gov, pairs = mini_corpus()
+    people = tuple(replace(p, chamber=None) if p.person_id == "d1" else p for p in rosters["h-1"].people)
+    corpus = [(replace(meta, chamber=Chamber.JOINT), utterances)]
+    rows, warnings = build_examples(corpus, {"h-1": replace(rosters["h-1"], people=people)}, gov, LEX, pairs=pairs)
+    assert set(warnings) == {"h-1/d1: standing unresolved (cannot derive standing for d1 in a Joint hearing without a chamber)"}
+    assert [r["example_id"] for r in records(rows)] == ["h-1-u00002"]  # r1's question
+
+
+def test_build_examples_lets_a_programming_error_through(monkeypatch):
+    def bug(*args, **kwargs):
+        raise AttributeError("'NoneType' object has no attribute 'majority_of'")
+
+    monkeypatch.setattr(harness, "derive_standing", bug)
+    corpus, rosters, gov, pairs = mini_corpus()
+    with pytest.raises(AttributeError):
+        build_examples(corpus, rosters, gov, LEX, pairs=pairs)
 
 
 def test_examples_file_round_trip(tmp_path):

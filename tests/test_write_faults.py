@@ -149,7 +149,7 @@ def test_a_failed_write_leaves_each_file_as_it_was_or_complete(stages, tmp_path,
             shutil.rmtree(work)
 
 
-def test_an_interrupted_apply_leaves_a_store_that_loads(stages, tmp_path, monkeypatch):
+def test_an_interrupted_apply_leaves_a_store_that_loads(stages, tmp_path, monkeypatch, capsys):
     index = COMMANDS.index("classify-qa apply")
     start, before, clean, targets = prepared(stages, index, tmp_path, monkeypatch)
     stored = [t for t in targets if t.endswith("utterances.jsonl")]
@@ -162,3 +162,8 @@ def test_an_interrupted_apply_leaves_a_store_that_loads(stages, tmp_path, monkey
     assert_left_whole(work, before, clean, targets, targets.index(stored[1]))
     labels = {meta.hearing_id: {u.qa_label for u in utterances} for meta, utterances in load_corpus(work / "corpus")}
     assert [labels[Path(t).parent.name] == {QALabel.UNLABELED} for t in stored] == [False, True, True]
+    # and `pair` refuses it, rather than pairing the one labeled hearing
+    hearing = Path(stored[1]).parent.name
+    assert cli.main(commands(work)[COMMANDS.index("pair")]) == 1
+    assert f"hearing {hearing}: utterance {hearing}-u00000 is Unlabeled" in capsys.readouterr().err
+    assert not (work / "pairs.jsonl").exists()
