@@ -399,20 +399,20 @@ def save_pairs(pairs_by_hearing: Mapping[str, Sequence[QAPair]], path: Path | st
 
 
 def load_pairs(path: Path | str) -> dict[str, list[QAPair]]:
-    """The pairs of a pairs file by hearing. Each pair, and each answer it pairs, names one example of the
-    table, so a repeated `pair_id`, or a hearing's answer paired twice, is a `RecordError` naming the line."""
+    """The pairs of a pairs file by hearing. A pair's id and its answer's utterance id each name an example
+    of the table, so a repeated `pair_id`, or an answer paired twice, is a `RecordError` naming the line."""
     out: dict[str, list[QAPair]] = {}
     pair_ids: set[str] = set()
-    answers: set[tuple[str, str]] = set()
+    answers: set[str] = set()
 
     def decode(rec: dict) -> tuple[str, QAPair]:
         hearing_id, pair = rec["hearing_id"], from_record(QAPair, rec)
         if pair.pair_id in pair_ids:
             raise RecordError(f"pair {pair.pair_id!r} is listed twice", field_name="pair_id")
-        if (hearing_id, pair.answer_utterance_id) in answers:
+        if pair.answer_utterance_id in answers:
             raise RecordError(f"answer {pair.answer_utterance_id!r} is paired twice", field_name="answer_utterance_id")
         pair_ids.add(pair.pair_id)
-        answers.add((hearing_id, pair.answer_utterance_id))
+        answers.add(pair.answer_utterance_id)
         return hearing_id, pair
 
     for hearing_id, pair in read_records(path, decode):

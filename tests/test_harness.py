@@ -8,7 +8,6 @@ import pytest
 
 from gavel import harness, party_models
 from gavel.corpus import (
-    Task,
     Chamber,
     GovernmentContext,
     HearingMeta,
@@ -19,6 +18,7 @@ from gavel.corpus import (
     QAPair,
     Role,
     Roster,
+    Task,
     Utterance,
 )
 from gavel.features import COLUMNS, META_COLUMNS, SCHEMA
